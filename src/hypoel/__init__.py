@@ -71,15 +71,7 @@ from .sequences import (
     load_table,
     power_sequence,
 )
-from .symbols import (
-    SymbolPolynomial,
-    VariableOperator,
-    derive,
-    evaluate,
-    freeze,
-    p_tilde,
-    power,
-)
+from .symbols import SymbolPolynomial, VariableOperator
 from .weights import (
     BallSampleConfig,
     ConstantWeight,

@@ -9,13 +9,14 @@ bounded ratios saturate with slope ~ 0 and a certifiably small tail increase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import HypoelError
-from .symbols import MultiIndex, SymbolPolynomial, VariableOperator, multi_indices_up_to
+from .fitting import least_squares_slope
+from .symbols import MultiIndex, SymbolPolynomial, VariableOperator
 
 #: per-ray tail slopes above this count as divergence
 SLOPE_TOL = 0.05
@@ -147,21 +148,6 @@ def _characteristic_refinement(q: SymbolPolynomial, dirs: np.ndarray) -> np.ndar
     return pts[norms > 0] / norms[norms > 0, None]
 
 
-def _ray_values(q: SymbolPolynomial, dirs: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """|Q| at dirs x radii, shaped (num_dirs, num_radii)."""
-    xi = dirs[:, None, :] * radii[None, :, None]
-    return np.abs(q(xi))
-
-
-def _fit_tail_slope(log_r: np.ndarray, log_ratio: np.ndarray) -> float:
-    """Least-squares slope of log ratio against log radius over the last half."""
-    half = len(log_r) // 2
-    x = log_r[half:]
-    y = log_ratio[half:]
-    xm = x - x.mean()
-    return float(np.dot(xm, y - y.mean()) / np.dot(xm, xm))
-
-
 @dataclass
 class RaySample:
     beta: MultiIndex
@@ -252,39 +238,159 @@ def snap_rational(value: float, max_denominator: int = 12, rel_tol: float = 0.02
     return None
 
 
-def _sample_directions(q: SymbolPolynomial, cfg: RayConfig) -> tuple[np.ndarray, int]:
-    """Direction set and the count of base (non-refined) directions at its head."""
-    cfg.validate_for_dimension(q.dimension)
-    dirs = unit_directions(q.dimension, cfg.directions, cfg.seed)
+#: radii are kept while a bound on every ray value stays below exp(LOG_RANGE); floats end near exp(709)
+LOG_RANGE = 690.0
+
+
+def _ray_grid(n: int, cfg: RayConfig, refine_for: SymbolPolynomial | None = None):
+    """Directions, how many base ones lead them, the radii, and the points, shaped (rays, radii, n).
+
+    With `refine_for`, directions found by its characteristic search follow the base ones.
+    """
+    cfg.validate_for_dimension(n)
+    dirs = unit_directions(n, cfg.directions, cfg.seed)
     num_base = len(dirs)
-    if cfg.include_characteristic_search:
-        extra = _characteristic_refinement(q, dirs)
-        if len(extra):
-            dirs = np.concatenate([dirs, extra], axis=0)
-    return dirs, num_base
+    if refine_for is not None and cfg.include_characteristic_search:
+        dirs = np.concatenate([dirs, _characteristic_refinement(refine_for, dirs)], axis=0)
+    radii = cfg.radius_grid()
+    return dirs, num_base, radii, dirs[:, None, :] * radii[None, :, None]
 
 
-def _is_monotone_tail(values: np.ndarray, count: int = 5) -> bool:
-    tail = values[-count:]
-    return bool(np.all(np.diff(tail) >= -1e-12 * np.abs(tail[:-1])))
+@dataclass
+class _RayTable:
+    """The rays of one symbol, sampled and evaluated once for every sweep over them."""
+
+    cfg: RayConfig
+    dirs: np.ndarray
+    base: np.ndarray  # True on the base directions, which precede the refined ones
+    radii: np.ndarray
+    xi: np.ndarray
+    denom: np.ndarray  # 1 + |Q|
+    derivatives: list[tuple[MultiIndex, SymbolPolynomial]]  # the nonzero ones, beta = 0 first
+
+
+def _ray_table(q: SymbolPolynomial, cfg: RayConfig) -> _RayTable:
+    """The table of q on cfg's rays, its radius grid cut where the values of q could overflow.
+
+    For |xi| <= r with r >= 1, every |Q^(beta)| and r^{|beta|/d} |Q^(beta)| (d >= 1) is at
+    most sum |c_alpha| m! r^m; the grid keeps the radii where that bound's log is below LOG_RANGE.
+    """
+    m = q.order
+    log_c = math.lgamma(m + 1) + math.log(sum(abs(c) for c in q.terms.values()))
+    kept = int(np.count_nonzero(m * np.log(cfg.radius_grid()) + log_c < LOG_RANGE)) - 1
+    if kept < 8:
+        raise HypoelError(f"a symbol of order {m} leaves {max(kept, 0)} radii in floating-point range, need 8")
+    cfg = replace(cfg, radii=kept)
+    dirs, num_base, radii, xi = _ray_grid(q.dimension, cfg, q)
+    derivatives = [(beta, dq) for beta, dq in q.derivatives() if not dq.is_zero]
+    return _RayTable(cfg, dirs, np.arange(len(dirs)) < num_base, radii, xi, 1.0 + np.abs(q(xi)), derivatives)
+
+
+def _sweep(table: _RayTable, derivatives, d: float = math.inf):
+    """One derivative at a time: beta, ratios r^{|beta|/d} |Q^(beta)| / (1 + |Q|), row peaks, logs, slopes."""
+    for beta, dq in derivatives:
+        ratios = table.radii ** (sum(beta) / d) * np.abs(dq(table.xi)) / table.denom
+        logs = np.log(np.maximum(ratios, 1e-300))
+        yield beta, ratios, ratios.max(axis=1), logs, _tail_slopes(table.radii, logs)
+
+
+def _tail_slopes(radii: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """Per-ray slopes of log ratios against log radius over the last half of the radii."""
+    half = len(radii) // 2
+    return least_squares_slope(np.log(radii[half:]), logs[..., half:])
+
+
+def _first_max(values: np.ndarray, mask: np.ndarray | bool = True) -> int | None:
+    """Index of the first largest value where mask holds; NaN and -inf never win."""
+    masked = np.where(mask & ~np.isnan(values), values, -np.inf)
+    i = int(np.argmax(masked))
+    return i if masked[i] > -np.inf else None
+
+
+def _is_monotone_tail(values: np.ndarray, count: int = 5) -> np.ndarray:
+    tail = values[..., -count:]
+    return np.all(np.diff(tail, axis=-1) >= -1e-12 * np.abs(tail[..., :-1]), axis=-1)
 
 
 #: refined-ray violations must exceed this multiple of the base rays' typical peak
 REFINED_GUARD_FACTOR = 10.0
 
 
-def _refined_guard(ratios: np.ndarray, num_base: int) -> float:
+def _refined_guard(ratios: np.ndarray, base: np.ndarray) -> float:
     """Magnitude a refined ray must reach before its divergence is trusted.
 
     Refined directions sit arbitrarily close to characteristic sets, where a
     finite radius window shows transition plateaus of bounded ratios; only
     ratios well above the base grid's typical per-ray peak count as evidence.
     """
-    base_maxima = ratios[:num_base].max(axis=1)
+    base_maxima = ratios[base].max(axis=1)
     base_maxima = base_maxima[base_maxima > 1e-250]
     if not len(base_maxima):
         return 0.0
     return REFINED_GUARD_FACTOR * float(np.median(base_maxima))
+
+
+def _worst_slope(beta: MultiIndex, slopes: np.ndarray, dirs: np.ndarray, mask: np.ndarray) -> list[dict]:
+    """The per-beta record of the steepest ray in mask: one entry, or none without one."""
+    i = _first_max(slopes, mask)
+    if i is None:
+        return []
+    return [{"beta": list(beta), "worst_slope": float(slopes[i]), "direction": [float(v) for v in dirs[i]]}]
+
+
+def _steepest(current: RaySample | None, table: _RayTable, beta, ratios, peaks, slopes, growing):
+    """Narrow growing rays to those with a monotone tail; return the steeper of current and them.
+
+    Returns that sample (ties keep current) and the narrowed mask.  Refined
+    rays below the guard show the transition plateau of a near-characteristic
+    window and never give the sample.
+    """
+    growing[growing] = _is_monotone_tail(ratios[growing])
+    plateau = ~table.base & (peaks < _refined_guard(ratios, table.base))
+    i = _first_max(slopes, growing & ~plateau)
+    if i is not None and (current is None or slopes[i] > current.slope):
+        current = RaySample(beta, table.dirs[i], float(table.radii[-1]), float(ratios[i, -1]), float(slopes[i]))
+    return current, growing
+
+
+def _check_rays(table: _RayTable, d: float) -> HypoReport:
+    """The symbol inequality at exponent d on every ray of the table.
+
+    A ray whose ratios are NaN never gives the constant, a witness or a
+    worst slope, and counts as an ambiguous base ray.
+    """
+    fitted_c = 0.0
+    best_sample: RaySample | None = None
+    worst_violation: RaySample | None = None
+    per_beta: list[dict] = []
+    ambiguous = 0
+    total_rays = 0
+
+    for beta, ratios, peaks, logs, slopes in _sweep(table, table.derivatives, d):
+        i = _first_max(peaks, peaks > fitted_c)
+        if i is not None:
+            fitted_c = float(peaks[i])
+            radius = float(table.radii[ratios[i].argmax()])
+            best_sample = RaySample(beta, table.dirs[i], radius, fitted_c, 0.0)
+        if sum(beta) == 0:
+            continue
+        active = ~(peaks < 1e-250)
+        counted = active & table.base
+        total_rays += int(np.count_nonzero(counted))
+        per_beta += _worst_slope(beta, slopes, table.dirs, counted)
+        rising = active & (slopes > SLOPE_TOL)
+        worst_violation, rising = _steepest(worst_violation, table, beta, ratios, peaks, slopes, rising)
+        growth = logs[:, -1] - logs[:, len(table.radii) // 2 :].min(axis=1)
+        bounded = (slopes < -SLOPE_TOL) | ((np.abs(slopes) <= SLOPE_TOL) & (growth <= BOUNDED_GROWTH_TOL))
+        ambiguous += int(np.count_nonzero(counted & ~rising & ~bounded))
+
+    verdict = "hypoelliptic-consistent"
+    if worst_violation is not None:
+        verdict, best_sample = "violated", worst_violation
+    elif total_rays and ambiguous / total_rays > AMBIGUOUS_RAY_FRACTION:
+        verdict = "inconclusive"
+    config = table.cfg.to_dict()
+    return HypoReport(verdict, fitted_c=fitted_c, witness=best_sample, per_beta_slopes=per_beta, config=config)
 
 
 def check_hypoelliptic(q: SymbolPolynomial, d: float, cfg: RayConfig | None = None) -> HypoReport:
@@ -299,80 +405,7 @@ def check_hypoelliptic(q: SymbolPolynomial, d: float, cfg: RayConfig | None = No
         raise HypoelError("cannot test hypoellipticity of the zero symbol")
     if d < 1:
         raise ValueError("exponent d must be >= 1")
-    cfg = cfg or RayConfig()
-    dirs, num_base = _sample_directions(q, cfg)
-    radii = cfg.radius_grid()
-    log_r = np.log(radii)
-    denom = 1.0 + _ray_values(q, dirs, radii)
-
-    fitted_c = 0.0
-    best_sample: RaySample | None = None
-    worst_violation: RaySample | None = None
-    per_beta: list[dict] = []
-    ambiguous = 0
-    total_rays = 0
-
-    for beta in multi_indices_up_to(q.dimension, q.order):
-        dq = q.derive(beta)
-        weight = radii ** (sum(beta) / d)
-        numer = _ray_values(dq, dirs, radii) if not dq.is_zero else np.zeros_like(denom)
-        ratios = weight[None, :] * numer / denom
-        guard = _refined_guard(ratios, num_base)
-        beta_worst_slope = -math.inf
-        beta_worst_dir = None
-        for i in range(len(dirs)):
-            row = ratios[i]
-            peak = float(row.max())
-            if peak > fitted_c:
-                fitted_c = peak
-                j = int(row.argmax())
-                best_sample = RaySample(beta, dirs[i], float(radii[j]), peak, 0.0)
-            if sum(beta) == 0 or peak < 1e-250:
-                continue
-            refined = i >= num_base
-            if not refined:
-                total_rays += 1
-            logs = np.log(np.maximum(row, 1e-300))
-            slope = _fit_tail_slope(log_r, logs)
-            tail = logs[len(logs) // 2 :]
-            growth = float(tail[-1] - tail.min())
-            if not refined and slope > beta_worst_slope:
-                beta_worst_slope = slope
-                beta_worst_dir = dirs[i]
-            if slope > SLOPE_TOL and _is_monotone_tail(row):
-                if refined and peak < guard:
-                    continue  # transition plateau of a near-characteristic window
-                sample = RaySample(beta, dirs[i], float(radii[-1]), float(row[-1]), slope)
-                if worst_violation is None or slope > worst_violation.slope:
-                    worst_violation = sample
-            elif not refined:
-                bounded = slope < -SLOPE_TOL or (
-                    abs(slope) <= SLOPE_TOL and growth <= BOUNDED_GROWTH_TOL
-                )
-                if not bounded:
-                    ambiguous += 1
-        if sum(beta) >= 1 and beta_worst_dir is not None:
-            per_beta.append(
-                {
-                    "beta": list(beta),
-                    "worst_slope": beta_worst_slope,
-                    "direction": [float(v) for v in beta_worst_dir],
-                }
-            )
-
-    report = HypoReport(
-        verdict="hypoelliptic-consistent",
-        fitted_c=fitted_c,
-        witness=best_sample,
-        per_beta_slopes=per_beta,
-        config=cfg.to_dict(),
-    )
-    if worst_violation is not None:
-        report.verdict = "violated"
-        report.witness = worst_violation
-    elif total_rays and ambiguous / total_rays > AMBIGUOUS_RAY_FRACTION:
-        report.verdict = "inconclusive"
-    return report
+    return _check_rays(_ray_table(q, cfg or RayConfig()), d)
 
 
 def estimate_d(q: SymbolPolynomial, cfg: RayConfig | None = None) -> HypoReport:
@@ -381,92 +414,44 @@ def estimate_d(q: SymbolPolynomial, cfg: RayConfig | None = None) -> HypoReport:
     For each beta the ratio |Q^(beta)|/(1 + |Q|) decays along rays at rate
     -|beta|/d when the inequality is tight, so d is the max over (beta, ray)
     of -|beta|/slope on decaying rays.  Non-decaying rays whose boosted ratio
-    |xi|^eps * ratio diverges for every tested eps mean no d works.
+    |xi|^eps * ratio diverges for every tested eps mean no d works.  The
+    check at the estimate runs on the same rays.
     """
     if q.is_zero:
         raise HypoelError("cannot estimate the exponent of the zero symbol")
     if q.order < 1:
         raise HypoelError("exponent estimation needs order >= 1")
-    cfg = cfg or RayConfig()
-    dirs, num_base = _sample_directions(q, cfg)
-    radii = cfg.radius_grid()
-    log_r = np.log(radii)
-    denom = 1.0 + _ray_values(q, dirs, radii)
+    table = _ray_table(q, cfg or RayConfig())
 
     d_best = 0.0
     candidates = 0
     per_beta: list[dict] = []
     violation: RaySample | None = None
 
-    for beta in multi_indices_up_to(q.dimension, q.order):
-        b = sum(beta)
-        if b == 0:
-            continue
-        dq = q.derive(beta)
-        if dq.is_zero:
-            continue
-        ratios = _ray_values(dq, dirs, radii) / denom
-        guard = _refined_guard(ratios, num_base)
-        beta_worst_slope = -math.inf
-        beta_worst_dir = None
-        for i in range(len(dirs)):
-            row = ratios[i]
-            peak = float(row.max())
-            if peak < 1e-250:
-                continue
-            refined = i >= num_base
-            logs = np.log(np.maximum(row, 1e-300))
-            slope = _fit_tail_slope(log_r, logs)
-            if not refined and slope > beta_worst_slope:
-                beta_worst_slope = slope
-                beta_worst_dir = dirs[i]
-            if slope < -SLOPE_TOL:
-                # refined rays mix plateau and decay within the window and
-                # would distort the fitted decay rate
-                if not refined:
-                    d_best = max(d_best, -b / slope)
-                    candidates += 1
-            else:
-                diverges_all = all(slope + eps > SLOPE_TOL for eps in EPS_TEST_LIST)
-                if diverges_all and _is_monotone_tail(row):
-                    if refined and peak < guard:
-                        continue
-                    sample = RaySample(beta, dirs[i], float(radii[-1]), float(row[-1]), slope)
-                    if violation is None or slope > violation.slope:
-                        violation = sample
-        if beta_worst_dir is not None:
-            per_beta.append(
-                {
-                    "beta": list(beta),
-                    "worst_slope": beta_worst_slope,
-                    "direction": [float(v) for v in beta_worst_dir],
-                }
-            )
+    for beta, ratios, peaks, _, slopes in _sweep(table, table.derivatives[1:]):
+        active = ~(peaks < 1e-250)
+        per_beta += _worst_slope(beta, slopes, table.dirs, active & table.base)
+        decaying = active & (slopes < -SLOPE_TOL)
+        # refined rays mix plateau and decay within the window and would
+        # distort the fitted decay rate
+        fitted = decaying & table.base
+        if fitted.any():
+            d_best = max(d_best, float(np.max(-sum(beta) / slopes[fitted])))
+            candidates += int(np.count_nonzero(fitted))
+        diverging = active & ~decaying
+        for eps in EPS_TEST_LIST:
+            diverging &= slopes + eps > SLOPE_TOL
+        violation, _ = _steepest(violation, table, beta, ratios, peaks, slopes, diverging)
 
+    config = table.cfg.to_dict()
     if violation is not None:
-        return HypoReport(
-            verdict="violated",
-            witness=violation,
-            per_beta_slopes=per_beta,
-            config=cfg.to_dict(),
-        )
+        return HypoReport(verdict="violated", witness=violation, per_beta_slopes=per_beta, config=config)
     if not candidates:
-        return HypoReport(verdict="inconclusive", per_beta_slopes=per_beta, config=cfg.to_dict())
+        return HypoReport(verdict="inconclusive", per_beta_slopes=per_beta, config=config)
     d_est = max(d_best, 1.0)
-    snapped = snap_rational(d_est)
-    report = HypoReport(
-        verdict="hypoelliptic-consistent",
-        d_estimate=d_est,
-        d_snapped=snapped,
-        per_beta_slopes=per_beta,
-        config=cfg.to_dict(),
-    )
-    check = check_hypoelliptic(q, d_est, cfg)
-    report.fitted_c = check.fitted_c
-    report.witness = check.witness
-    if check.verdict == "inconclusive":
-        report.verdict = "inconclusive"
-    return report
+    check = _check_rays(table, d_est)
+    verdict = "inconclusive" if check.verdict == "inconclusive" else "hypoelliptic-consistent"
+    return HypoReport(verdict, d_est, snap_rational(d_est), check.fitted_c, check.witness, per_beta, config=config)
 
 
 def equally_strong(
@@ -482,43 +467,22 @@ def equally_strong(
     if p.is_zero or q.is_zero:
         raise HypoelError("strength comparison requires nonzero symbols")
     cfg = cfg or RayConfig()
-    cfg.validate_for_dimension(p.dimension)
-    dirs = unit_directions(p.dimension, cfg.directions, cfg.seed)
-    radii = cfg.radius_grid()
-    log_r = np.log(radii)
-    xi = dirs[:, None, :] * radii[None, :, None]
-    sp = p.strength(xi)
-    sq = q.strength(xi)
-    t = sp / sq
-
-    worst_fwd = (-math.inf, None)
-    worst_bwd = (-math.inf, None)
-    for i in range(len(dirs)):
-        logs = np.log(t[i])
-        slope = _fit_tail_slope(log_r, logs)
-        if slope > worst_fwd[0]:
-            worst_fwd = (slope, i)
-        if -slope > worst_bwd[0]:
-            worst_bwd = (-slope, i)
-
-    fwd_bounded = worst_fwd[0] <= SLOPE_TOL
-    bwd_bounded = worst_bwd[0] <= SLOPE_TOL
+    dirs, _, radii, xi = _ray_grid(p.dimension, cfg)
+    t = p.strength(xi) / q.strength(xi)
+    slopes = _tail_slopes(radii, np.log(t))
+    fwd, bwd = _first_max(slopes), _first_max(-slopes)
+    fwd_bounded = fwd is None or slopes[fwd] <= SLOPE_TOL
+    bwd_bounded = bwd is None or -slopes[bwd] <= SLOPE_TOL
     bounds = (float(t.min()), float(t.max()))
     if fwd_bounded and bwd_bounded:
         verdict = "equally-strong"
         witness = None
     elif fwd_bounded:
         verdict = "P-weaker"
-        i = worst_bwd[1]
-        witness = _ratio_witness(dirs[i], radii, 1.0 / t[i], worst_bwd[0])
-    elif bwd_bounded:
-        verdict = "Q-weaker"
-        i = worst_fwd[1]
-        witness = _ratio_witness(dirs[i], radii, t[i], worst_fwd[0])
+        witness = _ratio_witness(dirs[bwd], radii, 1.0 / t[bwd], -slopes[bwd])
     else:
-        verdict = "incomparable"
-        i = worst_fwd[1]
-        witness = _ratio_witness(dirs[i], radii, t[i], worst_fwd[0])
+        verdict = "Q-weaker" if bwd_bounded else "incomparable"
+        witness = _ratio_witness(dirs[fwd], radii, t[fwd], slopes[fwd])
     return StrengthReport(
         verdict=verdict, ratio_bounds=bounds, witness=witness, seed=cfg.seed, config=cfg.to_dict()
     )
@@ -569,27 +533,16 @@ def check_constant_strength(
     per_axis = 3 if points is None else max(2, math.ceil(points ** (1.0 / n)))
     if points is not None and points < 2:
         raise ValueError("points must be >= 2")
-    xs = freeze_sample_points(p.domain, per_axis)
-    center = np.array(p.domain.center)
-    frozen = []
-    for x in xs:
-        qx = p.freeze(x)
+    def report(verdict, ratio_bounds=None, witness=None):
+        return StrengthReport(verdict, ratio_bounds, witness, seed=cfg.seed, config=cfg.to_dict())
+
+    xs = [*freeze_sample_points(p.domain, per_axis), np.array(p.domain.center)]
+    frozen = [(x, p.freeze(x)) for x in xs]
+    for x, qx in frozen:
         if qx.is_zero:
-            return StrengthReport(
-                verdict="not-constant-strength",
-                witness={"x": [float(v) for v in x], "reason": "frozen symbol is identically zero"},
-                seed=cfg.seed,
-                config=cfg.to_dict(),
-            )
-        frozen.append((x, qx))
-    q_center = p.freeze(center)
-    if q_center.is_zero:
-        return StrengthReport(
-            verdict="not-constant-strength",
-            witness={"x": [float(v) for v in center], "reason": "frozen symbol is identically zero"},
-            seed=cfg.seed,
-            config=cfg.to_dict(),
-        )
+            witness = {"x": [float(v) for v in x], "reason": "frozen symbol is identically zero"}
+            return report("not-constant-strength", witness=witness)
+    q_center = frozen.pop()[1]
 
     lo, hi = math.inf, -math.inf
     for x, qx in frozen:
@@ -599,16 +552,5 @@ def check_constant_strength(
             hi = max(hi, rep.ratio_bounds[1])
         if rep.verdict != "equally-strong":
             witness = {"x": [float(v) for v in x], "pair_verdict": rep.verdict, "ray": rep.witness}
-            return StrengthReport(
-                verdict="not-constant-strength",
-                ratio_bounds=(lo, hi),
-                witness=witness,
-                seed=cfg.seed,
-                config=cfg.to_dict(),
-            )
-    return StrengthReport(
-        verdict="constant-strength",
-        ratio_bounds=(lo, hi),
-        seed=cfg.seed,
-        config=cfg.to_dict(),
-    )
+            return report("not-constant-strength", (lo, hi), witness)
+    return report("constant-strength", (lo, hi))

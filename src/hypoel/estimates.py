@@ -16,12 +16,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import SLOPE_TOL, RayConfig, check_constant_strength, estimate_d, unit_directions
+from .analysis import (
+    SLOPE_TOL,
+    RayConfig,
+    _first_max,
+    _ray_grid,
+    _tail_slopes,
+    check_constant_strength,
+    estimate_d,
+)
 from .domains import BoxDomain
 from .errors import HypoelError, PreconditionError
+from .fitting import least_squares_slope
 from .grids import (
     GridFunction,
     NormSweep,
+    _interior_mask,
     apply_symbol,
     derivative_norms,
     iterate_norms,
@@ -139,14 +149,8 @@ class GrowthFit:
         if len(pts) < 2:
             return 0.0
         start = max(0, len(pts) - max(2, math.ceil(len(pts) / 3)))
-        tail = pts[start:]
-        x = np.array([p[0] for p in tail], dtype=float)
-        y = np.array([p[1] for p in tail], dtype=float)
-        xm = x - x.mean()
-        denom = float(np.dot(xm, xm))
-        if denom == 0.0:
-            return 0.0
-        return float(np.dot(xm, y - y.mean()) / denom)
+        labels, residuals = zip(*pts[start:])
+        return least_squares_slope(labels, residuals)
 
     def to_dict(self) -> dict:
         return {
@@ -179,32 +183,16 @@ def check_symbol_domination(
     r: SymbolPolynomial, q: SymbolPolynomial, cfg: RayConfig | None = None
 ) -> dict:
     """Spot-check |R(xi)| <= C (1 + |Q(xi)|) on the ray grid; raises when it diverges."""
-    cfg = cfg or RayConfig()
-    cfg.validate_for_dimension(q.dimension)
-    dirs = unit_directions(q.dimension, cfg.directions, cfg.seed)
-    radii = cfg.radius_grid()
-    xi = dirs[:, None, :] * radii[None, :, None]
+    dirs, _, radii, xi = _ray_grid(q.dimension, cfg or RayConfig())
     ratio = np.abs(r(xi)) / (1.0 + np.abs(q(xi)))
-    log_r = np.log(radii)
-    half = len(radii) // 2
-    worst_slope = -math.inf
-    worst_dir = None
-    for i in range(len(dirs)):
-        row = ratio[i]
-        if float(row.max()) < 1e-250:
-            continue
-        y = np.log(np.maximum(row, 1e-300))[half:]
-        x = log_r[half:]
-        xm = x - x.mean()
-        slope = float(np.dot(xm, y - y.mean()) / np.dot(xm, xm))
-        if slope > worst_slope:
-            worst_slope = slope
-            worst_dir = dirs[i]
+    slopes = _tail_slopes(radii, np.log(np.maximum(ratio, 1e-300)))
+    worst = _first_max(slopes, ~(ratio.max(axis=1) < 1e-250))
+    worst_slope = -math.inf if worst is None else float(slopes[worst])
     if worst_slope > SLOPE_TOL:
         raise PreconditionError(
             "symbol-domination",
             f"|R|/(1+|Q|) grows at rate {worst_slope:.3f} along direction "
-            f"{[round(float(v), 6) for v in worst_dir]}",
+            f"{[round(float(v), 6) for v in dirs[worst]]}",
         )
     return {"max_ratio": float(ratio.max()), "worst_slope": worst_slope}
 
@@ -264,6 +252,19 @@ def verify_dominated_transfer(
     )
 
 
+def _consistent_exponent(q: SymbolPolynomial, d: RationalExponent, ray_cfg: RayConfig | None) -> float:
+    """The symbol's estimated exponent; raises unless it is within 10% of d."""
+    est = estimate_d(q, ray_cfg)
+    if est.verdict == "violated" or est.d_estimate is None:
+        raise PreconditionError("exponent-consistency", "symbol shows a hypoellipticity violation")
+    if abs(est.d_estimate - d.value) > 0.1 * d.value:
+        raise PreconditionError(
+            "exponent-consistency",
+            f"estimated exponent {est.d_estimate:.3f} differs from d = {d.value} by more than 10%",
+        )
+    return est.d_estimate
+
+
 def verify_iterate_bound(
     q: SymbolPolynomial,
     d: RationalExponent,
@@ -291,14 +292,7 @@ def verify_iterate_bound(
     m = q.order
     fixtures = _as_fixture_list(fixtures)
     if check_exponent:
-        est = estimate_d(q, ray_cfg)
-        if est.verdict == "violated" or est.d_estimate is None:
-            raise PreconditionError("exponent-consistency", "symbol shows a hypoellipticity violation")
-        if abs(est.d_estimate - d.value) > 0.1 * d.value:
-            raise PreconditionError(
-                "exponent-consistency",
-                f"estimated exponent {est.d_estimate:.3f} differs from d = {d.value} by more than 10%",
-            )
+        _consistent_exponent(q, d, ray_cfg)
     res = fixtures[0].spec.resolution if fixtures else 0
     if fixtures and kmax * m * d.nu > res // 2:
         raise PreconditionError(
@@ -427,7 +421,7 @@ def _growth_fit_from_sweep(
             residuals.append(math.log(n) - (l + 1) * log_c - log_targets[sweep.labels.index(l)])
     xs = [log_targets[sweep.labels.index(l)] for l, _ in usable]
     ys = [math.log(n) for _, n in usable]
-    slope = _least_squares_slope(xs, ys)
+    slope = least_squares_slope(xs, ys)
     return GrowthFit(
         constant=math.exp(log_c),
         labels=sweep.labels,
@@ -437,18 +431,6 @@ def _growth_fit_from_sweep(
         flagged=sweep.flagged,
         target=target_name,
     )
-
-
-def _least_squares_slope(xs, ys) -> float:
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if len(x) < 2:
-        return 0.0
-    xm = x - x.mean()
-    denom = float(np.dot(xm, xm))
-    if denom == 0.0:
-        return 0.0
-    return float(np.dot(xm, y - y.mean()) / denom)
 
 
 def fit_roumieu_vector(
@@ -536,15 +518,7 @@ def verify_growth_chain(
         "factorial_inclusion": inclusion.to_dict(),
     }
     if check_exponent:
-        est = estimate_d(q, ray_cfg)
-        if est.verdict == "violated" or est.d_estimate is None:
-            raise PreconditionError("exponent-consistency", "symbol shows a hypoellipticity violation")
-        if abs(est.d_estimate - d.value) > 0.1 * d.value:
-            raise PreconditionError(
-                "exponent-consistency",
-                f"estimated exponent {est.d_estimate:.3f} differs from d = {d.value} by more than 10%",
-            )
-        preconditions["exponent_estimate"] = est.d_estimate
+        preconditions["exponent_estimate"] = _consistent_exponent(q, d, ray_cfg)
 
     vector = fit_roumieu_vector(u, q, m_seq, region, delta, lmax)
     space = fit_roumieu_space(u, m_seq, d.value, region, delta, amax)
@@ -588,8 +562,9 @@ def verify_domination(
                 f"operator is not of constant strength (witness {strength.witness})",
             )
     total = u.l2_norm()
-    inside = restricted_l2(u, p.domain, 0.0)
-    outside = math.sqrt(max(0.0, total**2 - inside**2))
+    # summed over the outside nodes: sqrt(total^2 - inside^2) cancels to ~1e-8 total
+    outside_nodes = ~_interior_mask(u.spec, p.domain, 0.0)
+    outside = math.sqrt(float(np.sum(np.abs(u.values[outside_nodes]) ** 2)) * u.spec.volume_element)
     if outside > 1e-9 * max(total, 1e-300):
         raise PreconditionError(
             "fixture-support", "fixture is not supported inside the operator's domain"

@@ -315,6 +315,9 @@ def spectral_tail_fraction(spectrum: np.ndarray) -> float:
 
 
 def _interior_mask(spec: GridSpec, region: BoxDomain, delta: float) -> np.ndarray | None:
+    for lo_c, hi_c, lo_r, hi_r in zip(spec.cell.lo, spec.cell.hi, region.lo, region.hi):
+        if lo_r < lo_c or hi_r > hi_c:
+            raise DomainError("region must lie inside the periodic cell")
     shrunk = region.shrunk(delta)
     if shrunk is None:
         return None
@@ -330,9 +333,6 @@ def restricted_l2(u: GridFunction, region: BoxDomain, delta: float = 0.0) -> flo
     """Midpoint-rule L2 norm over the region shrunk by delta (0 when empty)."""
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    for lo_c, hi_c, lo_r, hi_r in zip(u.spec.cell.lo, u.spec.cell.hi, region.lo, region.hi):
-        if lo_r < lo_c or hi_r > hi_c:
-            raise DomainError("region must lie inside the periodic cell")
     mask = _interior_mask(u.spec, region, delta)
     if mask is None:
         return 0.0

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import HypoelError, ParseError
+from .fitting import least_squares_slope
 
 #: slope tolerance separating "bounded on range" from "divergent" in tail fits
 SLOPE_TOL = 1e-3
@@ -278,23 +279,13 @@ def fit_power_bound(m: RoumieuSequence, mu: int, nu: int, pmax: int = 60) -> flo
     return math.exp(worst)
 
 
-def _tail_slope(values: Sequence[float], xs: Sequence[float] | None = None) -> float:
-    """Least-squares slope over the last half of the points."""
-    values = np.asarray(values, dtype=float)
+def _tail_slope(values: Sequence[float]) -> float:
+    """Least-squares slope against the index over the last half of the points (at least two)."""
     n = len(values)
     if n < 2:
         return 0.0
-    start = n // 2
-    y = values[start:]
-    x = np.asarray(xs, dtype=float)[start:] if xs is not None else np.arange(start, n, dtype=float)
-    if len(y) < 2:
-        y = values[-2:]
-        x = x[-2:] if xs is not None else np.arange(n - 2, n, dtype=float)
-    xm = x - x.mean()
-    denom = float(np.dot(xm, xm))
-    if denom == 0.0:
-        return 0.0
-    return float(np.dot(xm, y - y.mean()) / denom)
+    start = min(n // 2, n - 2)
+    return least_squares_slope(np.arange(start, n, dtype=float), np.asarray(values, dtype=float)[start:])
 
 
 def fit_inclusion(m: RoumieuSequence, n: RoumieuSequence, pmax: int = 60) -> InclusionFit:

@@ -274,25 +274,6 @@ def multi_indices_of_order(dimension: int, total: int) -> list[MultiIndex]:
     return [a for a in multi_indices_up_to(dimension, total) if sum(a) == total]
 
 
-# -- module-level operation aliases -------------------------------------------------
-
-
-def derive(q: SymbolPolynomial, beta: Iterable[int]) -> SymbolPolynomial:
-    return q.derive(beta)
-
-
-def evaluate(q: SymbolPolynomial, xi) -> complex | np.ndarray:
-    return q(xi)
-
-
-def power(q: SymbolPolynomial, k: int) -> SymbolPolynomial:
-    return q**k
-
-
-def p_tilde(q: SymbolPolynomial, xi) -> float | np.ndarray:
-    return q.strength(xi)
-
-
 @dataclass(frozen=True)
 class VariableOperator:
     """Operator P(x, D) whose coefficients are polynomials in x over a box domain."""
@@ -364,10 +345,6 @@ class VariableOperator:
             return VariableOperator(dim, terms, domain)
         except (DimensionMismatch, ValueError) as exc:
             raise ParseError(f"inconsistent operator document: {exc}") from exc
-
-
-def freeze(p: VariableOperator, x) -> SymbolPolynomial:
-    return p.freeze(x)
 
 
 def load(path) -> SymbolPolynomial | VariableOperator:

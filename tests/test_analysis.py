@@ -289,3 +289,79 @@ def test_degenerate_operator_not_constant_strength():
 def test_points_validation(drift_operator):
     with pytest.raises(ValueError):
         check_constant_strength(drift_operator, points=1)
+
+
+# -- numerical range and NaN rays -----------------------------------------------------------
+
+
+def test_high_order_symbol_caps_the_radius_grid():
+    # 1 + xi^40 overflowed on the full grid and looked like d ~ 2.5
+    rep = estimate_d(SymbolPolynomial(1, {(0,): 1.0, (40,): 1.0}))
+    assert rep.verdict == "hypoelliptic-consistent"
+    assert rep.d_snapped == (1, 1)
+    assert rep.config["radii"] == 20
+    assert estimate_d(SymbolPolynomial(1, {(0,): 1.0, (8,): 1.0})).config["radii"] == 40
+
+
+def test_symbol_too_high_for_eight_radii_rejected():
+    with pytest.raises(HypoelError, match="order 100"):
+        estimate_d(SymbolPolynomial(1, {(0,): 1.0, (100,): 1.0}))
+
+
+@pytest.fixture
+def nan_rays(monkeypatch):
+    """Make every |Q^(beta)|, beta != 0, NaN on the first `count` (base) rays of a sweep."""
+    call = SymbolPolynomial.__call__
+
+    def poison(symbol, count):
+        def poisoned(p, xi):
+            out = call(p, xi)
+            if p != symbol and np.ndim(xi) == 3:
+                out[:count] = np.nan
+            return out
+
+        monkeypatch.setattr(SymbolPolynomial, "__call__", poisoned)
+        return unit_directions(2, 64)[:count]
+
+    return poison
+
+
+def _avoids(directions, bad):
+    return not any(np.allclose(d, b) for d in directions for b in bad)
+
+
+def test_nan_rays_count_as_ambiguous_and_never_win(laplacian, nan_rays):
+    cfg = RayConfig(directions=64)
+    nan_rays(laplacian, 1)
+    assert check_hypoelliptic(laplacian, 1.0, cfg).verdict == "hypoelliptic-consistent"
+    bad = nan_rays(laplacian, 8)  # more than AMBIGUOUS_RAY_FRACTION of the base rays
+    rep = check_hypoelliptic(laplacian, 1.0, cfg)
+    assert rep.verdict == "inconclusive"
+    assert math.isfinite(rep.fitted_c) and _avoids([rep.witness.direction], bad)
+    assert all(math.isfinite(e["worst_slope"]) for e in rep.per_beta_slopes)
+    assert _avoids([e["direction"] for e in rep.per_beta_slopes], bad)
+
+
+def test_nan_rays_skipped_by_estimate_and_ambiguous_in_its_check(laplacian, nan_rays):
+    cfg = RayConfig(directions=64)
+    bad = nan_rays(laplacian, 8)
+    rep = estimate_d(laplacian, cfg)
+    assert rep.d_snapped == (1, 1)
+    assert rep.verdict == "inconclusive"  # the check at d_estimate counts the NaN rays
+    assert math.isfinite(rep.fitted_c) and _avoids([rep.witness.direction], bad)
+    assert _avoids([e["direction"] for e in rep.per_beta_slopes], bad)
+
+
+def test_estimate_samples_rays_once(heat_symbol, monkeypatch):
+    from hypoel import analysis
+
+    def public_check(*args, **kwargs):
+        raise AssertionError("estimate_d must check on its own rays")
+
+    built = []
+    directions = analysis.unit_directions
+    monkeypatch.setattr(analysis, "check_hypoelliptic", public_check)
+    monkeypatch.setattr(analysis, "unit_directions", lambda *a: built.append(a) or directions(*a))
+    rep = estimate_d(heat_symbol)
+    assert rep.d_snapped == (2, 1) and rep.fitted_c is not None
+    assert len(built) == 1

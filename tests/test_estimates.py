@@ -378,3 +378,12 @@ def test_domination_rejects_unsupported_fixture(drift_operator):
     with pytest.raises(PreconditionError) as err:
         verify_domination(drift_operator, (0.0, 0.0), u, 2, cell)
     assert err.value.name == "fixture-support"
+
+
+@pytest.mark.parametrize("width", [0.13, 0.15, 0.16, 0.165])
+def test_domination_accepts_fixture_inside_domain(drift_operator, width):
+    # the outside mass is summed over outside nodes, not taken as sqrt(total^2 - inside^2)
+    region = BoxDomain((-1.0, -1.0), (1.0, 1.0))
+    u = gaussian_bump(GridSpec(region, 128), width, support=BoxDomain((-0.9, -0.9), (0.9, 0.9)))
+    rep = verify_domination(drift_operator, (0.0, 0.0), u, 1, region)
+    assert rep.verdict == "pass"
