@@ -266,24 +266,33 @@ class _RayTable:
     radii: np.ndarray
     xi: np.ndarray
     denom: np.ndarray  # 1 + |Q|
-    derivatives: list[tuple[MultiIndex, SymbolPolynomial]]  # the nonzero ones, beta = 0 first
+    derivatives: tuple[tuple[MultiIndex, SymbolPolynomial], ...]  # the nonzero ones, beta = 0 first
+
+
+def _log_size(q: SymbolPolynomial) -> float:
+    """log sum |c_alpha|: on |xi| <= r, r >= 1, |Q| <= e^it r^m and every |Q^(beta)| <= m! e^it r^m."""
+    total = sum(abs(c) for c in q.terms.values())
+    return math.log(total) if total else -math.inf
+
+
+def _capped(cfg: RayConfig, log_bounds, what: str) -> RayConfig:
+    """cfg on the radii r where each log bound k log r + log_c, given as (k, log_c), is below LOG_RANGE."""
+    log_r = np.log(cfg.radius_grid())
+    kept = int(np.count_nonzero(np.all([k * log_r + log_c < LOG_RANGE for k, log_c in log_bounds], axis=0))) - 1
+    if kept < 8:
+        raise HypoelError(f"{what} leaves {max(kept, 0)} radii in floating-point range, need 8")
+    return replace(cfg, radii=kept)
 
 
 def _ray_table(q: SymbolPolynomial, cfg: RayConfig) -> _RayTable:
     """The table of q on cfg's rays, its radius grid cut where the values of q could overflow.
 
-    For |xi| <= r with r >= 1, every |Q^(beta)| and r^{|beta|/d} |Q^(beta)| (d >= 1) is at
-    most sum |c_alpha| m! r^m; the grid keeps the radii where that bound's log is below LOG_RANGE.
+    For d >= 1, r^{|beta|/d} |Q^(beta)| is at most m! sum |c_alpha| r^m on |xi| <= r.
     """
     m = q.order
-    log_c = math.lgamma(m + 1) + math.log(sum(abs(c) for c in q.terms.values()))
-    kept = int(np.count_nonzero(m * np.log(cfg.radius_grid()) + log_c < LOG_RANGE)) - 1
-    if kept < 8:
-        raise HypoelError(f"a symbol of order {m} leaves {max(kept, 0)} radii in floating-point range, need 8")
-    cfg = replace(cfg, radii=kept)
+    cfg = _capped(cfg, [(m, math.lgamma(m + 1) + _log_size(q))], f"a symbol of order {m}")
     dirs, num_base, radii, xi = _ray_grid(q.dimension, cfg, q)
-    derivatives = [(beta, dq) for beta, dq in q.derivatives() if not dq.is_zero]
-    return _RayTable(cfg, dirs, np.arange(len(dirs)) < num_base, radii, xi, 1.0 + np.abs(q(xi)), derivatives)
+    return _RayTable(cfg, dirs, np.arange(len(dirs)) < num_base, radii, xi, 1.0 + np.abs(q(xi)), q.nonzero_derivatives)
 
 
 def _sweep(table: _RayTable, derivatives, d: float = math.inf):
@@ -466,7 +475,12 @@ def equally_strong(
         raise HypoelError(f"dimension mismatch: {p.dimension} vs {q.dimension}")
     if p.is_zero or q.is_zero:
         raise HypoelError("strength comparison requires nonzero symbols")
-    cfg = cfg or RayConfig()
+    # the squared strength sums at most (m+1)^n squares of derivatives
+    bounds = [
+        (2 * s.order, 2 * (math.lgamma(s.order + 1) + _log_size(s)) + s.dimension * math.log(s.order + 1))
+        for s in (p, q)
+    ]
+    cfg = _capped(cfg or RayConfig(), bounds, f"symbols of orders {p.order} and {q.order}")
     dirs, _, radii, xi = _ray_grid(p.dimension, cfg)
     t = p.strength(xi) / q.strength(xi)
     slopes = _tail_slopes(radii, np.log(t))

@@ -25,7 +25,7 @@ from .estimates import (
     verify_growth_chain,
     verify_iterate_bound,
 )
-from .grids import GridFunction, GridSpec, gaussian_bump, plane_wave, polynomial_bump, zero_function
+from .grids import GridFunction, GridSpec, sample
 from .sequences import (
     RoumieuSequence,
     check_basic,
@@ -228,27 +228,15 @@ def _config_sequence(doc: dict, base: Path) -> RoumieuSequence:
     raise ParseError(f"unknown sequence kind {desc.get('kind')!r}")
 
 
-def _build_fixture(spec: GridSpec, desc: dict) -> GridFunction:
-    family = desc.get("family")
-    if family == "gaussian_bump":
-        support = BoxDomain.from_dict(desc["support"]) if "support" in desc else None
-        return gaussian_bump(spec, float(desc["width"]), support=support)
-    if family == "polynomial_bump":
-        return polynomial_bump(spec, int(desc.get("power", 8)))
-    if family == "plane_wave":
-        return plane_wave(spec, desc["k"])
-    if family == "zero":
-        return zero_function(spec)
-    raise ParseError(f"unknown fixture family {family!r}")
-
-
 def _config_fixtures(doc: dict, spec: GridSpec) -> list[GridFunction]:
     descs = doc.get("fixtures")
     if descs is None and "fixture" in doc:
         descs = [doc["fixture"]]
-    if not descs:
+    if not isinstance(descs, list) or not descs:
         raise ParseError("config needs 'fixture' or 'fixtures'")
-    return [_build_fixture(spec, d) for d in descs]
+    if not all(isinstance(d, dict) and isinstance(d.get("family"), str) for d in descs):
+        raise ParseError(f"each fixture must be an object with a 'family' name, got {descs!r}")
+    return [sample(spec, d["family"], **{k: v for k, v in d.items() if k != "family"}) for d in descs]
 
 
 def _sweep_rows(tag: str, fit_or_sweep) -> list[tuple]:

@@ -19,7 +19,9 @@ import numpy as np
 from .analysis import (
     SLOPE_TOL,
     RayConfig,
+    _capped,
     _first_max,
+    _log_size,
     _ray_grid,
     _tail_slopes,
     check_constant_strength,
@@ -31,14 +33,13 @@ from .fitting import least_squares_slope
 from .grids import (
     GridFunction,
     NormSweep,
+    _derivative_sweep,
     _interior_mask,
     apply_symbol,
     derivative_norms,
     iterate_norms,
     restricted_l2,
     shrink_norm,
-    spectral_tail_fraction,
-    TAIL_FLAG_THRESHOLD,
 )
 from .sequences import RoumieuSequence, check_basic, fit_inclusion, gevrey, power_sequence
 from .symbols import SymbolPolynomial, VariableOperator, multi_indices_up_to
@@ -183,7 +184,9 @@ def check_symbol_domination(
     r: SymbolPolynomial, q: SymbolPolynomial, cfg: RayConfig | None = None
 ) -> dict:
     """Spot-check |R(xi)| <= C (1 + |Q(xi)|) on the ray grid; raises when it diverges."""
-    dirs, _, radii, xi = _ray_grid(q.dimension, cfg or RayConfig())
+    bounds = [(s.order, _log_size(s)) for s in (r, q)]
+    cfg = _capped(cfg or RayConfig(), bounds, f"symbols of orders {r.order} and {q.order}")
+    dirs, _, radii, xi = _ray_grid(q.dimension, cfg)
     ratio = np.abs(r(xi)) / (1.0 + np.abs(q(xi)))
     slopes = _tail_slopes(radii, np.log(np.maximum(ratio, 1e-300)))
     worst = _first_max(slopes, ~(ratio.max(axis=1) < 1e-250))
@@ -310,18 +313,10 @@ def verify_iterate_bound(
 
     for fx, u in enumerate(fixtures):
         qsweep = iterate_norms(q, u, kmax, omega, 0.0)
-        freq = u.spec.frequency_mesh()
-        u_hat = u.spectrum()
         d_norms: dict = {}
         d_flags: dict = {}
-        for alpha in alphas:
-            mono = np.ones((1,) * u.dimension)
-            for j, a in enumerate(alpha):
-                if a:
-                    mono = mono * freq[j] ** a
-            spec_a = mono * u_hat
-            d_flags[alpha] = spectral_tail_fraction(spec_a) > TAIL_FLAG_THRESHOLD
-            da_u = u.with_values(np.fft.ifftn(spec_a))
+        for alpha, flag, da_u in _derivative_sweep(u, alphas):
+            d_flags[alpha] = flag
             d_norms[alpha] = {dl: restricted_l2(da_u, omega, dl) for dl in deltas}
         for k in range(kmax + 1):
             for alpha in alphas:

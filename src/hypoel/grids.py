@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .domains import BoxDomain
-from .errors import DimensionMismatch, DomainError, HypoelError
-from .symbols import SymbolPolynomial, VariableOperator, multi_indices_of_order
+from .errors import DimensionMismatch, DomainError, HypoelError, ParseError
+from .symbols import SymbolPolynomial, VariableOperator, multi_indices_up_to
 
 #: relative spectral mass in the outer shell above which an entry is unresolved
 TAIL_FLAG_THRESHOLD = 1e-6
@@ -229,8 +229,13 @@ def modulated_bump(spec: GridSpec, k: Sequence[int], width: float) -> GridFuncti
     return GridFunction(spec, wave.values * bump.values)
 
 
-def sample(spec: GridSpec, family: str, **params) -> GridFunction:
-    """Build a named fixture: zero, plane_wave, gaussian_bump, polynomial_bump, modulated_bump."""
+def sample(spec: GridSpec, family: str, /, **params) -> GridFunction:
+    """Build a named fixture: zero, plane_wave, gaussian_bump, polynomial_bump, modulated_bump.
+
+    A `support` box may be given as a `{"lo": ..., "hi": ...}` dict.  Missing,
+    unknown or malformed parameters raise ParseError, which shows the family
+    and the parameters given.
+    """
     builders = {
         "zero": zero_function,
         "plane_wave": plane_wave,
@@ -240,10 +245,24 @@ def sample(spec: GridSpec, family: str, **params) -> GridFunction:
     }
     if family not in builders:
         raise HypoelError(f"unknown fixture family {family!r}")
-    return builders[family](spec, **params)
+    try:
+        if isinstance(params.get("support"), dict):
+            params["support"] = BoxDomain.from_dict(params["support"])
+        return builders[family](spec, **params)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"fixture family {family!r} with {params}: {exc}") from None
 
 
 # -- spectral application --------------------------------------------------------------
+
+
+def _monomial(freq: list[np.ndarray], alpha) -> np.ndarray:
+    """The multiplier xi^alpha of D^alpha on a sparse frequency mesh."""
+    mono = np.ones((1,) * len(freq))
+    for j, a in enumerate(alpha):
+        if a:
+            mono = mono * freq[j] ** a
+    return mono
 
 
 def symbol_on_lattice(spec: GridSpec, q: SymbolPolynomial) -> np.ndarray:
@@ -252,11 +271,7 @@ def symbol_on_lattice(spec: GridSpec, q: SymbolPolynomial) -> np.ndarray:
     freq = spec.frequency_mesh()
     out = np.zeros((spec.resolution,) * spec.dimension, dtype=complex)
     for alpha, c in q.terms.items():
-        mono = np.ones((1,) * spec.dimension)
-        for j, a in enumerate(alpha):
-            if a:
-                mono = mono * freq[j] ** a
-        out = out + c * mono
+        out = out + c * _monomial(freq, alpha)
     return out
 
 
@@ -282,11 +297,7 @@ def apply_operator(op: SymbolPolynomial | VariableOperator, u: GridFunction) -> 
     u_hat = u.spectrum()
     out = np.zeros_like(u.values)
     for alpha, coeff in op.terms.items():
-        mono = np.ones((1,) * spec.dimension)
-        for j, a in enumerate(alpha):
-            if a:
-                mono = mono * freq[j] ** a
-        d_alpha_u = np.fft.ifftn(mono * u_hat)
+        d_alpha_u = np.fft.ifftn(_monomial(freq, alpha) * u_hat)
         out = out + coeff(nodes) * d_alpha_u
     return u.with_values(out)
 
@@ -411,12 +422,6 @@ class NormSweep:
             "grid": self.grid,
         }
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("label,norm,flagged\n")
-            for l, v, f in zip(self.labels, self.norms, self.flagged):
-                fh.write(f"{l},{v!r},{int(f)}\n")
-
 
 def iterate_norms(
     op: SymbolPolynomial | VariableOperator,
@@ -464,33 +469,28 @@ def iterate_norms(
     )
 
 
+def _derivative_sweep(u: GridFunction, alphas):
+    """Yield (alpha, flagged, D^alpha u) for each alpha, one derivative at a time."""
+    freq = u.spec.frequency_mesh()
+    u_hat = u.spectrum()
+    for alpha in alphas:
+        spec_a = _monomial(freq, alpha) * u_hat
+        yield alpha, spectral_tail_fraction(spec_a) > TAIL_FLAG_THRESHOLD, u.with_values(np.fft.ifftn(spec_a))
+
+
 def derivative_norms(
     u: GridFunction, amax: int, region: BoxDomain, delta: float = 0.0
 ) -> NormSweep:
     """For each total order a, the max over |alpha| = a of the restricted norm of D^alpha u."""
     if amax < 0:
         raise ValueError("amax must be >= 0")
-    spec = u.spec
-    freq = spec.frequency_mesh()
-    u_hat = u.spectrum()
     labels = list(range(amax + 1))
-    norms: list[float] = []
-    flagged: list[bool] = []
-    for a in labels:
-        best = 0.0
-        any_flag = False
-        for alpha in multi_indices_of_order(spec.dimension, a):
-            mono = np.ones((1,) * spec.dimension)
-            for j, e in enumerate(alpha):
-                if e:
-                    mono = mono * freq[j] ** e
-            spec_a = mono * u_hat
-            if spectral_tail_fraction(spec_a) > TAIL_FLAG_THRESHOLD:
-                any_flag = True
-            val = restricted_l2(u.with_values(np.fft.ifftn(spec_a)), region, delta)
-            best = max(best, val)
-        norms.append(best)
-        flagged.append(any_flag)
+    norms = [0.0] * len(labels)
+    flagged = [False] * len(labels)
+    for alpha, flag, d_alpha_u in _derivative_sweep(u, multi_indices_up_to(u.dimension, amax)):
+        a = sum(alpha)
+        flagged[a] = flagged[a] or flag
+        norms[a] = max(norms[a], restricted_l2(d_alpha_u, region, delta))
     return NormSweep(
         kind="derivatives",
         labels=labels,
@@ -498,5 +498,5 @@ def derivative_norms(
         flagged=flagged,
         region=region.to_dict(),
         delta=delta,
-        grid=spec.to_dict(),
+        grid=u.spec.to_dict(),
     )

@@ -92,24 +92,19 @@ class StrengthWeight(WeightFunction):
         self.symbol = symbol
         self.dimension = symbol.dimension
         self.degree = float(symbol.order)
-        self._derivs = [dq for _, dq in symbol.derivatives() if not dq.is_zero]
         self._grads = [
             [dq.derive(tuple(1 if j == k else 0 for j in range(self.dimension))) for k in range(self.dimension)]
-            for dq in self._derivs
+            for _, dq in symbol.nonzero_derivatives
         ]
 
     def __call__(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        total = np.zeros(xi.shape[:-1])
-        for dq in self._derivs:
-            total = total + np.abs(dq(xi)) ** 2
-        return np.sqrt(total)
+        return self.symbol.strength(xi)
 
     def gradient(self, xi):
         xi = np.asarray(xi, dtype=float)
         h = np.maximum(self(xi), 1e-300)
         grad = np.zeros(xi.shape)
-        for dq, dgrads in zip(self._derivs, self._grads):
+        for (_, dq), dgrads in zip(self.symbol.nonzero_derivatives, self._grads):
             vals = dq(xi)
             for k in range(self.dimension):
                 grad[..., k] += np.real(np.conj(vals) * dgrads[k](xi))

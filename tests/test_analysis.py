@@ -15,7 +15,8 @@ from hypoel import (
     estimate_d,
     snap_rational,
 )
-from hypoel.analysis import unit_directions
+from hypoel.analysis import SLOPE_TOL, unit_directions
+from hypoel.estimates import check_symbol_domination
 
 
 def test_ray_config_validation():
@@ -253,6 +254,20 @@ def test_first_order_weaker_than_laplacian(laplacian):
 def test_verdict_symmetric_under_swap(laplacian):
     p = SymbolPolynomial(2, {(1, 0): 1.0})
     assert equally_strong(laplacian, p).verdict == "Q-weaker"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_high_order_strengths_cap_the_radius_grid():
+    # the squared strengths of 1 + xi^40 overflowed and every ratio was NaN
+    p = SymbolPolynomial(1, {(0,): 1.0, (40,): 1.0})
+    q = SymbolPolynomial(1, {(0,): 1.0, (40,): 2.0})
+    rep = equally_strong(p, q)
+    assert rep.verdict == "equally-strong"
+    assert rep.ratio_bounds == (0.5, 0.5)
+    assert rep.config["radii"] == 8
+    assert check_symbol_domination(p, q)["worst_slope"] <= SLOPE_TOL
+    p8 = SymbolPolynomial(2, {(0, 0): 1.0, (8, 0): 1.0, (0, 8): 1.0})
+    assert equally_strong(p8, p8 + 1).config["radii"] == 40
 
 
 def test_zero_symbol_rejected_for_strength(laplacian):

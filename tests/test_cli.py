@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -198,6 +201,39 @@ def test_verify_failing_inequality_exits_1(tmp_path):
     assert read(out)["results"]["verdict"] == "fail"
 
 
+@pytest.mark.parametrize(
+    "fixture, named",
+    [
+        ({"family": "gaussian_bump"}, ["gaussian_bump", "width"]),
+        ({"family": "plane_wave", "k": 5}, ["plane_wave", "'k'"]),
+        ({"family": "gaussian_bump", "widht": 0.1}, ["gaussian_bump", "widht"]),
+        ({"family": "gaussian_bump", "width": 0.1, "support": {"lo": [0, 0]}}, ["gaussian_bump", "support"]),
+        ({"family": "no_such_family"}, ["no_such_family"]),
+        ({"width": 0.1}, ["family"]),
+        ("gaussian_bump", ["family"]),
+        ({"family": ["zero"]}, ["family"]),
+    ],
+)
+def test_verify_malformed_fixture_exits_2_naming_it(tmp_path, capsys, fixture, named):
+    assert run_p1_with_fixture(tmp_path, fixture) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    for word in named:
+        assert word in err
+
+
+def test_verify_builds_a_modulated_bump(tmp_path):
+    assert run_p1_with_fixture(tmp_path, {"family": "modulated_bump", "k": [1, 0], "width": 0.1}) == 0
+
+
+def run_p1_with_fixture(tmp_path, fixture) -> int:
+    doc = read(fixture_path("verify_p1.json"))
+    doc.update(fixtures=[fixture], symbol=fixture_path("laplacian.json"), r_symbol=fixture_path("first_order.json"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    return run(["verify", "--check", "p1", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+
+
 def test_verify_csv_export(tmp_path):
     out = tmp_path / "report.json"
     csv = tmp_path / "sweeps.csv"
@@ -242,12 +278,22 @@ def test_reports_byte_identical_across_runs(tmp_path, args):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_demo_scripts_are_valid_python():
-    demos = Path(__file__).resolve().parents[1] / "demos"
-    scripts = sorted(demos.glob("*.py"))
-    assert len(scripts) >= 6
-    for script in scripts:
-        compile(script.read_text(), str(script), "exec")
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_all_six_demos_are_found():
+    assert len(DEMOS) == 6
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_runs_cleanly(script):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_report_embeds_full_config(tmp_path):

@@ -1,4 +1,6 @@
+import json
 import math
+from importlib import resources
 
 import pytest
 
@@ -9,12 +11,14 @@ from hypoel import (
     RationalExponent,
     SymbolPolynomial,
     VariableOperator,
+    derivative_norms,
     fit_roumieu_space,
     fit_roumieu_vector,
     gaussian_bump,
     gevrey,
     plane_wave,
     restricted_l2,
+    sample,
     verify_dominated_transfer,
     verify_domination,
     verify_growth_chain,
@@ -23,6 +27,7 @@ from hypoel import (
 )
 from hypoel.grids import cell_frequency
 from hypoel.sequences import TableSequence, log_factorial
+from hypoel.symbols import load
 
 
 @pytest.fixture
@@ -155,6 +160,27 @@ def test_iterate_bound_margins_self_consistent(heat_symbol, small_box):
             assert case.margin >= -1e-9 * max(case.rhs, 1.0)
     assert "fitted_constant_statement_variant" in rep.extras
     assert rep.extras["gamma"] == 8.0
+
+
+def test_iterate_bound_and_derivative_norms_share_one_sweep():
+    # the largest prop31 left side over |alpha| = a is the derivative sweep's entry, bit for bit
+    fixtures = resources.files("hypoel") / "fixtures"
+    doc = json.loads((fixtures / "verify_prop31.json").read_text())
+    omega = BoxDomain.from_dict(doc["omega"])
+    desc = dict(doc["fixtures"][1])
+    u = sample(GridSpec(omega, doc["resolution"]), desc.pop("family"), **desc)
+    q, d = load(fixtures / doc["symbol"]), RationalExponent.parse(doc["d"])
+    rep = verify_iterate_bound(q, d, u, omega, doc["kmax"], doc["deltas"])
+    amax = max(sum(case.params["alpha"]) for case in rep.cases)
+    assert amax == doc["kmax"] * q.order * d.nu
+    for delta in doc["deltas"]:
+        sweep = derivative_norms(u, amax, omega, delta)
+        for a in range(amax + 1):
+            lhs = max(
+                case.lhs for case in rep.cases
+                if case.params["delta"] == delta and sum(case.params["alpha"]) == a
+            )
+            assert lhs == sweep.norms[a]
 
 
 def test_iterate_bound_rejects_wrong_exponent(heat_symbol, small_box):

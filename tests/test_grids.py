@@ -381,11 +381,9 @@ def test_tail_fraction_of_single_low_mode(spec128):
     assert spectral_tail_fraction(u.spectrum()) < 1e-10
 
 
-def test_norm_sweep_csv_export(tmp_path, spec128, unit_box, laplacian):
-    u = gaussian_bump(spec128, 0.1)
-    sweep = iterate_norms(laplacian, u, 2, unit_box, 0.0)
-    path = tmp_path / "sweep.csv"
-    sweep.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "label,norm,flagged"
-    assert len(lines) == 4
+def test_sample_reads_a_support_box_dict(spec128):
+    box = BoxDomain((0.2, 0.2), (0.8, 0.8))
+    u = sample(spec128, "gaussian_bump", width=0.1, support={"lo": [0.2, 0.2], "hi": [0.8, 0.8]})
+    assert np.array_equal(u.values, gaussian_bump(spec128, 0.1, support=box).values)
+    wave = sample(spec128, "modulated_bump", k=[2, 1], width=0.15)
+    assert np.array_equal(wave.values, modulated_bump(spec128, (2, 1), 0.15).values)

@@ -274,6 +274,30 @@ def test_malformed_document_rejected(tmp_path):
         load(path)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_coefficient_rejected_naming_the_multi_index(value):
+    doc = {"dimension": 2, "terms": [{"alpha": [2, 0], "re": 1.0}, {"alpha": [0, 2], "re": 1.0, "im": value}]}
+    with pytest.raises(ParseError, match=r"\[0, 2\]"):
+        SymbolPolynomial.from_dict(doc)
+
+
+def test_duplicate_multi_index_rejected(drift_operator):
+    doc = {"dimension": 1, "terms": [{"alpha": [2], "re": 1.0}, {"alpha": [2], "re": 3.0}]}
+    with pytest.raises(ParseError, match=r"duplicate multi-index \[2\]"):
+        SymbolPolynomial.from_dict(doc)
+    op = drift_operator.to_dict()
+    op["coefficients"].append(op["coefficients"][0])
+    with pytest.raises(ParseError, match="duplicate multi-index"):
+        VariableOperator.from_dict(op)
+
+
+def test_non_finite_operator_coefficient_rejected(drift_operator):
+    op = drift_operator.to_dict()
+    op["coefficients"][0]["poly"]["terms"][0]["re"] = math.nan
+    with pytest.raises(ParseError, match="non-finite"):
+        VariableOperator.from_dict(op)
+
+
 # -- property tests ----------------------------------------------------------------------
 
 
