@@ -182,43 +182,42 @@ def _load_config(path) -> dict:
     return doc
 
 
-def _config_symbol(doc: dict, key: str, base: Path) -> SymbolPolynomial:
+#: the top-level keys each check reads; a --kmax or --lmax flag is read only
+#: by the checks that read the key of the same name
+_COMMON_KEYS = {"check", "seed", "resolution"}
+_CHECK_KEYS = {
+    "domination": {"operator", "region", "fixture", "fixtures", "lmax", "x0", "delta"},
+    "p1": {"symbol", "r_symbol", "omega", "d", "fixture", "fixtures", "t", "enforce_diameter"},
+    "prop31": {"symbol", "omega", "d", "fixture", "fixtures", "kmax", "deltas", "enforce_diameter"},
+    "th1": {"symbol", "omega", "d", "sequence", "fixture", "fixtures", "lmax", "amax", "delta"},
+}
+
+
+def _config_value(doc: dict, key: str, convert, default=None):
+    """convert(doc[key]), or `default` when the key is absent (required if None).
+
+    A missing required key or a value that `convert` rejects raises ParseError
+    naming the key.
+    """
     if key not in doc:
-        raise ParseError(f"config is missing {key!r}")
-    value = doc[key]
-    if isinstance(value, str):
-        obj = load_symbol(base / value)
-    else:
-        obj = SymbolPolynomial.from_dict(value)
-    if not isinstance(obj, SymbolPolynomial):
-        raise ParseError(f"{key!r} must be a constant-coefficient symbol")
-    return obj
-
-
-def _config_operator(doc: dict, key: str, base: Path) -> VariableOperator:
-    if key not in doc:
-        raise ParseError(f"config is missing {key!r}")
-    value = doc[key]
-    if isinstance(value, str):
-        obj = load_symbol(base / value)
-    else:
-        obj = VariableOperator.from_dict(value)
-    if not isinstance(obj, VariableOperator):
-        raise ParseError(f"{key!r} must be a variable-coefficient operator")
-    return obj
-
-
-def _config_box(doc: dict, key: str) -> BoxDomain:
-    if key not in doc:
-        raise ParseError(f"config is missing {key!r}")
+        if default is None:
+            raise ParseError(f"config is missing {key!r}")
+        return default
     try:
-        return BoxDomain.from_dict(doc[key])
+        return convert(doc[key])
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad box under {key!r}: {exc}") from exc
+        raise ParseError(f"bad value under {key!r}: {exc!r}") from None
 
 
-def _config_sequence(doc: dict, base: Path) -> RoumieuSequence:
-    desc = doc.get("sequence")
+def _config_symbol(doc: dict, key: str, base: Path, cls=SymbolPolynomial):
+    """A symbol (or, with cls=VariableOperator, an operator), inline or as a file name."""
+    obj = _config_value(doc, key, lambda v: load_symbol(base / v) if isinstance(v, str) else cls.from_dict(v))
+    if not isinstance(obj, cls):
+        raise ParseError(f"{key!r} must be a {cls.__name__}")
+    return obj
+
+
+def _sequence(desc, base: Path) -> RoumieuSequence:
     if not isinstance(desc, dict):
         raise ParseError("config needs a 'sequence' object")
     if desc.get("kind") == "gevrey":
@@ -260,74 +259,64 @@ def run_verify(args, doc: dict | None = None, base: Path | None = None) -> int:
     if base is None:
         base = Path(args.config).resolve().parent
     check = doc.get("check")
-    if check not in ("p1", "prop31", "th1", "domination"):
+    if check not in _CHECK_KEYS:
         raise ParseError(f"config 'check' must be one of p1, prop31, th1, domination; got {check!r}")
-    seed = int(doc.get("seed", 0)) if args.seed is None else args.seed
-    resolution = int(doc.get("resolution", 64)) if args.resolution is None else args.resolution
+    keys = _CHECK_KEYS[check]
+    unknown = sorted(set(doc) - _COMMON_KEYS - keys)
+    if unknown:
+        raise ParseError(f"unknown key(s) in a {check} config: {', '.join(map(repr, unknown))}")
+    for flag in ("kmax", "lmax"):
+        if getattr(args, flag, None) is not None and flag not in keys:
+            raise ParseError(f"--{flag} does not apply to the {check} check")
+    seed = _config_value(doc, "seed", int, 0) if args.seed is None else args.seed
+    resolution = _config_value(doc, "resolution", int, 64) if args.resolution is None else args.resolution
     ray_cfg = RayConfig(seed=seed)
     csv_rows: list[tuple] = []
     effective: dict = {"seed": seed, "resolution": resolution}
+    if check == "domination":
+        op = _config_symbol(doc, "operator", base, VariableOperator)
+        omega = _config_value(doc, "region", BoxDomain.from_dict, op.domain)
+    else:
+        q = _config_symbol(doc, "symbol", base)
+        omega = _config_value(doc, "omega", BoxDomain.from_dict)
+        d = _config_value(doc, "d", RationalExponent.parse, RationalExponent(1, 1))
+    fixtures = _config_fixtures(doc, GridSpec(omega, resolution))
 
     if check == "domination":
-        op = _config_operator(doc, "operator", base)
-        region = _config_box(doc, "region") if "region" in doc else op.domain
-        spec = GridSpec(region, resolution)
-        fixtures = _config_fixtures(doc, spec)
-        lmax = int(doc.get("lmax", 3)) if args.lmax is None else args.lmax
+        lmax = _config_value(doc, "lmax", int, 3) if args.lmax is None else args.lmax
         effective["lmax"] = lmax
-        rep = verify_domination(op, doc.get("x0", list(op.domain.center)), fixtures[0], lmax, region, float(doc.get("delta", 0.0)), ray_cfg)
-        results = rep.to_dict()
+        x0 = _config_value(doc, "x0", lambda v: [float(c) for c in v], list(op.domain.center))
+        delta = _config_value(doc, "delta", float, 0.0)
+        rep = verify_domination(op, x0, fixtures[0], lmax, omega, delta, ray_cfg)
         for case in rep.cases:
             l = case.params["l"]
             csv_rows.append(("frozen-iterates", l, case.lhs, int(case.flagged)))
             csv_rows.append(("variable-iterates", l, case.params["rhs_core"], int(case.flagged)))
-        verdict = rep.verdict
     elif check == "p1":
-        q = _config_symbol(doc, "symbol", base)
         r = _config_symbol(doc, "r_symbol", base)
-        omega = _config_box(doc, "omega")
-        d = RationalExponent.parse(doc.get("d", "1"))
-        spec = GridSpec(omega, resolution)
-        fixtures = _config_fixtures(doc, spec)
         rep = verify_dominated_transfer(
-            q, r, d, fixtures, omega, float(doc.get("t", 0.25)), ray_cfg,
-            enforce_diameter=bool(doc.get("enforce_diameter", True)),
+            q, r, d, fixtures, omega, _config_value(doc, "t", float, 0.25), ray_cfg,
+            enforce_diameter=_config_value(doc, "enforce_diameter", bool, True),
         )
-        results = rep.to_dict()
-        verdict = rep.verdict
     elif check == "prop31":
-        q = _config_symbol(doc, "symbol", base)
-        omega = _config_box(doc, "omega")
-        d = RationalExponent.parse(doc.get("d", "1"))
-        spec = GridSpec(omega, resolution)
-        fixtures = _config_fixtures(doc, spec)
-        kmax = int(doc.get("kmax", 3)) if args.kmax is None else args.kmax
+        kmax = _config_value(doc, "kmax", int, 3) if args.kmax is None else args.kmax
         effective["kmax"] = kmax
         rep = verify_iterate_bound(
-            q, d, fixtures, omega, kmax, [float(v) for v in doc.get("deltas", [0.1])],
-            enforce_diameter=bool(doc.get("enforce_diameter", True)), ray_cfg=ray_cfg,
-        )
-        results = rep.to_dict()
-        # per-case rows would be enormous; keep the report, no sweeps
-        verdict = rep.verdict
+            q, d, fixtures, omega, kmax, _config_value(doc, "deltas", lambda v: [float(c) for c in v], [0.1]),
+            enforce_diameter=_config_value(doc, "enforce_diameter", bool, True), ray_cfg=ray_cfg,
+        )  # per-case rows would be enormous; keep the report, no sweeps
     else:  # th1
-        q = _config_symbol(doc, "symbol", base)
-        omega = _config_box(doc, "omega")
-        d = RationalExponent.parse(doc.get("d", "1"))
-        seq = _config_sequence(doc, base)
-        spec = GridSpec(omega, resolution)
-        fixtures = _config_fixtures(doc, spec)
-        lmax = int(doc.get("lmax", 6)) if args.lmax is None else args.lmax
-        amax = int(doc.get("amax", 12))
+        seq = _config_value(doc, "sequence", lambda v: _sequence(v, base))
+        lmax = _config_value(doc, "lmax", int, 6) if args.lmax is None else args.lmax
+        amax = _config_value(doc, "amax", int, 12)
         effective.update({"lmax": lmax, "amax": amax})
         rep = verify_growth_chain(
-            fixtures[0], q, seq, d, omega, float(doc.get("delta", 0.05)), lmax, amax,
+            fixtures[0], q, seq, d, omega, _config_value(doc, "delta", float, 0.05), lmax, amax,
             ray_cfg=ray_cfg,
         )
-        results = rep.to_dict()
         csv_rows = _sweep_rows("iterates", rep.vector_fit) + _sweep_rows("derivatives", rep.space_fit)
-        verdict = rep.verdict
 
+    results = rep.to_dict()
     config = dict(doc)
     config.update(effective)
     witnesses = []
@@ -336,7 +325,7 @@ def run_verify(args, doc: dict | None = None, base: Path | None = None) -> int:
     _emit(_report("verify", _sanitize(config), _sanitize(results), witnesses), args.out)
     if args.csv and csv_rows:
         _write_csv(args.csv, csv_rows)
-    return EXIT_OK if verdict == "pass" else EXIT_FAIL
+    return EXIT_OK if rep.verdict == "pass" else EXIT_FAIL
 
 
 # -- entry point -----------------------------------------------------------------

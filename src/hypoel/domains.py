@@ -41,16 +41,6 @@ class BoxDomain:
     def diameter(self) -> float:
         return math.sqrt(sum(s * s for s in self.sides))
 
-    def shrunk(self, delta: float) -> "BoxDomain | None":
-        """The box of points at distance > delta from the complement, or None if empty."""
-        if delta < 0:
-            raise ValueError("delta must be >= 0")
-        lo = tuple(a + delta for a in self.lo)
-        hi = tuple(b - delta for b in self.hi)
-        if not all(a < b for a, b in zip(lo, hi)):
-            return None
-        return BoxDomain(lo, hi)
-
     def contains(self, x, closed: bool = False) -> bool:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):

@@ -234,6 +234,40 @@ def run_p1_with_fixture(tmp_path, fixture) -> int:
     return run(["verify", "--check", "p1", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
 
 
+@pytest.mark.parametrize(
+    "check, edit, flags, named",
+    [
+        ("th1", {"sequence": {"kind": "gevrey"}}, [], ["'sequence'", "'s'"]),
+        ("prop31", {"deltas": 5}, [], ["'deltas'"]),
+        ("p1", {"t": None}, [], ["'t'"]),
+        ("domination", {"x0": None}, [], ["'x0'"]),
+        ("th1", {"amax": "many"}, [], ["'amax'"]),
+        ("th1", {"bogus": 1}, [], ["'bogus'"]),
+        ("domination", {"kmax": 2}, [], ["'kmax'"]),
+        ("th1", {}, ["--kmax", "2"], ["--kmax"]),
+        ("p1", {}, ["--lmax", "2"], ["--lmax"]),
+        ("prop31", {}, ["--lmax", "2"], ["--lmax"]),
+    ],
+    ids=["sequence-without-s", "deltas-int", "t-null", "x0-null", "amax-str", "unknown-key", "unread-key",
+         "kmax-th1", "lmax-p1", "lmax-prop31"],
+)
+def test_verify_malformed_config_exits_2_naming_the_key(tmp_path, capsys, check, edit, flags, named):
+    doc = read(fixture_path(f"verify_{check}.json"))
+    for key in ("symbol", "r_symbol", "operator"):
+        if key in doc:
+            doc[key] = fixture_path(doc[key])
+    doc.update(edit)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert run(["verify", "--check", check, "--config", str(cfg), "--out", str(out), *flags]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    for word in named:
+        assert word in err
+
+
 def test_verify_csv_export(tmp_path):
     out = tmp_path / "report.json"
     csv = tmp_path / "sweeps.csv"

@@ -196,6 +196,10 @@ def test_restricted_norm_empty_shrink():
     u = GridFunction(spec, np.ones(64))
     assert restricted_l2(u, om, 0.5) == 0.0
     assert restricted_l2(u, om, 0.7) == 0.0
+    cube = BoxDomain((0.0,) * 3, (1.0,) * 3)
+    ones = GridFunction(GridSpec(cube, 16), np.ones((16,) * 3))
+    assert restricted_l2(ones, cube, 0.5) == 0.0
+    assert restricted_l2(ones, BoxDomain((0.0, 0.0, 0.0), (1.0, 0.2, 1.0)), 0.1) == 0.0
 
 
 def test_restricted_norm_monotone_in_delta(spec128, unit_box):
@@ -211,7 +215,61 @@ def test_restricted_region_must_be_inside_cell(spec128):
         restricted_l2(u, BoxDomain((-5.0, -5.0), (5.0, 5.0)), 0.0)
 
 
+def brute_restricted_l2(u, region, delta):
+    """The restricted norm with one explicit node mask (x > lo + delta) & (x < hi - delta)."""
+    inside = np.ones(u.values.shape, dtype=bool)
+    for x, lo, hi in zip(np.meshgrid(*u.spec.axes(), indexing="ij"), region.lo, region.hi):
+        inside &= (x > lo + delta) & (x < hi - delta)
+    return math.sqrt(float(np.sum(np.abs(u.values[inside]) ** 2)) * u.spec.volume_element)
+
+
+def noisy_bump(spec, seed=0):
+    bump = gaussian_bump(spec, 0.1).values
+    return GridFunction(spec, bump + 1e-3 * np.random.default_rng(seed).standard_normal(bump.shape))
+
+
+# (grid, regions): on the second 2-D grid, node 128 and -0.35 + 0.0875 both round to
+# -0.26249999999999996, so that node is on the edge of the box shrunk by 0.0875, not inside
+NORM_CASES = [
+    (GridSpec(BoxDomain((0.0,), (1.0,)), 128), [BoxDomain((0.0,), (1.0,)), BoxDomain((-0.2,), (0.7,))]),
+    (GridSpec(BoxDomain((0.0, 0.0), (1.0, 1.0)), 128), [BoxDomain((0.0, 0.0), (1.0, 1.0))]),
+    (
+        GridSpec(BoxDomain((-0.35, -0.35), (0.35, 0.35)), 512),
+        [BoxDomain((-0.35, -0.35), (0.35, 0.35)), BoxDomain((-0.3, -0.2), (0.1, 0.33))],
+    ),
+    (GridSpec(BoxDomain((-0.35,) * 3, (0.35,) * 3), 32), [BoxDomain((-0.3, -0.2, -0.35), (0.1, 0.33, 0.2))]),
+]
+
+
+@pytest.mark.parametrize("spec, regions", NORM_CASES, ids=["1d", "2d", "2d-tie", "3d"])
+def test_restricted_norm_equals_brute_mask(spec, regions):
+    u = noisy_bump(spec)
+    deltas = [0.0, 0.0875, 0.1, 1.0 / 3.0, 0.35, 0.5, *delta_grid(0.25)]
+    for region in regions:
+        for d in deltas:
+            assert restricted_l2(u, region, float(d)) == brute_restricted_l2(u, region, float(d))
+
+
+def test_restricted_norm_rounding_tie_excludes_the_node():
+    spec = GridSpec(BoxDomain((-0.35, -0.35), (0.35, 0.35)), 512)
+    assert spec.axes()[0][128] == -0.35 + 0.0875
+    spike = np.zeros((512, 512))
+    spike[128, 256] = 1.0
+    u = GridFunction(spec, spike)
+    assert restricted_l2(u, spec.omega, 0.0875) == 0.0
+    assert restricted_l2(u, spec.omega, 0.0874) > 0.0
+
+
 # -- shrink_norm -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec, regions", NORM_CASES, ids=["1d", "2d", "2d-tie", "3d"])
+def test_shrink_norm_is_the_max_over_delta_grid(spec, regions):
+    u = noisy_bump(spec)
+    for region in regions:
+        for mu, t in ((0.5, 0.05), (1.0, 0.25), (2.0, 0.4)):
+            want = max(d**mu * restricted_l2(u, region, float(d)) for d in delta_grid(t))
+            assert shrink_norm(u, region, mu, t) == want
 
 
 def test_shrink_norm_closed_form():
