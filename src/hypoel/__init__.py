@@ -73,7 +73,6 @@ from .sequences import (
 )
 from .symbols import SymbolPolynomial, VariableOperator
 from .weights import (
-    BallSampleConfig,
     ConstantWeight,
     OnePlusNorm,
     PairSampleConfig,

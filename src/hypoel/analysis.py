@@ -33,48 +33,44 @@ AMBIGUOUS_RAY_FRACTION = 0.05
 
 @dataclass(frozen=True)
 class RayConfig:
-    """Sampling scheme for ray sweeps toward frequency infinity."""
+    """Sampling scheme for ray sweeps toward frequency infinity, on the radii 1, 2, 4, ..., 2^radii."""
 
     directions: int = 256
-    r0: float = 1.0
-    rho: float = 2.0
     radii: int = 40
-    include_characteristic_search: bool = True
     seed: int = 0
 
     def __post_init__(self):
         if self.radii < 8:
             raise ValueError("need at least 8 radii (J >= 8)")
-        if self.rho <= 1:
-            raise ValueError("radial growth factor must be > 1")
 
     def validate_for_dimension(self, n: int) -> None:
         if self.directions < 2 * n:
             raise ValueError(f"need at least {2 * n} directions for dimension {n}")
 
     def radius_grid(self) -> np.ndarray:
-        return self.r0 * self.rho ** np.arange(self.radii + 1, dtype=float)
+        return 2.0 ** np.arange(self.radii + 1)
 
     def to_dict(self) -> dict:
         return {
             "directions": self.directions,
-            "r0": self.r0,
-            "rho": self.rho,
+            "r0": 1.0,
+            "rho": 2.0,
             "radii": self.radii,
-            "include_characteristic_search": self.include_characteristic_search,
+            "include_characteristic_search": True,
             "seed": self.seed,
         }
 
 
 def unit_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
-    """Quasi-uniform unit directions plus all coordinate axes and sign diagonals."""
-    base: list[np.ndarray] = []
+    """Quasi-uniform unit directions plus all coordinate axes and sign diagonals.
+
+    A direction equal to an earlier one after rounding to 12 decimals is dropped.
+    """
     if n == 1:
-        base.append(np.array([1.0]))
-        base.append(np.array([-1.0]))
+        base = np.array([[1.0], [-1.0]])
     elif n == 2:
         angles = 2 * np.pi * (np.arange(count) + 0.5) / count
-        base.extend(np.stack([np.cos(angles), np.sin(angles)], axis=1))
+        base = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     elif n == 3:
         # Fibonacci sphere
         golden = (1 + math.sqrt(5)) / 2
@@ -82,31 +78,23 @@ def unit_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
         z = 1 - 2 * (i + 0.5) / count
         r = np.sqrt(np.maximum(0.0, 1 - z * z))
         phi = 2 * np.pi * i / golden
-        base.extend(np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1))
+        base = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
     else:
         rng = np.random.default_rng(seed)
         pts = rng.standard_normal((count, n))
         norms = np.linalg.norm(pts, axis=1)
-        base.extend(pts[norms > 1e-12] / norms[norms > 1e-12, None])
+        base = pts[norms > 1e-12] / norms[norms > 1e-12, None]
 
-    for j in range(n):
-        for sign in (1.0, -1.0):
-            e = np.zeros(n)
-            e[j] = sign
-            base.append(e)
+    # e_0, -e_0, e_1, -e_1, ...; filled into zeros, since -1 * eye would write -0.0
+    axes = np.zeros((2 * n, n))
+    axes[np.arange(2 * n), np.arange(2 * n) // 2] = np.tile([1.0, -1.0], n)
+    parts = [base, axes]
     if n > 1:
-        for signs in np.ndindex(*(2,) * n):
-            d = np.array([1.0 if s == 0 else -1.0 for s in signs]) / math.sqrt(n)
-            base.append(d)
-
-    seen: set[tuple] = set()
-    out: list[np.ndarray] = []
-    for d in base:
-        key = tuple(np.round(d, 12))
-        if key not in seen:
-            seen.add(key)
-            out.append(d)
-    return np.array(out)
+        parts.append((1.0 - 2.0 * np.array(list(np.ndindex(*(2,) * n)))) / math.sqrt(n))
+    dirs = np.concatenate(parts)
+    # + 0.0 turns -0.0 into 0.0, which np.unique would otherwise tell apart
+    _, first = np.unique(np.round(dirs, 12) + 0.0, axis=0, return_index=True)
+    return dirs[np.sort(first)]
 
 
 def _characteristic_refinement(q: SymbolPolynomial, dirs: np.ndarray) -> np.ndarray:
@@ -208,10 +196,10 @@ class StrengthReport:
         }
 
 
-def snap_rational(value: float, max_denominator: int = 12, rel_tol: float = 0.02) -> tuple[int, int] | None:
-    """Nearest fraction with bounded denominator, via Stern-Brocot descent.
+def snap_rational(value: float) -> tuple[int, int] | None:
+    """Nearest fraction with denominator at most 12, via Stern-Brocot descent.
 
-    Returns (numerator, denominator) when within `rel_tol` relatively, else None.
+    Returns (numerator, denominator) when within 2% relatively, else None.
     """
     if value <= 0:
         return None
@@ -219,9 +207,9 @@ def snap_rational(value: float, max_denominator: int = 12, rel_tol: float = 0.02
     hi_n, hi_d = 1, 0
     best = (round(value), 1)
     best_err = abs(value - round(value))
-    for _ in range(10 * max_denominator):
+    for _ in range(120):
         med_n, med_d = lo_n + hi_n, lo_d + hi_d
-        if med_d > max_denominator:
+        if med_d > 12:
             break
         med = med_n / med_d
         if abs(value - med) < best_err:
@@ -233,7 +221,7 @@ def snap_rational(value: float, max_denominator: int = 12, rel_tol: float = 0.02
         else:
             break
     frac = Fraction(*best)
-    if abs(frac - value) <= rel_tol * abs(value):
+    if abs(frac - value) <= 0.02 * abs(value):
         return frac.numerator, frac.denominator
     return None
 
@@ -250,7 +238,7 @@ def _ray_grid(n: int, cfg: RayConfig, refine_for: SymbolPolynomial | None = None
     cfg.validate_for_dimension(n)
     dirs = unit_directions(n, cfg.directions, cfg.seed)
     num_base = len(dirs)
-    if refine_for is not None and cfg.include_characteristic_search:
+    if refine_for is not None:
         dirs = np.concatenate([dirs, _characteristic_refinement(refine_for, dirs)], axis=0)
     radii = cfg.radius_grid()
     return dirs, num_base, radii, dirs[:, None, :] * radii[None, :, None]
@@ -424,7 +412,8 @@ def estimate_d(q: SymbolPolynomial, cfg: RayConfig | None = None) -> HypoReport:
     -|beta|/d when the inequality is tight, so d is the max over (beta, ray)
     of -|beta|/slope on decaying rays.  Non-decaying rays whose boosted ratio
     |xi|^eps * ratio diverges for every tested eps mean no d works.  The
-    check at the estimate runs on the same rays.
+    check at the estimate runs on the same rays; a violation there is the
+    verdict, with its witness.
     """
     if q.is_zero:
         raise HypoelError("cannot estimate the exponent of the zero symbol")
@@ -453,14 +442,15 @@ def estimate_d(q: SymbolPolynomial, cfg: RayConfig | None = None) -> HypoReport:
         violation, _ = _steepest(violation, table, beta, ratios, peaks, slopes, diverging)
 
     config = table.cfg.to_dict()
-    if violation is not None:
-        return HypoReport(verdict="violated", witness=violation, per_beta_slopes=per_beta, config=config)
-    if not candidates:
-        return HypoReport(verdict="inconclusive", per_beta_slopes=per_beta, config=config)
-    d_est = max(d_best, 1.0)
-    check = _check_rays(table, d_est)
-    verdict = "inconclusive" if check.verdict == "inconclusive" else "hypoelliptic-consistent"
-    return HypoReport(verdict, d_est, snap_rational(d_est), check.fitted_c, check.witness, per_beta, config=config)
+    if violation is None and candidates:
+        d_est = max(d_best, 1.0)
+        check = _check_rays(table, d_est)
+        if check.verdict != "violated":
+            snapped = snap_rational(d_est)
+            return HypoReport(check.verdict, d_est, snapped, check.fitted_c, check.witness, per_beta, config=config)
+        violation = check.witness
+    verdict = "inconclusive" if violation is None else "violated"
+    return HypoReport(verdict, witness=violation, per_beta_slopes=per_beta, config=config)
 
 
 def equally_strong(
@@ -511,8 +501,8 @@ def _ratio_witness(direction: np.ndarray, radii: np.ndarray, row: np.ndarray, sl
     }
 
 
-def freeze_sample_points(domain, per_axis: int = 3, corner_shrink: float = 1e-3) -> list[np.ndarray]:
-    """Interior lattice points plus corners pulled inward, center always included."""
+def freeze_sample_points(domain, per_axis: int = 3) -> list[np.ndarray]:
+    """Interior lattice points plus corners pulled inward by 1e-3 of each side, center always included."""
     n = domain.dimension
     axes = []
     for lo, hi in zip(domain.lo, domain.hi):
@@ -525,7 +515,7 @@ def freeze_sample_points(domain, per_axis: int = 3, corner_shrink: float = 1e-3)
     for signs in np.ndindex(*(2,) * n):
         corner = np.array(
             [
-                lo + corner_shrink * (hi - lo) if s == 0 else hi - corner_shrink * (hi - lo)
+                lo + 1e-3 * (hi - lo) if s == 0 else hi - 1e-3 * (hi - lo)
                 for s, lo, hi in zip(signs, domain.lo, domain.hi)
             ]
         )

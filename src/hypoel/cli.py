@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import RayConfig, check_constant_strength, check_hypoelliptic, equally_strong, estimate_d
 from .domains import BoxDomain
-from .errors import HypoelError, ParseError, PreconditionError
+from .errors import HypoelError, ParseError
 from .estimates import (
     RationalExponent,
     verify_dominated_transfer,
@@ -253,14 +253,12 @@ def _write_csv(path, rows: list[tuple]) -> None:
             fh.write(f"{tag},{label},{norm!r},{flag}\n")
 
 
-def run_verify(args, doc: dict | None = None, base: Path | None = None) -> int:
-    if doc is None:
-        doc = _load_config(args.config)
-    if base is None:
-        base = Path(args.config).resolve().parent
-    check = doc.get("check")
-    if check not in _CHECK_KEYS:
-        raise ParseError(f"config 'check' must be one of p1, prop31, th1, domination; got {check!r}")
+def run_verify(args) -> int:
+    doc = _load_config(args.config)
+    base = Path(args.config).resolve().parent
+    if doc.get("check") and doc["check"] != args.check:
+        raise ParseError(f"--check {args.check} does not match config check {doc['check']!r}")
+    doc["check"] = check = args.check
     keys = _CHECK_KEYS[check]
     unknown = sorted(set(doc) - _COMMON_KEYS - keys)
     if unknown:
@@ -389,18 +387,7 @@ def main(argv=None) -> int:
     if args.command == "strength" and not args.variable and not (args.p and args.q):
         parser.error("strength needs either --variable or both --p and --q")
     try:
-        if args.command == "verify":
-            doc = _load_config(args.config)
-            if doc.get("check") and doc["check"] != args.check:
-                raise ParseError(
-                    f"--check {args.check} does not match config check {doc.get('check')!r}"
-                )
-            doc["check"] = args.check
-            return run_verify(args, doc, Path(args.config).resolve().parent)
         return args.func(args)
-    except (ParseError, PreconditionError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
     except (HypoelError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

@@ -117,16 +117,12 @@ class EstimateReport:
     cases: list[EstimateCase] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
-    @property
-    def flagged_cases(self) -> list[EstimateCase]:
-        return [c for c in self.cases if c.flagged]
-
     def to_dict(self) -> dict:
         return {
             "verdict": self.verdict,
             "fitted_constant": self.fitted_constant,
             "cases": [c.to_dict() for c in self.cases],
-            "num_flagged": len(self.flagged_cases),
+            "num_flagged": sum(c.flagged for c in self.cases),
             "extras": self.extras,
         }
 
@@ -486,23 +482,23 @@ def verify_growth_chain(
     delta: float,
     lmax: int,
     amax: int,
-    pmax: int = 60,
     check_exponent: bool = True,
     ray_cfg: RayConfig | None = None,
 ) -> GrowthChainReport:
     """Iterate growth against M implies derivative growth against M^d.
 
-    Preconditions: the sequence satisfies the basic conditions, dominates the
-    d-th factorial power ((p!)^d included in M_p), and the symbol's estimated
-    exponent is consistent with d.  Both growth fits must come back finite
-    with nonpositive residual tail slopes for a pass verdict.
+    Preconditions, checked for p <= 60: the sequence satisfies the basic
+    conditions and dominates the d-th factorial power ((p!)^d included in
+    M_p); and the symbol's estimated exponent is consistent with d.  Both
+    growth fits must come back finite with nonpositive residual tail slopes
+    for a pass verdict.
     """
-    basics = check_basic(m_seq, pmax)
+    basics = check_basic(m_seq, 60)
     if not basics.all_passed:
         raise PreconditionError(
             "sequence-conditions", "sequence fails log-convexity or stability checks"
         )
-    inclusion = fit_inclusion(power_sequence(gevrey(1.0), d.value), m_seq, pmax)
+    inclusion = fit_inclusion(power_sequence(gevrey(1.0), d.value), m_seq, 60)
     if not inclusion.holds:
         raise PreconditionError(
             "factorial-inclusion",
@@ -540,23 +536,22 @@ def verify_domination(
     region: BoxDomain,
     delta: float = 0.0,
     ray_cfg: RayConfig | None = None,
-    check_strength: bool = True,
 ) -> EstimateReport:
     """Frozen-operator iterates against variable-operator iterates.
 
     Fits the smallest A with ||P0^l u|| <= A^l ||P^l u|| over unflagged l,
     where P0 is the operator frozen at x0 (applied spectrally in one step)
-    and P^l u is the l-fold application of the variable operator.
+    and P^l u is the l-fold application of the variable operator.  The
+    operator must be of constant strength.
     """
     if lmax < 0:
         raise ValueError("lmax must be >= 0")
-    if check_strength:
-        strength = check_constant_strength(p, ray_cfg)
-        if strength.verdict != "constant-strength":
-            raise PreconditionError(
-                "constant-strength",
-                f"operator is not of constant strength (witness {strength.witness})",
-            )
+    strength = check_constant_strength(p, ray_cfg)
+    if strength.verdict != "constant-strength":
+        raise PreconditionError(
+            "constant-strength",
+            f"operator is not of constant strength (witness {strength.witness})",
+        )
     total = u.l2_norm()
     # summed over the outside nodes: sqrt(total^2 - inside^2) cancels to ~1e-8 total
     outside_nodes = np.ones(u.values.shape, dtype=bool)

@@ -113,23 +113,10 @@ class GridFunction:
         """Discrete L2 norm over the full periodic cell."""
         return _box_l2(np.abs(self.values) ** 2, self.spec.volume_element)
 
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        _require_same_spec(self, other)
-        return GridFunction(self.spec, self.values + other.values)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        _require_same_spec(self, other)
-        return GridFunction(self.spec, self.values - other.values)
-
     def __mul__(self, scalar) -> "GridFunction":
         return GridFunction(self.spec, self.values * complex(scalar))
 
     __rmul__ = __mul__
-
-
-def _require_same_spec(a: GridFunction, b: GridFunction) -> None:
-    if a.spec != b.spec:
-        raise HypoelError("grid functions live on different grids")
 
 
 # -- sampling families --------------------------------------------------------------
@@ -354,14 +341,14 @@ def restricted_l2(u: GridFunction, region: BoxDomain, delta: float = 0.0) -> flo
     return _box_l2(np.abs(u.values[slices]) ** 2, u.spec.volume_element)
 
 
-def delta_grid(t: float, points: int = 200) -> np.ndarray:
-    """Geometric + uniform mix of shrink distances in (0, t]."""
-    geo = t * np.geomspace(1e-4, 1.0, points // 2)
-    uni = t * (1.0 + np.arange(points - points // 2)) / (points - points // 2)
+def delta_grid(t: float) -> np.ndarray:
+    """Shrink distances in (0, t]: 100 geometric from 1e-4 t and 100 uniform, without repeats."""
+    geo = t * np.geomspace(1e-4, 1.0, 100)
+    uni = t * (1.0 + np.arange(100)) / 100
     return np.unique(np.concatenate([geo, uni]))
 
 
-def shrink_norm(u: GridFunction, region: BoxDomain, mu: float, t: float, points: int = 200) -> float:
+def shrink_norm(u: GridFunction, region: BoxDomain, mu: float, t: float) -> float:
     """sup over 0 < delta <= t of delta^mu * ||u||_{L2(region shrunk by delta)}.
 
     Small shrink distances often select the same nodes, so each distinct box
@@ -371,7 +358,7 @@ def shrink_norm(u: GridFunction, region: BoxDomain, mu: float, t: float, points:
         raise ValueError("mu and t must be > 0")
     sq = np.abs(u.values) ** 2
     best, seen, norm = 0.0, None, 0.0
-    for d in delta_grid(t, points):
+    for d in delta_grid(t):
         slices = _box_slices(u.spec, region, float(d))
         if slices != seen:
             seen, norm = slices, _box_l2(sq[slices], u.spec.volume_element)
@@ -419,9 +406,6 @@ class NormSweep:
     region: dict = field(default_factory=dict)
     delta: float = 0.0
     grid: dict = field(default_factory=dict)
-
-    def unflagged(self) -> list[tuple[int, float]]:
-        return [(l, v) for l, v, f in zip(self.labels, self.norms, self.flagged) if not f]
 
     def to_dict(self) -> dict:
         return {

@@ -35,17 +35,12 @@ def log_binomial(p: int, j: int) -> float:
 class RoumieuSequence:
     """A positive sequence (M_p) with M_0 = 1, queried through log M_p."""
 
-    kind: str
-
     def log_m(self, p: int) -> float:
         raise NotImplementedError
 
     def max_index(self) -> int | None:
         """Largest valid p, or None when the sequence is defined for all p."""
         return None
-
-    def describe(self) -> dict:
-        raise NotImplementedError
 
     def _check_index(self, p: int) -> int:
         p = int(p)
@@ -60,8 +55,6 @@ class RoumieuSequence:
 class GevreySequence(RoumieuSequence):
     """M_p = (p!)^s for s >= 1."""
 
-    kind = "gevrey"
-
     def __init__(self, s: float):
         s = float(s)
         if s < 1:
@@ -71,14 +64,9 @@ class GevreySequence(RoumieuSequence):
     def log_m(self, p: int) -> float:
         return self.s * log_factorial(self._check_index(p))
 
-    def describe(self) -> dict:
-        return {"kind": "gevrey", "s": self.s}
-
 
 class TableSequence(RoumieuSequence):
     """Sequence given by an explicit table of positive values starting at M_0 = 1."""
-
-    kind = "table"
 
     def __init__(self, values: Sequence[float]):
         values = [float(v) for v in values]
@@ -96,14 +84,9 @@ class TableSequence(RoumieuSequence):
     def max_index(self) -> int:
         return len(self._logs) - 1
 
-    def describe(self) -> dict:
-        return {"kind": "table", "length": len(self._logs)}
-
 
 class PowerSequence(RoumieuSequence):
     """The sequence (M_p)^d for a base sequence and d > 0."""
-
-    kind = "power"
 
     def __init__(self, base: RoumieuSequence, d: float):
         d = float(d)
@@ -117,9 +100,6 @@ class PowerSequence(RoumieuSequence):
 
     def max_index(self) -> int | None:
         return self.base.max_index()
-
-    def describe(self) -> dict:
-        return {"kind": "power", "d": self.d, "base": self.base.describe()}
 
 
 def gevrey(s: float) -> RoumieuSequence:

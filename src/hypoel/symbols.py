@@ -77,11 +77,6 @@ class SymbolPolynomial:
         e[index] = 1
         return SymbolPolynomial(dimension, {tuple(e): 1.0})
 
-    @staticmethod
-    def monomial(alpha: Iterable[int], coefficient: complex = 1.0) -> "SymbolPolynomial":
-        alpha = tuple(int(a) for a in alpha)
-        return SymbolPolynomial(len(alpha), {alpha: coefficient})
-
     # -- basic queries ---------------------------------------------------------
 
     @property
@@ -312,10 +307,6 @@ class VariableOperator:
         if not self.terms:
             return 0
         return max(sum(a) for a in self.terms)
-
-    @property
-    def is_constant_coefficient(self) -> bool:
-        return all(coeff.order == 0 for coeff in self.terms.values())
 
     def freeze(self, x) -> SymbolPolynomial:
         """Constant-coefficient symbol with coefficients evaluated at x."""

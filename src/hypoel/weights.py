@@ -44,9 +44,6 @@ class WeightFunction:
         """
         return self(xi)
 
-    def describe(self) -> dict:
-        raise NotImplementedError
-
 
 class ConstantWeight(WeightFunction):
     def __init__(self, dimension: int, value: float):
@@ -59,9 +56,6 @@ class ConstantWeight(WeightFunction):
     def __call__(self, xi):
         xi = np.asarray(xi, dtype=float)
         return np.full(xi.shape[:-1], self.value)
-
-    def describe(self):
-        return {"form": "constant", "value": self.value, "dimension": self.dimension}
 
 
 class OnePlusNorm(WeightFunction):
@@ -78,9 +72,6 @@ class OnePlusNorm(WeightFunction):
         norms = np.linalg.norm(xi, axis=-1, keepdims=True)
         safe = np.where(norms == 0, 1.0, norms)
         return xi / safe
-
-    def describe(self):
-        return {"form": "one_plus_norm", "dimension": self.dimension}
 
 
 class StrengthWeight(WeightFunction):
@@ -110,9 +101,6 @@ class StrengthWeight(WeightFunction):
                 grad[..., k] += np.real(np.conj(vals) * dgrads[k](xi))
         return grad / h[..., None]
 
-    def describe(self):
-        return {"form": "strength", "symbol": self.symbol.to_dict(), "dimension": self.dimension}
-
 
 class PowerWeight(WeightFunction):
     """Integer power h^j of a base weight."""
@@ -134,22 +122,6 @@ class PowerWeight(WeightFunction):
 
     def ascent_score(self, xi):
         return self.base.ascent_score(xi)
-
-    def describe(self):
-        return {"form": "power", "j": self.j, "base": self.base.describe()}
-
-
-def weight_from_dict(doc: dict) -> WeightFunction:
-    form = doc.get("form")
-    if form == "constant":
-        return ConstantWeight(int(doc["dimension"]), float(doc["value"]))
-    if form == "one_plus_norm":
-        return OnePlusNorm(int(doc["dimension"]))
-    if form == "strength":
-        return StrengthWeight(SymbolPolynomial.from_dict(doc["symbol"]))
-    if form == "power":
-        return PowerWeight(weight_from_dict(doc["base"]), int(doc["j"]))
-    raise HypoelError(f"unknown weight form {form!r}")
 
 
 # -- temperate fit --------------------------------------------------------------
@@ -261,26 +233,16 @@ def fit_temperate(h: WeightFunction, cfg: PairSampleConfig | None = None) -> Tem
 # -- ball supremum ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BallSampleConfig:
-    points: int = 512
-    ascent_steps: int = 32
-    seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {"points": self.points, "ascent_steps": self.ascent_steps, "seed": self.seed}
-
-
-def _unit_ball_template(n: int, cfg: BallSampleConfig) -> np.ndarray:
-    """Sign-symmetric quasi-uniform points in the closed unit ball, plus center and axes."""
+def _unit_ball_template(n: int) -> np.ndarray:
+    """The center, the 2n axis points and 2(256 - n) seeded sign-symmetric points in the closed unit ball."""
     pts = [np.zeros(n)]
     for j in range(n):
         for sign in (1.0, -1.0):
             e = np.zeros(n)
             e[j] = sign
             pts.append(e)
-    rng = np.random.default_rng(cfg.seed)
-    half = max(0, (cfg.points - len(pts) + 1) // 2)
+    rng = np.random.default_rng(0)
+    half = max(0, (512 - len(pts) + 1) // 2)
     dirs = rng.standard_normal((half, n))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-12)
     radii = rng.random((half, 1)) ** (1.0 / n)
@@ -288,27 +250,21 @@ def _unit_ball_template(n: int, cfg: BallSampleConfig) -> np.ndarray:
     return np.concatenate([np.array(pts), cloud, -cloud])
 
 
-def h_delta(
-    h: WeightFunction,
-    delta: float,
-    xi,
-    cfg: BallSampleConfig | None = None,
-) -> float | np.ndarray:
+def h_delta(h: WeightFunction, delta: float, xi) -> float | np.ndarray:
     """Approximate sup of h over the closed ball of radius delta around xi.
 
-    Fixed quasi-uniform ball samples, refined by deterministic local ascent
-    when the weight exposes a gradient.  Always >= h(xi) since the center is
-    one of the samples.
+    Fixed quasi-uniform ball samples, refined by 32 steps of deterministic
+    local ascent when the weight exposes a gradient.  Always >= h(xi) since
+    the center is one of the samples.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
-    cfg = cfg or BallSampleConfig()
     xi = np.asarray(xi, dtype=float)
     scalar = xi.ndim == 1
     pts = np.atleast_2d(xi)
     if pts.shape[-1] != h.dimension:
         raise DimensionMismatch(f"points have dimension {pts.shape[-1]}, expected {h.dimension}")
-    offsets = _unit_ball_template(h.dimension, cfg) * delta
+    offsets = _unit_ball_template(h.dimension) * delta
     scores = h.ascent_score(pts[:, None, :] + offsets[None, :, :])
     best_idx = np.argmax(scores, axis=1)
     best_pts = pts + offsets[best_idx]
@@ -316,7 +272,7 @@ def h_delta(
 
     if h.gradient(pts[:1]) is not None:
         step = np.full(len(pts), 0.25 * delta)
-        for _ in range(cfg.ascent_steps):
+        for _ in range(32):
             grad = h.gradient(best_pts)
             gn = np.linalg.norm(grad, axis=1, keepdims=True)
             gn = np.where(gn == 0, 1.0, gn)
@@ -365,40 +321,34 @@ def verify_ball_sup_sandwich(
     delta: float,
     j: int = 2,
     fit: TemperateFit | None = None,
-    pair_cfg: PairSampleConfig | None = None,
-    ball_cfg: BallSampleConfig | None = None,
-    xi_points: np.ndarray | None = None,
-    rel_tol: float = 1e-6,
 ) -> LemmaReport:
     """Check h <= h_delta <= h (1 + C delta)^N and the shared-sample power identity.
 
-    The power identity (h^j)_delta = (h_delta)^j is evaluated on the same
-    ball sample set on both sides, so it is an arithmetic identity rather
-    than an approximation claim.
+    Both are checked to a relative 1e-6 on fixed points: structured ones of
+    radius up to 20 and 64 seeded gaussian ones.  The power identity
+    (h^j)_delta = (h_delta)^j is evaluated on the same ball sample set on
+    both sides, so it is an arithmetic identity rather than an approximation
+    claim.
     """
     if j < 1:
         raise ValueError("power j must be >= 1")
-    fit = fit or fit_temperate(h, pair_cfg)
+    fit = fit or fit_temperate(h)
     if not fit.success:
         raise PreconditionError("temperate-fit", "no (C, N) on the search grid satisfies the samples")
-    ball_cfg = ball_cfg or BallSampleConfig()
-    if xi_points is None:
-        rng = np.random.default_rng(ball_cfg.seed)
-        structured = _structured_points(h.dimension, 20.0)
-        rand = rng.standard_normal((64, h.dimension)) * 5.0
-        xi_points = np.concatenate([structured, rand])
+    rand = np.random.default_rng(0).standard_normal((64, h.dimension)) * 5.0
+    xi_points = np.concatenate([_structured_points(h.dimension, 20.0), rand])
 
     h_vals = h(xi_points)
-    sup_vals = h_delta(h, delta, xi_points, ball_cfg)
+    sup_vals = h_delta(h, delta, xi_points)
     upper = h_vals * (1.0 + fit.c * delta) ** fit.n_exp
     lower_margin = float(((sup_vals - h_vals) / h_vals).min())
     upper_margin = float(((upper - sup_vals) / upper).min())
 
     powered = PowerWeight(h, j)
-    sup_powered = h_delta(powered, delta, xi_points, ball_cfg)
+    sup_powered = h_delta(powered, delta, xi_points)
     residual = float(np.max(np.abs(sup_powered - sup_vals**j) / np.abs(sup_vals**j)))
 
-    passed = lower_margin >= -rel_tol and upper_margin >= -rel_tol and residual <= rel_tol
+    passed = lower_margin >= -1e-6 and upper_margin >= -1e-6 and residual <= 1e-6
     return LemmaReport(
         passed=passed,
         sandwich_lower_margin=lower_margin,

@@ -23,8 +23,6 @@ def test_ray_config_validation():
     with pytest.raises(ValueError):
         RayConfig(radii=4)
     with pytest.raises(ValueError):
-        RayConfig(rho=1.0)
-    with pytest.raises(ValueError):
         RayConfig(directions=2).validate_for_dimension(2)
 
 
@@ -42,6 +40,52 @@ def test_unit_directions_1d_and_3d():
     dirs = unit_directions(3, 64)
     assert len(dirs) >= 64
     assert all(abs(np.linalg.norm(d) - 1) < 1e-9 for d in dirs)
+
+
+def _unit_directions_by_rows(n, count, seed):
+    """The row-by-row construction unit_directions replaced, kept as its reference."""
+    base = []
+    if n == 1:
+        base += [np.array([1.0]), np.array([-1.0])]
+    elif n == 2:
+        angles = 2 * np.pi * (np.arange(count) + 0.5) / count
+        base.extend(np.stack([np.cos(angles), np.sin(angles)], axis=1))
+    elif n == 3:
+        golden = (1 + math.sqrt(5)) / 2
+        i = np.arange(count, dtype=float)
+        z = 1 - 2 * (i + 0.5) / count
+        r = np.sqrt(np.maximum(0.0, 1 - z * z))
+        phi = 2 * np.pi * i / golden
+        base.extend(np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1))
+    else:
+        pts = np.random.default_rng(seed).standard_normal((count, n))
+        norms = np.linalg.norm(pts, axis=1)
+        base.extend(pts[norms > 1e-12] / norms[norms > 1e-12, None])
+    for j in range(n):
+        for sign in (1.0, -1.0):
+            e = np.zeros(n)
+            e[j] = sign
+            base.append(e)
+    if n > 1:
+        for signs in np.ndindex(*(2,) * n):
+            base.append(np.array([1.0 if s == 0 else -1.0 for s in signs]) / math.sqrt(n))
+    seen, out = set(), []
+    for d in base:
+        key = tuple(np.round(d, 12))
+        if key not in seen:
+            seen.add(key)
+            out.append(d)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_unit_directions_match_the_row_construction_bit_for_bit(n, seed):
+    for count in (2 * n, 7, 8, 64, 256, 1024):
+        got = unit_directions(n, count, seed)
+        want = _unit_directions_by_rows(n, count, seed)
+        # equal bytes: same rows in the same order, signs of zeros included
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # -- snap_rational ---------------------------------------------------------------
@@ -146,6 +190,17 @@ def test_estimate_wave_violated(wave_symbol):
     assert rep.d_estimate is None
     direction = np.abs(np.asarray(rep.witness.direction))
     assert np.allclose(direction, 1 / math.sqrt(2), atol=1e-2)
+
+
+def test_estimate_reports_a_violation_of_its_own_check():
+    # damped wave: the principal part has real characteristics.  At 256 rays no
+    # ray diverges for every boosted exponent, but the check at d_est = 1 finds one.
+    q = SymbolPolynomial(2, {(2, 0): 1.959, (0, 2): -1.144, (1, 0): -0.001j})
+    cfg = RayConfig(directions=256)
+    rep = estimate_d(q, cfg)
+    assert rep.verdict == "violated"
+    assert rep.d_estimate is None and rep.d_snapped is None
+    assert rep.witness.slope > SLOPE_TOL
 
 
 def test_estimate_first_order_transport_violated():

@@ -40,6 +40,15 @@ def test_analyze_laplacian(tmp_path):
     assert est["d_snapped"] == [1, 1]
 
 
+def test_analyze_report_pins_the_ray_scheme(tmp_path):
+    out = tmp_path / "report.json"
+    assert run(["analyze", "--symbol", fixture_path("laplacian.json"), "--out", str(out)]) == 0
+    rays = {"directions": 256, "r0": 1.0, "rho": 2.0, "radii": 40, "include_characteristic_search": True, "seed": 0}
+    report = read(out)
+    assert report["config"]["rays"] == rays
+    assert report["results"]["estimate"]["config"] == rays
+
+
 def test_analyze_wave_is_a_finding_not_an_error(tmp_path):
     out = tmp_path / "report.json"
     code = run(["analyze", "--symbol", fixture_path("wave.json"), "--out", str(out)])
@@ -302,7 +311,9 @@ def test_verify_domination_csv_export(tmp_path):
         ["analyze", "--symbol", fixture_path("laplacian.json")],
         ["seq-check", "--gevrey", "2", "--pmax", "40"],
         ["strength", "--p", fixture_path("first_order.json"), "--q", fixture_path("laplacian.json")],
+        ["strength", "--variable", fixture_path("drift_operator.json")],
         ["verify", "--check", "th1", "--config", fixture_path("verify_th1.json")],
+        ["verify", "--check", "domination", "--config", fixture_path("verify_domination.json")],
     ],
 )
 def test_reports_byte_identical_across_runs(tmp_path, args):

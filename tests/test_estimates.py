@@ -320,7 +320,7 @@ def test_growth_chain_sequence_precondition(laplacian, wide_box):
     u = gaussian_bump(spec, 0.1)
     bad = TableSequence([1.0] * 100)
     with pytest.raises(PreconditionError) as err:
-        verify_growth_chain(u, laplacian, bad, RationalExponent(1, 1), wide_box, 0.05, 4, 8, pmax=60)
+        verify_growth_chain(u, laplacian, bad, RationalExponent(1, 1), wide_box, 0.05, 4, 8)
     assert err.value.name == "sequence-conditions"
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hypoel import (
-    BallSampleConfig,
     ConstantWeight,
     OnePlusNorm,
     PairSampleConfig,
@@ -163,10 +162,9 @@ def test_power_weight_evaluates_exact_power(strength_weight):
 
 
 def test_power_weight_shared_sample_identity(strength_weight):
-    cfg = BallSampleConfig()
     pts = np.array([[0.0, 0.0], [1.5, -0.5]])
-    base = h_delta(strength_weight, 0.7, pts, cfg)
-    powered = h_delta(PowerWeight(strength_weight, 4), 0.7, pts, cfg)
+    base = h_delta(strength_weight, 0.7, pts)
+    powered = h_delta(PowerWeight(strength_weight, 4), 0.7, pts)
     assert np.allclose(powered, base**4, rtol=1e-12)
 
 
