@@ -8,8 +8,9 @@ bounded ratios saturate with slope ~ 0 and a certifiably small tail increase.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +43,8 @@ class RayConfig:
     def __post_init__(self):
         if self.radii < 8:
             raise ValueError("need at least 8 radii (J >= 8)")
+        if self.radii > 1023:
+            raise ValueError(f"at most 1023 radii, got {self.radii}: the radius 2^1024 overflows a float")
 
     def validate_for_dimension(self, n: int) -> None:
         if self.directions < 2 * n:
@@ -102,6 +105,10 @@ def _characteristic_refinement(q: SymbolPolynomial, dirs: np.ndarray) -> np.ndar
     pm = q.principal_part()
     if pm.is_zero or q.order == 0:
         return np.zeros((0, q.dimension))
+    # dividing by a power of two keeps |pm|^2 in range and changes no comparison below
+    coeffs = np.array(list(pm.terms.values()), dtype=complex).view(float)
+    scaled = np.ldexp(coeffs, -math.frexp(np.abs(coeffs).max())[1]).view(complex)
+    pm = SymbolPolynomial(q.dimension, dict(zip(pm.terms, scaled)))
     vals = np.abs(pm(dirs))
     vmax = float(vals.max())
     if vmax == 0.0:
@@ -145,13 +152,7 @@ class RaySample:
     slope: float
 
     def to_dict(self) -> dict:
-        return {
-            "beta": list(self.beta),
-            "direction": [float(v) for v in self.direction],
-            "radius": self.radius,
-            "ratio": self.ratio,
-            "slope": self.slope,
-        }
+        return {**asdict(self), "beta": list(self.beta), "direction": [float(v) for v in self.direction]}
 
 
 @dataclass
@@ -166,16 +167,8 @@ class HypoReport:
     config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "d_estimate": self.d_estimate,
-            "d_snapped": list(self.d_snapped) if self.d_snapped else None,
-            "fitted_c": self.fitted_c,
-            "witness": self.witness.to_dict() if self.witness else None,
-            "per_beta_slopes": self.per_beta_slopes,
-            "slope_threshold": self.slope_threshold,
-            "config": self.config,
-        }
+        d_snapped = list(self.d_snapped) if self.d_snapped else None
+        return {**asdict(self), "d_snapped": d_snapped, "witness": self.witness.to_dict() if self.witness else None}
 
 
 @dataclass
@@ -187,13 +180,7 @@ class StrengthReport:
     config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "ratio_bounds": list(self.ratio_bounds) if self.ratio_bounds else None,
-            "witness": self.witness,
-            "seed": self.seed,
-            "config": self.config,
-        }
+        return {**asdict(self), "ratio_bounds": list(self.ratio_bounds) if self.ratio_bounds else None}
 
 
 def snap_rational(value: float) -> tuple[int, int] | None:
@@ -226,12 +213,8 @@ def snap_rational(value: float) -> tuple[int, int] | None:
     return None
 
 
-#: radii are kept while a bound on every ray value stays below exp(LOG_RANGE); floats end near exp(709)
-LOG_RANGE = 690.0
-
-
 def _ray_grid(n: int, cfg: RayConfig, refine_for: SymbolPolynomial | None = None):
-    """Directions, how many base ones lead them, the radii, and the points, shaped (rays, radii, n).
+    """Directions, how many base ones lead them, and the radii.
 
     With `refine_for`, directions found by its characteristic search follow the base ones.
     """
@@ -240,8 +223,44 @@ def _ray_grid(n: int, cfg: RayConfig, refine_for: SymbolPolynomial | None = None
     num_base = len(dirs)
     if refine_for is not None:
         dirs = np.concatenate([dirs, _characteristic_refinement(refine_for, dirs)], axis=0)
-    radii = cfg.radius_grid()
-    return dirs, num_base, radii, dirs[:, None, :] * radii[None, :, None]
+    return dirs, num_base, cfg.radius_grid()
+
+
+def _log_abs_on_rays(p: SymbolPolynomial, dirs: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """log|P(r theta)|, shaped (rays, radii), from the homogeneous parts H_k of P on each direction.
+
+    Each ray is scaled by its own top nonzero degree k*, as
+    r^k* sum_{k <= k*} H_k(theta) r^(k - k*), so no radius overflows; a row
+    of -inf is a ray on which P vanishes identically.
+    """
+    m, n = p.order, p.dimension
+    alphas = np.array(list(p.terms), dtype=int).reshape(-1, n)
+    coeffs = np.array(list(p.terms.values()), dtype=complex)
+    if not np.isfinite(coeffs).all():
+        raise HypoelError("a derivative of the symbol has a coefficient beyond floating-point range")
+    # dividing by a power of two is exact and keeps every sum below in range
+    scale = math.frexp(np.abs(coeffs.view(float)).max(initial=0.0))[1]
+    by_degree = np.zeros((len(alphas), m + 1), dtype=complex)
+    by_degree[np.arange(len(alphas)), alphas.sum(axis=1)] = np.ldexp(coeffs.view(float), -scale).view(complex)
+    powers = np.ones((len(dirs), n, m + 1))
+    powers[:, :, 1:] = dirs[:, :, None]
+    np.cumprod(powers, axis=2, out=powers)
+    parts = np.prod(powers[:, np.arange(n), alphas], axis=-1) @ by_degree
+    top = m - np.argmax(parts[:, ::-1] != 0, axis=1)
+    # column j of the reversed parts holds H_{k*-j}, the coefficient of r^-j
+    shift = top[:, None] - np.arange(m + 1)
+    reversed_parts = np.where(shift >= 0, parts[np.arange(len(parts))[:, None], shift], 0)
+    logs = np.abs(reversed_parts @ radii ** -np.arange(m + 1.0)[:, None])
+    with np.errstate(divide="ignore"):
+        np.log(logs, out=logs)
+    logs += top[:, None] * np.log(radii) + scale * math.log(2.0)
+    return logs
+
+
+def _exp(logs):
+    """Ratios from their logs; inf past the floating-point range."""
+    with np.errstate(over="ignore"):
+        return np.exp(logs)
 
 
 @dataclass
@@ -252,49 +271,33 @@ class _RayTable:
     dirs: np.ndarray
     base: np.ndarray  # True on the base directions, which precede the refined ones
     radii: np.ndarray
-    xi: np.ndarray
-    denom: np.ndarray  # 1 + |Q|
+    log_denom: np.ndarray  # log(1 + |Q|)
     derivatives: tuple[tuple[MultiIndex, SymbolPolynomial], ...]  # the nonzero ones, beta = 0 first
 
 
-def _log_size(q: SymbolPolynomial) -> float:
-    """log sum |c_alpha|: on |xi| <= r, r >= 1, |Q| <= e^it r^m and every |Q^(beta)| <= m! e^it r^m."""
-    total = sum(abs(c) for c in q.terms.values())
-    return math.log(total) if total else -math.inf
-
-
-def _capped(cfg: RayConfig, log_bounds, what: str) -> RayConfig:
-    """cfg on the radii r where each log bound k log r + log_c, given as (k, log_c), is below LOG_RANGE."""
-    log_r = np.log(cfg.radius_grid())
-    kept = int(np.count_nonzero(np.all([k * log_r + log_c < LOG_RANGE for k, log_c in log_bounds], axis=0))) - 1
-    if kept < 8:
-        raise HypoelError(f"{what} leaves {max(kept, 0)} radii in floating-point range, need 8")
-    return replace(cfg, radii=kept)
-
-
 def _ray_table(q: SymbolPolynomial, cfg: RayConfig) -> _RayTable:
-    """The table of q on cfg's rays, its radius grid cut where the values of q could overflow.
-
-    For d >= 1, r^{|beta|/d} |Q^(beta)| is at most m! sum |c_alpha| r^m on |xi| <= r.
-    """
-    m = q.order
-    cfg = _capped(cfg, [(m, math.lgamma(m + 1) + _log_size(q))], f"a symbol of order {m}")
-    dirs, num_base, radii, xi = _ray_grid(q.dimension, cfg, q)
-    return _RayTable(cfg, dirs, np.arange(len(dirs)) < num_base, radii, xi, 1.0 + np.abs(q(xi)), q.nonzero_derivatives)
+    """The table of q on cfg's rays."""
+    dirs, num_base, radii = _ray_grid(q.dimension, cfg, q)
+    log_denom = np.logaddexp(0.0, _log_abs_on_rays(q, dirs, radii))
+    return _RayTable(cfg, dirs, np.arange(len(dirs)) < num_base, radii, log_denom, q.nonzero_derivatives)
 
 
 def _sweep(table: _RayTable, derivatives, d: float = math.inf):
-    """One derivative at a time: beta, ratios r^{|beta|/d} |Q^(beta)| / (1 + |Q|), row peaks, logs, slopes."""
+    """One derivative at a time: beta, logs of r^{|beta|/d} |Q^(beta)| / (1 + |Q|), row peak ratios, slopes."""
+    log_r = np.log(table.radii)
     for beta, dq in derivatives:
-        ratios = table.radii ** (sum(beta) / d) * np.abs(dq(table.xi)) / table.denom
-        logs = np.log(np.maximum(ratios, 1e-300))
-        yield beta, ratios, ratios.max(axis=1), logs, _tail_slopes(table.radii, logs)
+        logs = sum(beta) / d * log_r + _log_abs_on_rays(dq, table.dirs, table.radii) - table.log_denom
+        yield beta, logs, _exp(logs.max(axis=1)), _tail_slopes(table.radii, logs)
 
 
 def _tail_slopes(radii: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """Per-ray slopes of log ratios against log radius over the last half of the radii."""
+    """Per-ray slopes of log ratios against log radius over the last half of the radii.
+
+    A zero ratio in that half, a log of -inf, gives a NaN slope.
+    """
     half = len(radii) // 2
-    return least_squares_slope(np.log(radii[half:]), logs[..., half:])
+    with np.errstate(invalid="ignore"):
+        return least_squares_slope(np.log(radii[half:]), logs[..., half:])
 
 
 def _first_max(values: np.ndarray, mask: np.ndarray | bool = True) -> int | None:
@@ -304,8 +307,13 @@ def _first_max(values: np.ndarray, mask: np.ndarray | bool = True) -> int | None
     return i if masked[i] > -np.inf else None
 
 
-def _is_monotone_tail(values: np.ndarray, count: int = 5) -> np.ndarray:
-    tail = values[..., -count:]
+def _is_monotone_tail(logs: np.ndarray, count: int = 5) -> np.ndarray:
+    """Rows whose last `count` ratios never fall by more than 1e-12 relatively.
+
+    Each row's ratios are taken relative to its largest one, so none overflows.
+    """
+    tail = logs[..., -count:]
+    tail = np.exp(tail - tail.max(axis=-1, keepdims=True))
     return np.all(np.diff(tail, axis=-1) >= -1e-12 * np.abs(tail[..., :-1]), axis=-1)
 
 
@@ -313,15 +321,14 @@ def _is_monotone_tail(values: np.ndarray, count: int = 5) -> np.ndarray:
 REFINED_GUARD_FACTOR = 10.0
 
 
-def _refined_guard(ratios: np.ndarray, base: np.ndarray) -> float:
+def _refined_guard(peaks: np.ndarray, base: np.ndarray) -> float:
     """Magnitude a refined ray must reach before its divergence is trusted.
 
     Refined directions sit arbitrarily close to characteristic sets, where a
     finite radius window shows transition plateaus of bounded ratios; only
     ratios well above the base grid's typical per-ray peak count as evidence.
     """
-    base_maxima = ratios[base].max(axis=1)
-    base_maxima = base_maxima[base_maxima > 1e-250]
+    base_maxima = peaks[base & (peaks > 1e-250)]
     if not len(base_maxima):
         return 0.0
     return REFINED_GUARD_FACTOR * float(np.median(base_maxima))
@@ -335,18 +342,18 @@ def _worst_slope(beta: MultiIndex, slopes: np.ndarray, dirs: np.ndarray, mask: n
     return [{"beta": list(beta), "worst_slope": float(slopes[i]), "direction": [float(v) for v in dirs[i]]}]
 
 
-def _steepest(current: RaySample | None, table: _RayTable, beta, ratios, peaks, slopes, growing):
+def _steepest(current: RaySample | None, table: _RayTable, beta, logs, peaks, slopes, growing):
     """Narrow growing rays to those with a monotone tail; return the steeper of current and them.
 
     Returns that sample (ties keep current) and the narrowed mask.  Refined
     rays below the guard show the transition plateau of a near-characteristic
     window and never give the sample.
     """
-    growing[growing] = _is_monotone_tail(ratios[growing])
-    plateau = ~table.base & (peaks < _refined_guard(ratios, table.base))
+    growing[growing] = _is_monotone_tail(logs[growing])
+    plateau = ~table.base & (peaks < _refined_guard(peaks, table.base))
     i = _first_max(slopes, growing & ~plateau)
     if i is not None and (current is None or slopes[i] > current.slope):
-        current = RaySample(beta, table.dirs[i], float(table.radii[-1]), float(ratios[i, -1]), float(slopes[i]))
+        current = RaySample(beta, table.dirs[i], float(table.radii[-1]), float(_exp(logs[i, -1])), float(slopes[i]))
     return current, growing
 
 
@@ -363,11 +370,11 @@ def _check_rays(table: _RayTable, d: float) -> HypoReport:
     ambiguous = 0
     total_rays = 0
 
-    for beta, ratios, peaks, logs, slopes in _sweep(table, table.derivatives, d):
+    for beta, logs, peaks, slopes in _sweep(table, table.derivatives, d):
         i = _first_max(peaks, peaks > fitted_c)
         if i is not None:
             fitted_c = float(peaks[i])
-            radius = float(table.radii[ratios[i].argmax()])
+            radius = float(table.radii[logs[i].argmax()])
             best_sample = RaySample(beta, table.dirs[i], radius, fitted_c, 0.0)
         if sum(beta) == 0:
             continue
@@ -376,8 +383,9 @@ def _check_rays(table: _RayTable, d: float) -> HypoReport:
         total_rays += int(np.count_nonzero(counted))
         per_beta += _worst_slope(beta, slopes, table.dirs, counted)
         rising = active & (slopes > SLOPE_TOL)
-        worst_violation, rising = _steepest(worst_violation, table, beta, ratios, peaks, slopes, rising)
-        growth = logs[:, -1] - logs[:, len(table.radii) // 2 :].min(axis=1)
+        worst_violation, rising = _steepest(worst_violation, table, beta, logs, peaks, slopes, rising)
+        with np.errstate(invalid="ignore"):
+            growth = logs[:, -1] - logs[:, len(table.radii) // 2 :].min(axis=1)
         bounded = (slopes < -SLOPE_TOL) | ((np.abs(slopes) <= SLOPE_TOL) & (growth <= BOUNDED_GROWTH_TOL))
         ambiguous += int(np.count_nonzero(counted & ~rising & ~bounded))
 
@@ -426,7 +434,7 @@ def estimate_d(q: SymbolPolynomial, cfg: RayConfig | None = None) -> HypoReport:
     per_beta: list[dict] = []
     violation: RaySample | None = None
 
-    for beta, ratios, peaks, _, slopes in _sweep(table, table.derivatives[1:]):
+    for beta, logs, peaks, slopes in _sweep(table, table.derivatives[1:]):
         active = ~(peaks < 1e-250)
         per_beta += _worst_slope(beta, slopes, table.dirs, active & table.base)
         decaying = active & (slopes < -SLOPE_TOL)
@@ -439,7 +447,7 @@ def estimate_d(q: SymbolPolynomial, cfg: RayConfig | None = None) -> HypoReport:
         diverging = active & ~decaying
         for eps in EPS_TEST_LIST:
             diverging &= slopes + eps > SLOPE_TOL
-        violation, _ = _steepest(violation, table, beta, ratios, peaks, slopes, diverging)
+        violation, _ = _steepest(violation, table, beta, logs, peaks, slopes, diverging)
 
     config = table.cfg.to_dict()
     if violation is None and candidates:
@@ -465,61 +473,50 @@ def equally_strong(
         raise HypoelError(f"dimension mismatch: {p.dimension} vs {q.dimension}")
     if p.is_zero or q.is_zero:
         raise HypoelError("strength comparison requires nonzero symbols")
-    # the squared strength sums at most (m+1)^n squares of derivatives
-    bounds = [
-        (2 * s.order, 2 * (math.lgamma(s.order + 1) + _log_size(s)) + s.dimension * math.log(s.order + 1))
-        for s in (p, q)
-    ]
-    cfg = _capped(cfg or RayConfig(), bounds, f"symbols of orders {p.order} and {q.order}")
-    dirs, _, radii, xi = _ray_grid(p.dimension, cfg)
-    t = p.strength(xi) / q.strength(xi)
-    slopes = _tail_slopes(radii, np.log(t))
+    cfg = cfg or RayConfig()
+    dirs, _, radii = _ray_grid(p.dimension, cfg)
+    return _compare_strengths(_log_strength(p, dirs, radii), _log_strength(q, dirs, radii), dirs, radii, cfg)
+
+
+def _log_strength(s: SymbolPolynomial, dirs: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """log of the Hormander strength of s on the rays: half the logsumexp of 2 log|s^(alpha)|."""
+    squares = (2 * _log_abs_on_rays(ds, dirs, radii) for _, ds in s.nonzero_derivatives)
+    return 0.5 * functools.reduce(np.logaddexp, squares)
+
+
+def _compare_strengths(log_p, log_q, dirs, radii, cfg: RayConfig) -> StrengthReport:
+    """The strength verdict from the logs of both strengths on the same rays."""
+    log_t = log_p - log_q
+    slopes = _tail_slopes(radii, log_t)
     fwd, bwd = _first_max(slopes), _first_max(-slopes)
     fwd_bounded = fwd is None or slopes[fwd] <= SLOPE_TOL
     bwd_bounded = bwd is None or -slopes[bwd] <= SLOPE_TOL
-    bounds = (float(t.min()), float(t.max()))
+    bounds = (float(_exp(log_t.min())), float(_exp(log_t.max())))
     if fwd_bounded and bwd_bounded:
-        verdict = "equally-strong"
-        witness = None
-    elif fwd_bounded:
-        verdict = "P-weaker"
-        witness = _ratio_witness(dirs[bwd], radii, 1.0 / t[bwd], -slopes[bwd])
-    else:
-        verdict = "Q-weaker" if bwd_bounded else "incomparable"
-        witness = _ratio_witness(dirs[fwd], radii, t[fwd], slopes[fwd])
-    return StrengthReport(
-        verdict=verdict, ratio_bounds=bounds, witness=witness, seed=cfg.seed, config=cfg.to_dict()
-    )
-
-
-def _ratio_witness(direction: np.ndarray, radii: np.ndarray, row: np.ndarray, slope: float) -> dict:
-    return {
-        "direction": [float(v) for v in direction],
+        return StrengthReport("equally-strong", bounds, None, cfg.seed, cfg.to_dict())
+    # the witness ray of the unbounded ratio, P/Q or Q/P
+    i, sign = (bwd, -1.0) if fwd_bounded else (fwd, 1.0)
+    witness = {
+        "direction": [float(v) for v in dirs[i]],
         "radius": float(radii[-1]),
-        "ratio": float(row[-1]),
-        "slope": float(slope),
+        "ratio": float(_exp(sign * log_t[i, -1])),
+        "slope": float(sign * slopes[i]),
     }
+    verdict = "P-weaker" if fwd_bounded else "Q-weaker" if bwd_bounded else "incomparable"
+    return StrengthReport(verdict, bounds, witness, cfg.seed, cfg.to_dict())
 
 
 def freeze_sample_points(domain, per_axis: int = 3) -> list[np.ndarray]:
     """Interior lattice points plus corners pulled inward by 1e-3 of each side, center always included."""
     n = domain.dimension
-    axes = []
-    for lo, hi in zip(domain.lo, domain.hi):
-        fracs = (np.arange(per_axis) + 0.5) / per_axis
-        axes.append(lo + fracs * (hi - lo))
+    axes = [lo + (np.arange(per_axis) + 0.5) / per_axis * (hi - lo) for lo, hi in zip(domain.lo, domain.hi)]
     pts = [np.array(p) for p in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)]
     center = np.array(domain.center)
     if not any(np.allclose(p, center) for p in pts):
         pts.append(center)
+    pull = [1e-3 * (hi - lo) for lo, hi in zip(domain.lo, domain.hi)]
     for signs in np.ndindex(*(2,) * n):
-        corner = np.array(
-            [
-                lo + 1e-3 * (hi - lo) if s == 0 else hi - 1e-3 * (hi - lo)
-                for s, lo, hi in zip(signs, domain.lo, domain.hi)
-            ]
-        )
-        pts.append(corner)
+        pts.append(np.array([hi - d if s else lo + d for s, lo, hi, d in zip(signs, domain.lo, domain.hi, pull)]))
     return pts
 
 
@@ -529,8 +526,9 @@ def check_constant_strength(
     """Freeze the operator on a lattice and compare every sample with the center.
 
     Constant strength holds when every frozen symbol is equally strong with
-    the center-frozen one; a frozen symbol that vanishes identically is an
-    immediate failure witness.
+    the center-frozen one, compared as `equally_strong` compares them, on one
+    ray grid; a frozen symbol that vanishes identically is an immediate
+    failure witness.
     """
     cfg = cfg or RayConfig()
     n = p.dimension
@@ -547,13 +545,14 @@ def check_constant_strength(
             witness = {"x": [float(v) for v in x], "reason": "frozen symbol is identically zero"}
             return report("not-constant-strength", witness=witness)
     q_center = frozen.pop()[1]
+    dirs, _, radii = _ray_grid(n, cfg)
+    log_center = _log_strength(q_center, dirs, radii)
 
     lo, hi = math.inf, -math.inf
     for x, qx in frozen:
-        rep = equally_strong(qx, q_center, cfg)
-        if rep.ratio_bounds:
-            lo = min(lo, rep.ratio_bounds[0])
-            hi = max(hi, rep.ratio_bounds[1])
+        rep = _compare_strengths(_log_strength(qx, dirs, radii), log_center, dirs, radii, cfg)
+        lo = min(lo, rep.ratio_bounds[0])
+        hi = max(hi, rep.ratio_bounds[1])
         if rep.verdict != "equally-strong":
             witness = {"x": [float(v) for v in x], "pair_verdict": rep.verdict, "ray": rep.witness}
             return report("not-constant-strength", (lo, hi), witness)

@@ -19,9 +19,9 @@ import numpy as np
 from .analysis import (
     SLOPE_TOL,
     RayConfig,
-    _capped,
+    _exp,
     _first_max,
-    _log_size,
+    _log_abs_on_rays,
     _ray_grid,
     _tail_slopes,
     check_constant_strength,
@@ -181,12 +181,11 @@ def check_symbol_domination(
     r: SymbolPolynomial, q: SymbolPolynomial, cfg: RayConfig | None = None
 ) -> dict:
     """Spot-check |R(xi)| <= C (1 + |Q(xi)|) on the ray grid; raises when it diverges."""
-    bounds = [(s.order, _log_size(s)) for s in (r, q)]
-    cfg = _capped(cfg or RayConfig(), bounds, f"symbols of orders {r.order} and {q.order}")
-    dirs, _, radii, xi = _ray_grid(q.dimension, cfg)
-    ratio = np.abs(r(xi)) / (1.0 + np.abs(q(xi)))
-    slopes = _tail_slopes(radii, np.log(np.maximum(ratio, 1e-300)))
-    worst = _first_max(slopes, ~(ratio.max(axis=1) < 1e-250))
+    dirs, _, radii = _ray_grid(q.dimension, cfg or RayConfig())
+    logs = _log_abs_on_rays(r, dirs, radii) - np.logaddexp(0.0, _log_abs_on_rays(q, dirs, radii))
+    slopes = _tail_slopes(radii, logs)
+    peaks = _exp(logs.max(axis=1))
+    worst = _first_max(slopes, ~(peaks < 1e-250))
     worst_slope = -math.inf if worst is None else float(slopes[worst])
     if worst_slope > SLOPE_TOL:
         raise PreconditionError(
@@ -194,7 +193,7 @@ def check_symbol_domination(
             f"|R|/(1+|Q|) grows at rate {worst_slope:.3f} along direction "
             f"{[round(float(v), 6) for v in dirs[worst]]}",
         )
-    return {"max_ratio": float(ratio.max()), "worst_slope": worst_slope}
+    return {"max_ratio": float(peaks.max()), "worst_slope": worst_slope}
 
 
 def verify_dominated_transfer(

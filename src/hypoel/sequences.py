@@ -28,10 +28,6 @@ def log_factorial(p: int) -> float:
     return math.lgamma(p + 1)
 
 
-def log_binomial(p: int, j: int) -> float:
-    return log_factorial(p) - log_factorial(j) - log_factorial(p - j)
-
-
 class RoumieuSequence:
     """A positive sequence (M_p) with M_0 = 1, queried through log M_p."""
 
@@ -207,7 +203,7 @@ def check_basic(m: RoumieuSequence, pmax: int = 60) -> SequenceConditionReport:
     if pmax < 4:
         raise ValueError("pmax must be >= 4")
     _require_range(m, pmax)
-    logs = [m.log_m(p) for p in range(pmax + 1)]
+    logs = np.array([m.log_m(p) for p in range(pmax + 1)])
     report = SequenceConditionReport(pmax=pmax)
 
     if abs(logs[0]) > LOG_TOL:
@@ -223,13 +219,17 @@ def check_basic(m: RoumieuSequence, pmax: int = 60) -> SequenceConditionReport:
             report.root_monotone = ConditionCheck(False, (p,))
             break
 
-    worst_h = 0.0
-    for p in range(1, pmax + 1):
-        for j in range(p + 1):
-            lhs = log_binomial(p, j) + logs[p - j] + logs[j]
-            if lhs > logs[p] + LOG_TOL and report.h3_left.passed:
-                report.h3_left = ConditionCheck(False, (p, j))
-            worst_h = max(worst_h, (logs[p] - logs[p - j] - logs[j]) / p)
+    # the triangle 1 <= p <= pmax, 0 <= j <= p, as the rows of one table
+    lg = np.array([log_factorial(k) for k in range(pmax + 1)])
+    p, j = np.ogrid[1 : pmax + 1, : pmax + 1]
+    inside, k = j <= p, np.maximum(p - j, 0)
+    failed = inside & (lg[p] - lg[j] - lg[k] + logs[k] + logs[j] > logs[p] + LOG_TOL)
+    if failed.any():
+        row, col = np.unravel_index(np.argmax(failed), failed.shape)
+        report.h3_left = ConditionCheck(False, (int(row) + 1, int(col)))
+    # fmax passes over the NaN of an infinite table value, inf - inf, as the loop's max did
+    with np.errstate(invalid="ignore"):
+        worst_h = np.fmax.reduce((logs[p] - logs[k] - logs[j]) / p, axis=None, initial=0.0, where=inside)
     report.h3_right_h = math.exp(worst_h)
     return report
 

@@ -213,7 +213,7 @@ class SymbolPolynomial:
             )
         total = np.zeros(xi.shape[:-1], dtype=float)
         for _, dq in self.nonzero_derivatives:
-            vals = dq(xi)  # kept named: inlining it measured ~20% slower on ray grids
+            vals = dq(xi)  # kept named: inlining it measured 3-45% slower on StrengthWeight's point sets
             total = total + np.abs(vals) ** 2
         out = np.sqrt(total)
         if scalar:

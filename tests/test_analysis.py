@@ -15,13 +15,20 @@ from hypoel import (
     estimate_d,
     snap_rational,
 )
-from hypoel.analysis import SLOPE_TOL, unit_directions
+from hypoel import analysis
+from hypoel.analysis import SLOPE_TOL, freeze_sample_points, unit_directions
 from hypoel.estimates import check_symbol_domination
+from hypoel.fitting import least_squares_slope
+
+from conftest import random_symbol
 
 
 def test_ray_config_validation():
     with pytest.raises(ValueError):
         RayConfig(radii=4)
+    assert RayConfig(radii=1023).radius_grid()[-1] == 2.0**1023
+    with pytest.raises(ValueError, match="at most 1023 radii"):
+        RayConfig(radii=1024)
     with pytest.raises(ValueError):
         RayConfig(directions=2).validate_for_dimension(2)
 
@@ -312,14 +319,15 @@ def test_verdict_symmetric_under_swap(laplacian):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_high_order_strengths_cap_the_radius_grid():
-    # the squared strengths of 1 + xi^40 overflowed and every ratio was NaN
+def test_high_order_strengths_run_on_every_radius():
+    # the squared strengths of 1 + xi^40 reach 2^3200 at the last radius
     p = SymbolPolynomial(1, {(0,): 1.0, (40,): 1.0})
     q = SymbolPolynomial(1, {(0,): 1.0, (40,): 2.0})
     rep = equally_strong(p, q)
     assert rep.verdict == "equally-strong"
-    assert rep.ratio_bounds == (0.5, 0.5)
-    assert rep.config["radii"] == 8
+    # the strengths are formed in logs, which round to 1e-12 relatively
+    assert rep.ratio_bounds == pytest.approx((0.5, 0.5), rel=1e-12)
+    assert rep.config["radii"] == 40
     assert check_symbol_domination(p, q)["worst_slope"] <= SLOPE_TOL
     p8 = SymbolPolynomial(2, {(0, 0): 1.0, (8, 0): 1.0, (0, 8): 1.0})
     assert equally_strong(p8, p8 + 1).config["radii"] == 40
@@ -356,6 +364,31 @@ def test_degenerate_operator_not_constant_strength():
     assert abs(rep.witness["x"][0]) < 1e-6
 
 
+def _constant_strength_by_pairs(op, cfg):
+    """check_constant_strength as one equally_strong call per frozen point: (verdict, bounds, witness)."""
+    xs = [*freeze_sample_points(op.domain), np.array(op.domain.center)]
+    center = op.freeze(xs.pop())
+    lo, hi = math.inf, -math.inf
+    for x in xs:
+        rep = equally_strong(op.freeze(x), center, cfg)
+        lo, hi = min(lo, rep.ratio_bounds[0]), max(hi, rep.ratio_bounds[1])
+        if rep.verdict != "equally-strong":
+            witness = {"x": [float(v) for v in x], "pair_verdict": rep.verdict, "ray": rep.witness}
+            return "not-constant-strength", (lo, hi), witness
+    return "constant-strength", (lo, hi), None
+
+
+@pytest.mark.parametrize("directions", [64, 256])
+def test_constant_strength_compares_each_point_like_equally_strong(drift_operator, directions):
+    x1 = SymbolPolynomial.variable(2, 0)
+    growing = VariableOperator(2, {(2, 0): x1, (0, 2): 1.0}, BoxDomain((-1.0, -1.0), (1.0, 1.0)))
+    cfg = RayConfig(directions=directions)
+    for op in (drift_operator, growing):
+        rep = check_constant_strength(op, cfg)
+        assert (rep.verdict, rep.ratio_bounds, rep.witness) == _constant_strength_by_pairs(op, cfg)
+    assert rep.verdict == "not-constant-strength" and rep.witness["ray"] is not None
+
+
 def test_points_validation(drift_operator):
     with pytest.raises(ValueError):
         check_constant_strength(drift_operator, points=1)
@@ -364,33 +397,133 @@ def test_points_validation(drift_operator):
 # -- numerical range and NaN rays -----------------------------------------------------------
 
 
-def test_high_order_symbol_caps_the_radius_grid():
-    # 1 + xi^40 overflowed on the full grid and looked like d ~ 2.5
+def test_high_order_symbol_runs_on_every_radius():
+    # 1 + xi^40 reaches 2^1600 at the last radius; on the full grid it once looked like d ~ 2.5
     rep = estimate_d(SymbolPolynomial(1, {(0,): 1.0, (40,): 1.0}))
     assert rep.verdict == "hypoelliptic-consistent"
     assert rep.d_snapped == (1, 1)
-    assert rep.config["radii"] == 20
+    assert rep.config["radii"] == 40
     assert estimate_d(SymbolPolynomial(1, {(0,): 1.0, (8,): 1.0})).config["radii"] == 40
 
 
-def test_symbol_too_high_for_eight_radii_rejected():
-    with pytest.raises(HypoelError, match="order 100"):
-        estimate_d(SymbolPolynomial(1, {(0,): 1.0, (100,): 1.0}))
+def test_order_100_symbol_answers():
+    rep = estimate_d(SymbolPolynomial(1, {(0,): 1.0, (100,): 1.0}))
+    assert rep.verdict == "hypoelliptic-consistent"
+    assert rep.d_snapped == (1, 1)
+    assert rep.config["radii"] == 40
+
+
+def test_extreme_coefficients_answer_or_name_the_overflow():
+    # |c|^2 overflows past 1e154; every value is scaled by a power of two first
+    huge = SymbolPolynomial(2, {(8, 0): 1e300, (0, 8): 1.0 + 1e300j, (0, 0): 1.0})
+    assert estimate_d(huge, RayConfig(directions=32)).d_snapped == (1, 1)
+    assert equally_strong(huge, 2 * huge, RayConfig(directions=32)).verdict == "equally-strong"
+    # 1.5e308 (xi + 1) is past the float range at xi = 1 unless scaled
+    assert estimate_d(SymbolPolynomial(1, {(0,): 1.5e308, (1,): 1.5e308})).d_snapped == (1, 1)
+    # the 100th derivative, 100! * 1e300, is past the float range
+    with pytest.raises(HypoelError, match="beyond floating-point range"):
+        estimate_d(SymbolPolynomial(1, {(0,): 1.0, (100,): 1e300}))
+
+
+def test_high_order_symbol_free_of_an_axis_violated_on_every_radius():
+    # Q = 1 on the xi2 axis, where d^40 Q / d xi1^40 = 40! stays put
+    q = SymbolPolynomial(2, {(0, 0): 1.0, (40, 0): 1.0})
+    # scaled by r^40 for the symbol's order, not per ray, Q underflowed to 0 there
+    radii = RayConfig().radius_grid()
+    assert np.array_equal(analysis._log_abs_on_rays(q, np.array([[0.0, 1.0]]), radii), np.zeros((1, 41)))
+    rep = estimate_d(q)
+    assert rep.verdict == "violated"
+    assert np.allclose(np.abs(rep.witness.direction), [0.0, 1.0])
+    assert rep.config["radii"] == 40
+    check = check_hypoelliptic(q, 1.0)
+    assert check.verdict == "violated" and check.config["radii"] == 40
+
+
+def _log_abs_by_call(p, dirs, radii):
+    """log|P| from SymbolPolynomial.__call__ on the (rays, radii, n) points: the sweep's values before homogeneous parts."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(p(dirs[:, None, :] * radii[None, :, None])))
+
+
+def _ray_ratios_by_call(q, beta, direction, radii, d):
+    xi = np.asarray(direction)[None, :] * radii[:, None]
+    return radii ** (sum(beta) / d) * np.abs(q.derive(beta)(xi)) / (1.0 + np.abs(q(xi)))
+
+
+def _assert_same_report(got, want, q, d, radii):
+    """Equal verdicts, exponents and witnesses, floats within 1e-12; a witness may trade for a tied one.
+
+    Tied candidates (mirror directions of a symmetric symbol, radii on a
+    saturated plateau, equal slopes of two derivatives) are ordered by
+    rounding, so a witness of `got` must attain the value of `want`'s witness
+    when evaluated pointwise, not have its beta, direction or radius.
+    """
+    assert got.verdict == want.verdict and got.d_snapped == want.d_snapped
+    assert got.d_estimate == pytest.approx(want.d_estimate, rel=1e-12)
+    assert got.fitted_c == pytest.approx(want.fitted_c, rel=1e-12)
+    assert [e["beta"] for e in got.per_beta_slopes] == [e["beta"] for e in want.per_beta_slopes]
+    for e, f in zip(got.per_beta_slopes, want.per_beta_slopes):
+        assert e["worst_slope"] == pytest.approx(f["worst_slope"], abs=1e-12)
+    w, v = got.witness, want.witness
+    assert (w is None) == (v is None)
+    if w is None:
+        return
+    assert w.slope == pytest.approx(v.slope, abs=1e-12)
+    assert w.radius == v.radius or got.verdict != "violated"
+    if d is None:  # estimate_d's violation may come from either of its sweeps
+        return
+    ratios = _ray_ratios_by_call(q, w.beta, w.direction, radii, d)
+    if got.verdict == "violated":
+        half = len(radii) // 2
+        slope = least_squares_slope(np.log(radii[half:]), np.log(ratios[half:]))
+        assert slope == pytest.approx(v.slope, abs=1e-12)
+        assert w.ratio == pytest.approx(ratios[-1], rel=1e-12)
+    else:
+        assert w.ratio == pytest.approx(v.ratio, rel=1e-12)
+        assert ratios[list(radii).index(w.radius)] == pytest.approx(v.ratio, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_homogeneous_parts_match_pointwise_evaluation(seed, monkeypatch):
+    # order <= 8 keeps every pointwise value of the default grid in floating-point range
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 3
+    q = random_symbol(rng, n, int(rng.integers(1, 9)))
+    if q.order == 0:
+        q = q + SymbolPolynomial.variable(n, 0)
+    cfg = RayConfig(directions=64 if n > 1 else 2)
+    radii = cfg.radius_grid()
+
+    table = analysis._ray_table(q, cfg)
+    xi = table.dirs[:, None, :] * radii[None, :, None]
+    for d in (1.0, math.inf):
+        for (beta, logs, _, slopes), (_, dq) in zip(analysis._sweep(table, table.derivatives, d), table.derivatives):
+            ratios = radii ** (sum(beta) / d) * np.abs(dq(xi)) / (1.0 + np.abs(q(xi)))
+            active = ~(ratios.max(axis=1) < 1e-250)
+            assert np.allclose(np.exp(logs), ratios, rtol=1e-12, atol=0.0)
+            want = analysis._tail_slopes(radii, np.log(np.maximum(ratios[active], 1e-300)))
+            assert np.allclose(slopes[active], want, rtol=0.0, atol=1e-12)
+
+    got = [estimate_d(q, cfg), check_hypoelliptic(q, 1.0, cfg), check_hypoelliptic(q, 2.0, cfg)]
+    monkeypatch.setattr(analysis, "_log_abs_on_rays", _log_abs_by_call)
+    want = [estimate_d(q, cfg), check_hypoelliptic(q, 1.0, cfg), check_hypoelliptic(q, 2.0, cfg)]
+    for g, w, d in zip(got, want, (None, 1.0, 2.0)):
+        _assert_same_report(g, w, q, d, radii)
 
 
 @pytest.fixture
 def nan_rays(monkeypatch):
-    """Make every |Q^(beta)|, beta != 0, NaN on the first `count` (base) rays of a sweep."""
-    call = SymbolPolynomial.__call__
+    """Make every log|Q^(beta)|, beta != 0, NaN on the first `count` (base) rays of a sweep."""
+    evaluate = analysis._log_abs_on_rays
 
     def poison(symbol, count):
-        def poisoned(p, xi):
-            out = call(p, xi)
-            if p != symbol and np.ndim(xi) == 3:
+        def poisoned(p, dirs, radii):
+            out = evaluate(p, dirs, radii)
+            if p != symbol:
                 out[:count] = np.nan
             return out
 
-        monkeypatch.setattr(SymbolPolynomial, "__call__", poisoned)
+        monkeypatch.setattr(analysis, "_log_abs_on_rays", poisoned)
         return unit_directions(2, 64)[:count]
 
     return poison
@@ -423,8 +556,6 @@ def test_nan_rays_skipped_by_estimate_and_ambiguous_in_its_check(laplacian, nan_
 
 
 def test_estimate_samples_rays_once(heat_symbol, monkeypatch):
-    from hypoel import analysis
-
     def public_check(*args, **kwargs):
         raise AssertionError("estimate_d must check on its own rays")
 

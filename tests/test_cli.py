@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypoel.cli import main
 
@@ -47,6 +52,16 @@ def test_analyze_report_pins_the_ray_scheme(tmp_path):
     report = read(out)
     assert report["config"]["rays"] == rays
     assert report["results"]["estimate"]["config"] == rays
+
+
+def test_analyze_rejects_radii_past_the_float_range(tmp_path, capsys):
+    args = ["analyze", "--symbol", fixture_path("laplacian.json"), "--rays", "16"]
+    assert run(args + ["--radii", "1100", "--out", str(tmp_path / "r.json")]) == 2
+    assert "at most 1023 radii" in capsys.readouterr().err
+    # a RuntimeWarning is an error here
+    assert run(args + ["--radii", "1023", "--out", str(tmp_path / "r.json")]) == 0
+    est = read(tmp_path / "r.json")["results"]["estimate"]
+    assert est["config"]["radii"] == 1023 and est["d_snapped"] == [1, 1]
 
 
 def test_analyze_wave_is_a_finding_not_an_error(tmp_path):
@@ -349,3 +364,64 @@ def test_report_embeds_full_config(tmp_path):
     assert config["resolution"] == 128
     assert config["kmax"] == 3
     assert config["deltas"] == [0.05, 0.1, 0.2]
+
+
+# -- fuzzed symbol documents ---------------------------------------------------------
+
+#: values that break one field of a term: the parser must name them, exit 2
+BAD_VALUES = ["nan", "inf", "-inf", "1e400", "x", None, [], {}]
+
+
+@st.composite
+def symbol_docs(draw):
+    """A small symbol document, sometimes of one variable up to order 100, sometimes with one flaw."""
+    if draw(st.integers(0, 4)) == 0:
+        dimension, alphas = 1, st.lists(st.integers(0, 100), min_size=1, max_size=1)
+    else:
+        dimension = draw(st.integers(1, 3))
+        alphas = st.lists(st.integers(0, 8 // dimension), min_size=dimension, max_size=dimension)
+    coefficient = st.floats(-100.0, 100.0, allow_nan=False)
+    terms = draw(
+        st.lists(
+            st.fixed_dictionaries({"alpha": alphas, "re": coefficient, "im": coefficient}),
+            min_size=1, max_size=6, unique_by=lambda term: tuple(term["alpha"]),
+        )
+    )
+    doc = {"dimension": dimension, "terms": terms}
+    flaw = draw(st.sampled_from([None] * 5 + ["duplicate", "missing", "bad-value", "dimension"]))
+    term = draw(st.sampled_from(terms))
+    key = draw(st.sampled_from(["alpha", "re", "im"]))
+    if flaw == "duplicate":
+        terms.append(dict(term))
+    elif flaw == "missing":
+        del term[key]
+    elif flaw == "bad-value":
+        term[key] = draw(st.sampled_from(BAD_VALUES + [[-1] * dimension, [1] * (dimension + 1)]))
+    elif flaw == "dimension":
+        doc["dimension"] = draw(st.sampled_from([0, dimension + 1, "two", None]))
+    return doc
+
+
+def _run_documents(command, docs, rays):
+    """Exit code of the CLI on the documents; anything but a clean exit fails the test."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, doc in enumerate(docs):
+            paths.append(Path(tmp) / f"symbol{k}.json")
+            paths[-1].write_text(json.dumps(doc))
+        flags = ["--symbol", str(paths[0])] if command == "analyze" else ["--p", str(paths[0]), "--q", str(paths[1])]
+        with contextlib.redirect_stderr(io.StringIO()):
+            return run([command, *flags, "--rays", str(rays), "--out", str(Path(tmp) / "report.json")])
+
+
+@settings(max_examples=50, deadline=None)
+@given(doc=symbol_docs(), rays=st.integers(16, 64))
+def test_analyze_fuzzed_symbols_exit_cleanly(doc, rays):
+    # a RuntimeWarning is an error here, and main lets every other exception through
+    assert _run_documents("analyze", [doc], rays) in (0, 1, 2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(p=symbol_docs(), q=symbol_docs(), rays=st.integers(16, 64))
+def test_strength_fuzzed_symbols_exit_cleanly(p, q, rays):
+    assert _run_documents("strength", [p, q], rays) in (0, 1, 2)

@@ -1,5 +1,7 @@
 import math
+from importlib.resources import files
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,6 +67,42 @@ def test_fitted_h_is_max_binomial_root():
         for j in range(p + 1)
     )
     assert rep.h3_right_h == pytest.approx(expected, rel=1e-12)
+
+
+def _stability_by_loop(m, pmax):
+    """The (p, j) walk check_basic made before it used one table: (first h3_left failure, H)."""
+    logs = [m.log_m(p) for p in range(pmax + 1)]
+    first, worst_h = None, 0.0
+    for p in range(1, pmax + 1):
+        for j in range(p + 1):
+            binom = log_factorial(p) - log_factorial(j) - log_factorial(p - j)
+            if binom + logs[p - j] + logs[j] > logs[p] + 1e-9 and first is None:
+                first = (p, j)
+            worst_h = max(worst_h, (logs[p] - logs[p - j] - logs[j]) / p)
+    return first, math.exp(worst_h)
+
+
+def _random_table(seed, size):
+    """(p!)^s with s in [1, 2], pushed down by a random amount per p: fails stability at varied (p, j)."""
+    rng = np.random.default_rng(seed)
+    p = np.arange(1, size + 1)
+    logs = rng.uniform(1.0, 2.0) * np.array([log_factorial(k) for k in p]) - rng.exponential(0.05, size) * p
+    return TableSequence([1.0, *np.exp(logs)])
+
+
+@pytest.mark.parametrize(
+    "m, pmax",
+    [(gevrey(s), 200) for s in (1, 1.7, 2, 3.3)]
+    + [(load_table(files("hypoel") / "fixtures" / "factorial_table.txt"), 20)]
+    + [(_random_table(seed, 60), 60) for seed in range(5)]
+    + [(TableSequence([1.0, 1.0, 2.0, 6.0, 24.0, math.inf, 720.0]), 6)],  # "1e400" in a table file
+)
+def test_stability_table_matches_the_pair_loop_bit_for_bit(m, pmax):
+    rep = check_basic(m, pmax)
+    first, h = _stability_by_loop(m, pmax)
+    assert rep.h3_left.first_failure == first
+    assert rep.h3_left.passed == (first is None)
+    assert rep.h3_right_h == h
 
 
 def test_constant_table_fails_stability_left():
