@@ -440,7 +440,7 @@ def test_high_order_symbol_free_of_an_axis_violated_on_every_radius():
 
 
 def _log_abs_by_call(p, dirs, radii):
-    """log|P| from SymbolPolynomial.__call__ on the (rays, radii, n) points: the sweep's values before homogeneous parts."""
+    """log|P| by SymbolPolynomial.__call__ on the (rays, radii, n) points, as the sweep took it before."""
     with np.errstate(divide="ignore"):
         return np.log(np.abs(p(dirs[:, None, :] * radii[None, :, None])))
 
