@@ -479,9 +479,10 @@ def equally_strong(
 
 
 def _log_strength(s: SymbolPolynomial, dirs: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """log of the Hormander strength of s on the rays: half the logsumexp of 2 log|s^(alpha)|."""
-    squares = (2 * _log_abs_on_rays(ds, dirs, radii) for _, ds in s.nonzero_derivatives)
-    return 0.5 * functools.reduce(np.logaddexp, squares)
+    """log Hormander strength of s on the rays, half the logsumexp of 2 log|s^(alpha)|; constants add in one column."""
+    derivatives = sorted((ds for _, ds in s.nonzero_derivatives), key=lambda ds: ds.order)
+    squares = (2 * _log_abs_on_rays(ds, dirs, radii if ds.order else radii[:1]) for ds in derivatives)
+    return 0.5 * np.broadcast_to(functools.reduce(np.logaddexp, squares), (len(dirs), len(radii)))
 
 
 def _compare_strengths(log_p, log_q, dirs, radii, cfg: RayConfig) -> StrengthReport:
