@@ -205,8 +205,15 @@ def _config_value(doc: dict, key: str, convert, default=None):
         return default
     try:
         return convert(doc[key])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ParseError(f"bad value under {key!r}: {exc!r}") from None
+
+
+def _integer(value) -> int:
+    """A JSON integer: a float such as 1e300 or a string is rejected, not converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _config_symbol(doc: dict, key: str, base: Path, cls=SymbolPolynomial):
@@ -266,8 +273,8 @@ def run_verify(args) -> int:
     for flag in ("kmax", "lmax"):
         if getattr(args, flag, None) is not None and flag not in keys:
             raise ParseError(f"--{flag} does not apply to the {check} check")
-    seed = _config_value(doc, "seed", int, 0) if args.seed is None else args.seed
-    resolution = _config_value(doc, "resolution", int, 64) if args.resolution is None else args.resolution
+    seed = _config_value(doc, "seed", _integer, 0) if args.seed is None else args.seed
+    resolution = _config_value(doc, "resolution", _integer, 64) if args.resolution is None else args.resolution
     ray_cfg = RayConfig(seed=seed)
     csv_rows: list[tuple] = []
     effective: dict = {"seed": seed, "resolution": resolution}
@@ -281,7 +288,7 @@ def run_verify(args) -> int:
     fixtures = _config_fixtures(doc, GridSpec(omega, resolution))
 
     if check == "domination":
-        lmax = _config_value(doc, "lmax", int, 3) if args.lmax is None else args.lmax
+        lmax = _config_value(doc, "lmax", _integer, 3) if args.lmax is None else args.lmax
         effective["lmax"] = lmax
         x0 = _config_value(doc, "x0", lambda v: [float(c) for c in v], list(op.domain.center))
         delta = _config_value(doc, "delta", float, 0.0)
@@ -297,7 +304,7 @@ def run_verify(args) -> int:
             enforce_diameter=_config_value(doc, "enforce_diameter", bool, True),
         )
     elif check == "prop31":
-        kmax = _config_value(doc, "kmax", int, 3) if args.kmax is None else args.kmax
+        kmax = _config_value(doc, "kmax", _integer, 3) if args.kmax is None else args.kmax
         effective["kmax"] = kmax
         rep = verify_iterate_bound(
             q, d, fixtures, omega, kmax, _config_value(doc, "deltas", lambda v: [float(c) for c in v], [0.1]),
@@ -305,8 +312,8 @@ def run_verify(args) -> int:
         )  # per-case rows would be enormous; keep the report, no sweeps
     else:  # th1
         seq = _config_value(doc, "sequence", lambda v: _sequence(v, base))
-        lmax = _config_value(doc, "lmax", int, 6) if args.lmax is None else args.lmax
-        amax = _config_value(doc, "amax", int, 12)
+        lmax = _config_value(doc, "lmax", _integer, 6) if args.lmax is None else args.lmax
+        amax = _config_value(doc, "amax", _integer, 12)
         effective.update({"lmax": lmax, "amax": amax})
         rep = verify_growth_chain(
             fixtures[0], q, seq, d, omega, _config_value(doc, "delta", float, 0.05), lmax, amax,

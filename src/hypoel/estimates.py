@@ -287,6 +287,8 @@ def verify_iterate_bound(
         raise HypoelError("iterate bound needs a nonzero symbol of order >= 1")
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
+    if not all(dl > 0 for dl in deltas):
+        raise ValueError(f"every shrink distance must be > 0, got {list(deltas)}")
     _check_diameter(omega, enforce_diameter)
     m = q.order
     fixtures = _as_fixture_list(fixtures)
@@ -309,18 +311,14 @@ def verify_iterate_bound(
 
     for fx, u in enumerate(fixtures):
         qsweep = iterate_norms(q, u, kmax, omega, 0.0)
-        d_norms: dict = {}
-        d_flags: dict = {}
-        for alpha, flag, da_u in _derivative_sweep(u, alphas):
-            d_flags[alpha] = flag
-            d_norms[alpha] = {dl: restricted_l2(da_u, omega, dl) for dl in deltas}
+        dsweep = _derivative_sweep(u, alphas, omega, deltas)
         for k in range(kmax + 1):
             for alpha in alphas:
                 if sum(alpha) > k * m * d.nu:
                     continue
-                for dl in deltas:
-                    lhs = d_norms[alpha][dl]
-                    flagged = d_flags[alpha] or any(qsweep.flagged[i] for i in range(k + 1))
+                d_flag, d_norms = dsweep[alpha]
+                for dl, lhs in zip(deltas, d_norms):
+                    flagged = d_flag or any(qsweep.flagged[i] for i in range(k + 1))
                     s_statement = 0.0
                     s_proof = 0.0
                     for i in range(k + 1):

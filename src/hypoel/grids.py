@@ -11,6 +11,7 @@ factors), fixed so the Plancherel identity holds with constant 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -289,43 +290,106 @@ def apply_operator(op: SymbolPolynomial | VariableOperator, u: GridFunction) -> 
     return u.with_values(out)
 
 
+def _outer_slabs(ndim: int, n: int) -> list[tuple[slice, ...]]:
+    """Disjoint boxes of slices covering the outer shell of an n^ndim frequency lattice.
+
+    An index is outer when its signed frequency k has |k| >= n // 3, which in
+    fftfreq order is the range n//3 .. n - n//3.  Slab j takes axis j outer and
+    every earlier axis inner (two slices each); the later axes stay whole.
+    """
+    cut = n // 3
+    outer = slice(cut, n - cut + 1)
+    inner = (slice(0, cut), slice(n - cut + 1, n))
+    return [head + (outer,) for j in range(ndim) for head in itertools.product(inner, repeat=j)]
+
+
+def _tail_fractions(spectrum: np.ndarray, top: int) -> np.ndarray:
+    """Outer-shell norm fraction of xi^alpha * spectrum for every alpha with entries <= top.
+
+    The table is indexed by alpha.  S = |spectrum|^2 is scaled by a power of
+    two to a peak in [1/4, 1), and xi^alpha by the scale-free weights
+    (|xi_j| / max|xi_j|)^(2 a_j) = (2|k_j| / n)^(2 a_j), so nothing
+    overflows; a spectrum that is not finite gives NaN.  The totals and the
+    outer-shell sums of all alphas come from one contraction per disjoint slab.
+    """
+    sq = np.abs(spectrum)
+    peak = float(sq.max())
+    if not math.isfinite(peak):
+        return np.full((top + 1,) * sq.ndim, math.nan)
+    if peak > 0.0:
+        np.ldexp(sq, -math.frexp(peak)[1], out=sq)
+    np.square(sq, out=sq)
+    ratio = 2.0 * np.abs(np.fft.fftfreq(sq.shape[0]))
+    weights = (ratio * ratio)[:, None] ** np.arange(top + 1)
+
+    def contract(box: tuple[slice, ...]) -> np.ndarray:
+        table = sq[box]
+        for j in range(sq.ndim):
+            table = np.einsum("i...,ia->...a", table, weights[box[j]] if j < len(box) else weights)
+        return table
+
+    total = contract(())
+    outer = sum(contract(box) for box in _outer_slabs(sq.ndim, sq.shape[0]))
+    return np.sqrt(np.divide(outer, total, out=np.zeros_like(total), where=total > 0.0))
+
+
 def spectral_tail_fraction(spectrum: np.ndarray) -> float:
     """Norm fraction carried by the outer third of the frequency lattice.
 
     Returns ||outer-shell part|| / ||whole||, the resolution-insufficiency
-    indicator compared against TAIL_FLAG_THRESHOLD.
+    indicator compared against TAIL_FLAG_THRESHOLD (NaN for a spectrum that
+    is not finite).
     """
-    n = spectrum.shape[0]
-    idx = np.fft.fftfreq(n) * n
-    outer = np.abs(idx) >= n // 3
-    mask = np.zeros(spectrum.shape, dtype=bool)
-    for axis in range(spectrum.ndim):
-        shape = [1] * spectrum.ndim
-        shape[axis] = n
-        mask |= outer.reshape(shape)
-    total = float(np.sum(np.abs(spectrum) ** 2))
-    if total == 0.0:
-        return 0.0
-    return math.sqrt(float(np.sum(np.abs(spectrum[mask]) ** 2)) / total)
+    return float(_tail_fractions(spectrum, 0)[(0,) * spectrum.ndim])
+
+
+def _unresolved(fraction: float, norms) -> bool:
+    """Flag rule of every sweep entry: tail above the threshold, or a fraction or norm not finite."""
+    return not (fraction <= TAIL_FLAG_THRESHOLD and all(math.isfinite(v) for v in norms))
+
+
+def _ifft_to_box(values: np.ndarray, axis: int, keep: slice, mult: np.ndarray | None = None) -> np.ndarray:
+    """One step of an inverse transform restricted to a box of nodes.
+
+    Multiplies by `mult` along `axis` (when given), inverse-transforms that
+    axis and keeps the index range `keep` on it.  Applied without multipliers
+    to the axes last to first, as ifftn orders them, it gives the box of
+    ifftn's result bit for bit.
+    """
+    if mult is not None:
+        shape = [1] * values.ndim
+        shape[axis] = mult.size
+        values = values * mult.reshape(shape)
+    index = [slice(None)] * values.ndim
+    index[axis] = keep
+    return np.fft.ifft(values, axis=axis)[tuple(index)]
 
 
 # -- norms ------------------------------------------------------------------------------
 
 
-def _box_slices(spec: GridSpec, region: BoxDomain, delta: float) -> tuple[slice, ...]:
-    """Per-axis index ranges of the nodes x with lo + delta < x < hi - delta.
+def _box_bounds(spec: GridSpec, region: BoxDomain, delta) -> list[tuple]:
+    """Per-axis (start, stop) indices of the nodes x with lo + delta < x < hi - delta.
 
     The nodes of a uniform grid are sorted on each axis, so the nodes inside a
     shrunk axis-aligned box form one contiguous range per axis (empty when the
-    box is).
+    box is).  `delta` may be an array of shrink distances; then start and stop
+    are arrays too.
     """
     for lo_c, hi_c, lo_r, hi_r in zip(spec.cell.lo, spec.cell.hi, region.lo, region.hi):
         if lo_r < lo_c or hi_r > hi_c:
             raise DomainError("region must lie inside the periodic cell")
-    return tuple(
-        slice(int(np.searchsorted(axis, lo + delta, "right")), int(np.searchsorted(axis, hi - delta, "left")))
+    return [
+        (np.searchsorted(axis, lo + delta, "right"), np.searchsorted(axis, hi - delta, "left"))
         for axis, lo, hi in zip(spec.axes(), region.lo, region.hi)
-    )
+    ]
+
+
+def _box_slices(spec: GridSpec, region: BoxDomain, delta: float) -> tuple[slice, ...]:
+    """Per-axis index slices of the nodes inside the region shrunk by delta >= 0 (NaN is rejected)."""
+    if not delta >= 0:
+        raise ValueError("delta must be >= 0")
+    return tuple(slice(int(start), int(stop)) for start, stop in _box_bounds(spec, region, delta))
 
 
 def _box_l2(sq_box: np.ndarray, volume_element: float) -> float:
@@ -335,8 +399,6 @@ def _box_l2(sq_box: np.ndarray, volume_element: float) -> float:
 
 def restricted_l2(u: GridFunction, region: BoxDomain, delta: float = 0.0) -> float:
     """Midpoint-rule L2 norm over the region shrunk by delta (0 when empty)."""
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
     slices = _box_slices(u.spec, region, delta)
     return _box_l2(np.abs(u.values[slices]) ** 2, u.spec.volume_element)
 
@@ -351,15 +413,18 @@ def delta_grid(t: float) -> np.ndarray:
 def shrink_norm(u: GridFunction, region: BoxDomain, mu: float, t: float) -> float:
     """sup over 0 < delta <= t of delta^mu * ||u||_{L2(region shrunk by delta)}.
 
-    Small shrink distances often select the same nodes, so each distinct box
-    of nodes is summed once.
+    The boxes of every shrink distance come from one search per axis and
+    bound.  Small shrink distances often select the same nodes, so each
+    distinct box of nodes is summed once.
     """
-    if mu <= 0 or t <= 0:
+    if not (mu > 0 and t > 0):
         raise ValueError("mu and t must be > 0")
+    deltas = delta_grid(t)
+    bounds = _box_bounds(u.spec, region, deltas)
     sq = np.abs(u.values) ** 2
     best, seen, norm = 0.0, None, 0.0
-    for d in delta_grid(t):
-        slices = _box_slices(u.spec, region, float(d))
+    for i, d in enumerate(deltas):
+        slices = tuple(slice(int(start[i]), int(stop[i])) for start, stop in bounds)
         if slices != seen:
             seen, norm = slices, _box_l2(sq[slices], u.spec.volume_element)
         val = d**mu * norm
@@ -429,31 +494,40 @@ def iterate_norms(
     """Restricted L2 norms of op^l u for l = 0..lmax.
 
     Constant-coefficient operators are applied in one spectral step per l to
-    avoid error accumulation; entries whose spectral tail exceeds the
-    threshold are flagged as unresolved rather than trusted.
+    avoid error accumulation, and each op^l u is inverse-transformed only on
+    the region's box of nodes.  Entries whose spectral tail exceeds the
+    threshold, or whose tail or norm is not finite, are flagged as unresolved
+    rather than trusted.
     """
     if lmax < 0:
         raise ValueError("lmax must be >= 0")
     labels = list(range(lmax + 1))
     norms: list[float] = []
     flagged: list[bool] = []
-    if isinstance(op, SymbolPolynomial):
-        mult = symbol_on_lattice(u.spec, op)
-        u_hat = u.spectrum()
-        powered = np.ones_like(mult)
-        for l in labels:
-            if l > 0:
-                powered = powered * mult
-            spec_l = powered * u_hat
-            flagged.append(spectral_tail_fraction(spec_l) > TAIL_FLAG_THRESHOLD)
-            norms.append(restricted_l2(u.with_values(np.fft.ifftn(spec_l)), region, delta))
-    else:
-        current = u
-        for l in labels:
-            if l > 0:
-                current = apply_operator(op, current)
-            flagged.append(spectral_tail_fraction(current.spectrum()) > TAIL_FLAG_THRESHOLD)
-            norms.append(restricted_l2(current, region, delta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(op, SymbolPolynomial):
+            box = _box_slices(u.spec, region, delta)
+            mult = symbol_on_lattice(u.spec, op)
+            u_hat = u.spectrum()
+            powered = np.ones_like(mult)
+            spec_l = np.empty_like(mult)
+            for l in labels:
+                if l > 0:
+                    powered *= mult
+                np.multiply(powered, u_hat, out=spec_l)
+                fraction = spectral_tail_fraction(spec_l)
+                values = spec_l
+                for axis in reversed(range(u.dimension)):
+                    values = _ifft_to_box(values, axis, box[axis])
+                norms.append(_box_l2(np.abs(values) ** 2, u.spec.volume_element))
+                flagged.append(_unresolved(fraction, norms[-1:]))
+        else:
+            current = u
+            for l in labels:
+                if l > 0:
+                    current = apply_operator(op, current)
+                norms.append(restricted_l2(current, region, delta))
+                flagged.append(_unresolved(spectral_tail_fraction(current.spectrum()), norms[-1:]))
     return NormSweep(
         kind="iterates",
         labels=labels,
@@ -465,13 +539,41 @@ def iterate_norms(
     )
 
 
-def _derivative_sweep(u: GridFunction, alphas):
-    """Yield (alpha, flagged, D^alpha u) for each alpha, one derivative at a time."""
-    freq = u.spec.frequency_mesh()
+def _derivative_sweep(u: GridFunction, alphas: list, region: BoxDomain, deltas: Sequence[float]) -> dict:
+    """Flag and restricted norms of D^alpha u for each alpha, computed on the region's box only.
+
+    Returns {alpha: (flagged, norms)}, one norm per shrink distance in deltas.
+    D^alpha u is formed on the box of the smallest distance, one axis at a
+    time, last axis first as ifftn orders them: multiply by xi_k^alpha_k,
+    inverse-transform axis k, keep the box's range on it.  The alphas are
+    visited in the order of their reversed multi-indices, so alphas that share
+    trailing exponents share those partial transforms; one partial array is
+    kept per axis.
+    """
+    n = u.dimension
+    box = _box_slices(u.spec, region, min(deltas, default=0.0))
+    # each distance's box as slices of the smallest distance's box; an empty box
+    # may end before it starts, so its stop is raised to its start first
+    subs = []
+    for d in deltas:
+        sub = _box_slices(u.spec, region, d)
+        subs.append(tuple(slice(s.start - b.start, max(s.stop, s.start) - b.start) for s, b in zip(sub, box)))
+    freq = u.spec.frequencies()
     u_hat = u.spectrum()
-    for alpha in alphas:
-        spec_a = _monomial(freq, alpha) * u_hat
-        yield alpha, spectral_tail_fraction(spec_a) > TAIL_FLAG_THRESHOLD, u.with_values(np.fft.ifftn(spec_a))
+    partial: list[tuple | None] = [None] * n
+    out = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        fractions = _tail_fractions(u_hat, max((max(a) for a in alphas), default=0))
+        for alpha in sorted(alphas, key=lambda a: a[::-1]):
+            for k in reversed(range(n)):
+                if partial[k] is None or partial[k][0] != alpha[k:]:
+                    base = u_hat if k == n - 1 else partial[k + 1][1]
+                    mult = freq[k] ** alpha[k] if alpha[k] else None
+                    partial[k] = (alpha[k:], _ifft_to_box(base, k, box[k], mult))
+            sq = np.abs(partial[0][1]) ** 2
+            norms = tuple(_box_l2(sq[sub], u.spec.volume_element) for sub in subs)
+            out[alpha] = (_unresolved(float(fractions[alpha]), norms), norms)
+    return {alpha: out[alpha] for alpha in alphas}
 
 
 def derivative_norms(
@@ -483,10 +585,11 @@ def derivative_norms(
     labels = list(range(amax + 1))
     norms = [0.0] * len(labels)
     flagged = [False] * len(labels)
-    for alpha, flag, d_alpha_u in _derivative_sweep(u, multi_indices_up_to(u.dimension, amax)):
+    sweep = _derivative_sweep(u, multi_indices_up_to(u.dimension, amax), region, [delta])
+    for alpha, (flag, (norm,)) in sweep.items():
         a = sum(alpha)
         flagged[a] = flagged[a] or flag
-        norms[a] = max(norms[a], restricted_l2(d_alpha_u, region, delta))
+        norms[a] = max(norms[a], norm)
     return NormSweep(
         kind="derivatives",
         labels=labels,

@@ -271,9 +271,12 @@ def run_p1_with_fixture(tmp_path, fixture) -> int:
         ("th1", {}, ["--kmax", "2"], ["--kmax"]),
         ("p1", {}, ["--lmax", "2"], ["--lmax"]),
         ("prop31", {}, ["--lmax", "2"], ["--lmax"]),
+        ("prop31", {"deltas": [0.05, 0.0]}, [], ["shrink distance", "0.0"]),
+        ("domination", {"lmax": 1e300}, [], ["'lmax'", "integer"]),
+        ("th1", {"d": float("inf")}, [], ["'d'"]),
     ],
     ids=["sequence-without-s", "deltas-int", "t-null", "x0-null", "amax-str", "unknown-key", "unread-key",
-         "kmax-th1", "lmax-p1", "lmax-prop31"],
+         "kmax-th1", "lmax-p1", "lmax-prop31", "deltas-zero", "lmax-float", "d-inf"],
 )
 def test_verify_malformed_config_exits_2_naming_the_key(tmp_path, capsys, check, edit, flags, named):
     doc = read(fixture_path(f"verify_{check}.json"))
@@ -425,3 +428,119 @@ def test_analyze_fuzzed_symbols_exit_cleanly(doc, rays):
 @given(p=symbol_docs(), q=symbol_docs(), rays=st.integers(16, 64))
 def test_strength_fuzzed_symbols_exit_cleanly(p, q, rays):
     assert _run_documents("strength", [p, q], rays) in (0, 1, 2)
+
+
+# -- fuzzed operator documents and verify configs ---------------------------------------
+
+
+@st.composite
+def operator_docs(draw):
+    """A small variable-operator document, sometimes with one flaw."""
+    dimension = draw(st.integers(1, 3))
+    alphas = st.lists(st.integers(0, 4 // dimension), min_size=dimension, max_size=dimension)
+    coefficient = st.floats(-10.0, 10.0, allow_nan=False)
+    term = st.fixed_dictionaries({
+        "alpha": st.lists(st.integers(0, 2), min_size=dimension, max_size=dimension),
+        "re": coefficient,
+        "im": coefficient,
+    })
+    poly = st.fixed_dictionaries({
+        "dimension": st.just(dimension),
+        "terms": st.lists(term, min_size=1, max_size=3, unique_by=lambda t: tuple(t["alpha"])),
+    })
+    coefficients = draw(
+        st.lists(
+            st.fixed_dictionaries({"alpha": alphas, "poly": poly}),
+            min_size=1, max_size=4, unique_by=lambda c: tuple(c["alpha"]),
+        )
+    )
+    lo = draw(st.lists(st.floats(-2.0, 1.0), min_size=dimension, max_size=dimension))
+    hi = [a + draw(st.floats(0.1, 2.0)) for a in lo]
+    doc = {"dimension": dimension, "coefficients": coefficients, "domain": {"lo": lo, "hi": hi}}
+    flaw = draw(st.sampled_from([None] * 4 + ["duplicate", "missing", "bad-value", "domain", "poly-dimension"]))
+    entry = draw(st.sampled_from(coefficients))
+    if flaw == "duplicate":
+        coefficients.append(dict(entry))
+    elif flaw == "missing":
+        owner, key = draw(st.sampled_from([(doc, "domain"), (doc, "coefficients"), (entry, "alpha"), (entry, "poly")]))
+        del owner[key]
+    elif flaw == "bad-value":
+        bad = draw(st.sampled_from(BAD_VALUES + [[-1] * dimension, [1] * (dimension + 1)]))
+        if draw(st.booleans()):
+            entry["alpha"] = bad
+        else:
+            entry["poly"]["terms"][0][draw(st.sampled_from(["alpha", "re", "im"]))] = bad
+    elif flaw == "domain":
+        doc["domain"] = draw(st.sampled_from([
+            {"lo": hi, "hi": lo}, {"lo": lo}, {"lo": lo + [0.0], "hi": hi}, {"lo": ["x"] * dimension, "hi": hi},
+            "box", None,
+        ]))
+    elif flaw == "poly-dimension":
+        entry["poly"]["dimension"] = dimension + 1
+    return doc
+
+
+def _quiet_main(argv) -> int:
+    with contextlib.redirect_stderr(io.StringIO()):
+        return run(argv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=operator_docs(), rays=st.integers(16, 48), points=st.sampled_from([None, 1, 3, 9]))
+def test_strength_fuzzed_operators_exit_cleanly(doc, rays, points):
+    # a RuntimeWarning is an error here, and main lets every other exception through
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "operator.json"
+        path.write_text(json.dumps(doc))
+        flags = ["--points", str(points)] if points else []
+        argv = ["strength", "--variable", str(path), "--rays", str(rays), *flags, "--out", str(Path(tmp) / "r.json")]
+        assert _quiet_main(argv) in (0, 1, 2)
+
+
+def _inline_symbols(doc: dict) -> dict:
+    """The packaged config with every symbol or operator file reference replaced by its document."""
+    for key in ("symbol", "r_symbol", "operator"):
+        if key in doc:
+            doc[key] = json.loads((FIXTURES / doc[key]).read_text())
+    return doc
+
+
+VERIFY_CONFIGS = {
+    check: _inline_symbols(json.loads((FIXTURES / f"verify_{check}.json").read_text()))
+    for check in ("domination", "p1", "prop31", "th1")
+}
+
+#: numbers for one key of a verify config, or for the entries of a list under it;
+#: integers stay small so a run stays short
+NUMBERS = [-1, 0, 1, 2, 3, 0.0, -0.05, 1e-9, 0.05, 0.3, 1e300, float("nan"), float("inf")]
+CONFIG_VALUES = NUMBERS + [
+    "x", "1/2", "0/1", "1/0", "-1", None, True, [], ["x"],
+    {}, {"lo": [-0.3, -0.3], "hi": [0.3, 0.3]}, {"lo": [0.3, 0.3], "hi": [-0.3, -0.3]},
+    {"family": "gaussian_bump", "width": 0.1}, {"kind": "gevrey", "s": 0.5}, {"kind": "table", "path": "none.txt"},
+]
+
+
+@st.composite
+def verify_configs(draw):
+    """A packaged verify config at a small resolution, with up to two keys replaced or removed."""
+    check = draw(st.sampled_from(sorted(VERIFY_CONFIGS)))
+    doc = json.loads(json.dumps(VERIFY_CONFIGS[check]))
+    doc["resolution"] = draw(st.sampled_from([16, 32]))
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(sorted(doc) + ["fixtures", "unknown"]))
+        if draw(st.integers(0, 4)) == 0:
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(st.one_of(st.sampled_from(CONFIG_VALUES), st.lists(st.sampled_from(NUMBERS), max_size=3)))
+    return check, doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=verify_configs())
+def test_verify_fuzzed_configs_exit_cleanly(config):
+    check, doc = config
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc))
+        argv = ["verify", "--check", check, "--config", str(path), "--out", str(Path(tmp) / "r.json")]
+        assert _quiet_main(argv) in (0, 1, 2)

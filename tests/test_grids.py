@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,16 @@ from hypoel import (
     weighted_norm,
     zero_function,
 )
-from hypoel.grids import cell_frequency, delta_grid, spectral_tail_fraction
+from hypoel.grids import (
+    TAIL_FLAG_THRESHOLD,
+    _derivative_sweep,
+    _tail_fractions,
+    cell_frequency,
+    delta_grid,
+    spectral_tail_fraction,
+    symbol_on_lattice,
+)
+from hypoel.symbols import multi_indices_up_to
 
 
 @pytest.fixture
@@ -445,3 +455,153 @@ def test_sample_reads_a_support_box_dict(spec128):
     assert np.array_equal(u.values, gaussian_bump(spec128, 0.1, support=box).values)
     wave = sample(spec128, "modulated_bump", k=[2, 1], width=0.15)
     assert np.array_equal(wave.values, modulated_bump(spec128, (2, 1), 0.15).values)
+
+
+# -- box-pruned sweeps against the full-grid loops ---------------------------------------
+
+#: stated tolerance of the box-pruned sweep against one ifftn per multi-index:
+#: the multipliers are applied one axis at a time and the tail sums are
+#: contracted per axis, which changes rounding only
+SWEEP_RTOL = 1e-12
+
+
+def masked_tail_fraction(spectrum):
+    """The outer-shell norm fraction summed through one boolean mask over the lattice."""
+    n = spectrum.shape[0]
+    idx = np.fft.fftfreq(n) * n
+    outer = np.abs(idx) >= n // 3
+    mask = np.zeros(spectrum.shape, dtype=bool)
+    for axis in range(spectrum.ndim):
+        shape = [1] * spectrum.ndim
+        shape[axis] = n
+        mask |= outer.reshape(shape)
+    total = float(np.sum(np.abs(spectrum) ** 2))
+    if total == 0.0:
+        return 0.0
+    return math.sqrt(float(np.sum(np.abs(spectrum[mask]) ** 2)) / total)
+
+
+def per_alpha_sweep(u, alphas, region, deltas):
+    """{alpha: (tail fraction, norms)} from one full-grid ifftn of xi^alpha u_hat per alpha."""
+    freq = u.spec.frequency_mesh()
+    out = {}
+    for alpha in alphas:
+        mono = np.ones((1,) * u.dimension)
+        for j, a in enumerate(alpha):
+            if a:
+                mono = mono * freq[j] ** a
+        spec_a = mono * u.spectrum()
+        d_alpha_u = u.with_values(np.fft.ifftn(spec_a))
+        out[alpha] = masked_tail_fraction(spec_a), [restricted_l2(d_alpha_u, region, d) for d in deltas]
+    return out
+
+
+def sweep_fixtures():
+    """Plane waves, gaussian bumps and polynomial bumps in one, two and three dimensions."""
+    cases = []
+    for n, res, amax, k in ((1, 256, 10, (5,)), (2, 128, 6, (3, -2)), (3, 32, 4, (1, 2, -1))):
+        spec = GridSpec(BoxDomain((-0.35,) * n, (0.35,) * n), res)
+        for name, u in (
+            ("plane-wave", plane_wave(spec, k)),
+            ("gaussian", gaussian_bump(spec, 0.08)),
+            ("polynomial", polynomial_bump(spec, 8)),
+        ):
+            cases.append(pytest.param(u, amax, id=f"{name}-{n}d"))
+    return cases
+
+
+@pytest.mark.parametrize("u, amax", sweep_fixtures())
+def test_derivative_sweep_matches_the_per_alpha_ifftn_loop(u, amax):
+    alphas = multi_indices_up_to(u.dimension, amax)
+    region = u.spec.omega
+    # 1.0 shrinks the box to nothing: those norms are 0 on both sides
+    deltas = [0.0, 0.05, 0.2, 1.0]
+    want = per_alpha_sweep(u, alphas, region, deltas)
+    got = _derivative_sweep(u, alphas, region, deltas)
+    fractions = _tail_fractions(u.spectrum(), amax)
+    assert list(got) == alphas
+    for alpha in alphas:
+        frac, norms = want[alpha]
+        flag, new_norms = got[alpha]
+        assert flag == (frac > TAIL_FLAG_THRESHOLD)
+        assert abs(fractions[alpha] - frac) <= SWEEP_RTOL * frac
+        assert norms[-1] == new_norms[-1] == 0.0
+        for old, new in zip(norms, new_norms):
+            assert abs(new - old) <= SWEEP_RTOL * old
+    # derivative_norms takes the max norm and any flag over each order
+    sweep = derivative_norms(u, amax, region, deltas[1])
+    for a in sweep.labels:
+        entries = [got[alpha] for alpha in alphas if sum(alpha) == a]
+        assert sweep.flagged[a] == any(flag for flag, _ in entries)
+        assert sweep.norms[a] == max(norms[1] for _, norms in entries)
+
+
+@pytest.mark.parametrize("n, res", [(1, 256), (2, 128), (3, 32)])
+@pytest.mark.parametrize("delta", [0.0, 0.05])
+def test_iterate_norms_bit_identical_to_full_grid_transforms(n, res, delta):
+    spec = GridSpec(BoxDomain((-0.35,) * n, (0.35,) * n), res)
+    heat = SymbolPolynomial(n, {(2,) + (0,) * (n - 1): 1.0, (0,) * (n - 1) + (1,): 1j})
+    for u in (gaussian_bump(spec, 0.08), modulated_bump(spec, (2,) * n, 0.1), polynomial_bump(spec, 6)):
+        sweep = iterate_norms(heat, u, 4, spec.omega, delta)
+        mult = symbol_on_lattice(spec, heat)
+        powered = np.ones_like(mult)
+        for l in sweep.labels:
+            if l > 0:
+                powered = powered * mult
+            spec_l = powered * u.spectrum()
+            assert sweep.norms[l] == restricted_l2(u.with_values(np.fft.ifftn(spec_l)), spec.omega, delta)
+            assert sweep.flagged[l] == (masked_tail_fraction(spec_l) > TAIL_FLAG_THRESHOLD)
+
+
+def test_spectral_tail_fraction_matches_the_masked_sum():
+    rng = np.random.default_rng(7)
+    spectra = []
+    for n, res in ((1, 16), (1, 256), (2, 64), (2, 128), (3, 16), (3, 32)):
+        spec = GridSpec(BoxDomain((-0.35,) * n, (0.35,) * n), res)
+        spectra.append(rng.standard_normal((res,) * n) + 1j * rng.standard_normal((res,) * n))
+        for u in (gaussian_bump(spec, 0.05), polynomial_bump(spec, 8), plane_wave(spec, (1,) * n)):
+            mono = np.ones((1,) * n)
+            for f in spec.frequency_mesh():
+                mono = mono * f**3
+            spectra += [u.spectrum(), mono * u.spectrum()]
+    for s in spectra:
+        want = masked_tail_fraction(s)
+        got = spectral_tail_fraction(s)
+        assert abs(got - want) <= SWEEP_RTOL * want
+        assert (got > TAIL_FLAG_THRESHOLD) == (want > TAIL_FLAG_THRESHOLD)
+    assert spectral_tail_fraction(np.zeros((16, 16))) == 0.0
+    # a spectrum whose square passes the float range keeps its fraction; one that is not finite gives NaN
+    assert spectral_tail_fraction(np.full(16, 1e200)) == pytest.approx(math.sqrt(7 / 16), rel=1e-15)
+    assert math.isnan(spectral_tail_fraction(np.full(16, np.inf)))
+
+
+def test_derivative_norms_flag_overflowing_orders():
+    # |xi^alpha u_hat|^2 passes the float range from order 46 on: those entries
+    # are flagged, and no overflow warning escapes
+    omega = BoxDomain((-0.035,), (0.035,))
+    u = gaussian_bump(GridSpec(omega, 128), 0.008)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sweep = derivative_norms(u, 48, omega, 0.002)
+    assert all(sweep.flagged[45:])
+    assert not all(math.isfinite(v) for v in sweep.norms)
+    assert all(f for v, f in zip(sweep.norms, sweep.flagged) if not math.isfinite(v))
+
+
+def test_iterate_norms_flag_overflowing_powers(laplacian, spec128, unit_box):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sweep = iterate_norms(laplacian, gaussian_bump(spec128, 0.1), 80, unit_box)
+    assert not all(math.isfinite(v) for v in sweep.norms)
+    assert all(f for v, f in zip(sweep.norms, sweep.flagged) if not math.isfinite(v))
+
+
+def test_sweeps_flag_norms_past_the_float_range(laplacian, spec128, unit_box):
+    # resolved, but |u|^2 overflows: the tail fraction is fine and the norm is not
+    u = gaussian_bump(spec128, 0.1) * 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sweeps = derivative_norms(u, 2, unit_box), iterate_norms(laplacian, u, 2, unit_box)
+    for sweep in sweeps:
+        assert sweep.norms == [math.inf] * 3
+        assert sweep.flagged == [True] * 3
