@@ -118,10 +118,10 @@ def _characteristic_refinement(q: SymbolPolynomial, dirs: np.ndarray) -> np.ndar
     grads = [pm.derive(tuple(1 if j == k else 0 for j in range(q.dimension))) for k in range(q.dimension)]
 
     pts = starts.copy()
-    f = np.abs(pm(pts)) ** 2
+    p_vals = pm(pts)
+    f = np.abs(p_vals) ** 2
     step = np.full(len(pts), 0.1)
     for _ in range(40):
-        p_vals = pm(pts)
         grad = np.stack([2 * np.real(np.conj(p_vals) * g(pts)) for g in grads], axis=1)
         gn = np.linalg.norm(grad, axis=1)
         gn[gn == 0] = 1.0
@@ -129,9 +129,11 @@ def _characteristic_refinement(q: SymbolPolynomial, dirs: np.ndarray) -> np.ndar
         cn = np.linalg.norm(cand, axis=1)
         cn[cn == 0] = 1.0
         cand = cand / cn[:, None]
-        f_cand = np.abs(pm(cand)) ** 2
+        p_cand = pm(cand)
+        f_cand = np.abs(p_cand) ** 2
         better = f_cand < f
         pts[better] = cand[better]
+        p_vals[better] = p_cand[better]
         f[better] = f_cand[better]
         step = np.where(better, step, step * 0.5)
 
@@ -272,21 +274,22 @@ class _RayTable:
     base: np.ndarray  # True on the base directions, which precede the refined ones
     radii: np.ndarray
     log_denom: np.ndarray  # log(1 + |Q|)
-    derivatives: tuple[tuple[MultiIndex, SymbolPolynomial], ...]  # the nonzero ones, beta = 0 first
+    derivatives: tuple[tuple[MultiIndex, np.ndarray], ...]  # beta, log|Q^(beta)|; the nonzero ones, beta = 0 first
 
 
 def _ray_table(q: SymbolPolynomial, cfg: RayConfig) -> _RayTable:
-    """The table of q on cfg's rays."""
+    """The table of q on cfg's rays, each nonzero derivative evaluated once."""
     dirs, num_base, radii = _ray_grid(q.dimension, cfg, q)
-    log_denom = np.logaddexp(0.0, _log_abs_on_rays(q, dirs, radii))
-    return _RayTable(cfg, dirs, np.arange(len(dirs)) < num_base, radii, log_denom, q.nonzero_derivatives)
+    derivatives = tuple((beta, _log_abs_on_rays(dq, dirs, radii)) for beta, dq in q.nonzero_derivatives)
+    log_denom = np.logaddexp(0.0, derivatives[0][1])
+    return _RayTable(cfg, dirs, np.arange(len(dirs)) < num_base, radii, log_denom, derivatives)
 
 
 def _sweep(table: _RayTable, derivatives, d: float = math.inf):
     """One derivative at a time: beta, logs of r^{|beta|/d} |Q^(beta)| / (1 + |Q|), row peak ratios, slopes."""
     log_r = np.log(table.radii)
-    for beta, dq in derivatives:
-        logs = sum(beta) / d * log_r + _log_abs_on_rays(dq, table.dirs, table.radii) - table.log_denom
+    for beta, log_abs in derivatives:
+        logs = sum(beta) / d * log_r + log_abs - table.log_denom
         yield beta, logs, _exp(logs.max(axis=1)), _tail_slopes(table.radii, logs)
 
 
@@ -363,6 +366,8 @@ def _check_rays(table: _RayTable, d: float) -> HypoReport:
     A ray whose ratios are NaN never gives the constant, a witness or a
     worst slope, and counts as an ambiguous base ray.
     """
+    if d < 1:
+        raise ValueError("exponent d must be >= 1")
     fitted_c = 0.0
     best_sample: RaySample | None = None
     worst_violation: RaySample | None = None
@@ -408,8 +413,6 @@ def check_hypoelliptic(q: SymbolPolynomial, d: float, cfg: RayConfig | None = No
     """
     if q.is_zero:
         raise HypoelError("cannot test hypoellipticity of the zero symbol")
-    if d < 1:
-        raise ValueError("exponent d must be >= 1")
     return _check_rays(_ray_table(q, cfg or RayConfig()), d)
 
 
@@ -423,11 +426,16 @@ def estimate_d(q: SymbolPolynomial, cfg: RayConfig | None = None) -> HypoReport:
     check at the estimate runs on the same rays; a violation there is the
     verdict, with its witness.
     """
+    return _estimate(q, cfg or RayConfig())[0]
+
+
+def _estimate(q: SymbolPolynomial, cfg: RayConfig) -> tuple[HypoReport, _RayTable]:
+    """estimate_d's report, and the ray table it came from, for a further check on the same rays."""
     if q.is_zero:
         raise HypoelError("cannot estimate the exponent of the zero symbol")
     if q.order < 1:
         raise HypoelError("exponent estimation needs order >= 1")
-    table = _ray_table(q, cfg or RayConfig())
+    table = _ray_table(q, cfg)
 
     d_best = 0.0
     candidates = 0
@@ -455,10 +463,11 @@ def estimate_d(q: SymbolPolynomial, cfg: RayConfig | None = None) -> HypoReport:
         check = _check_rays(table, d_est)
         if check.verdict != "violated":
             snapped = snap_rational(d_est)
-            return HypoReport(check.verdict, d_est, snapped, check.fitted_c, check.witness, per_beta, config=config)
+            rep = HypoReport(check.verdict, d_est, snapped, check.fitted_c, check.witness, per_beta, config=config)
+            return rep, table
         violation = check.witness
     verdict = "inconclusive" if violation is None else "violated"
-    return HypoReport(verdict, witness=violation, per_beta_slopes=per_beta, config=config)
+    return HypoReport(verdict, witness=violation, per_beta_slopes=per_beta, config=config), table
 
 
 def equally_strong(

@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .analysis import RayConfig, check_constant_strength, check_hypoelliptic, equally_strong, estimate_d
+from .analysis import RayConfig, _check_rays, _estimate, check_constant_strength, equally_strong
 from .domains import BoxDomain
 from .errors import HypoelError, ParseError
 from .estimates import (
@@ -91,11 +91,11 @@ def run_analyze(args) -> int:
     if not isinstance(q, SymbolPolynomial):
         raise ParseError(f"{args.symbol} holds a variable operator; `analyze` expects a symbol")
     cfg = _ray_config(args, args.seed)
-    est = estimate_d(q, cfg)
+    est, table = _estimate(q, cfg)
     results = {"estimate": est.to_dict()}
     if args.d is not None:
-        d_val = float(Fraction(args.d))
-        results["check_at_d"] = check_hypoelliptic(q, d_val, cfg).to_dict()
+        # check_hypoelliptic(q, d, cfg), on the rays the estimate has already evaluated
+        results["check_at_d"] = _check_rays(table, float(Fraction(args.d))).to_dict()
     witnesses = [est.witness.to_dict()] if est.witness else []
     config = {
         "symbol": q.to_dict(),
@@ -216,6 +216,29 @@ def _integer(value) -> int:
     return value
 
 
+#: the largest value of each integer setting: a seed a signed 64-bit integer holds,
+#: 2^12 grid nodes per axis, and iterate and derivative orders far past the point
+#: where their norms leave the floating-point range
+_INTEGER_LIMITS = {"seed": 2**63 - 1, "resolution": 2**12, "kmax": 100, "lmax": 100, "amax": 100}
+
+
+def _config_integer(doc: dict, args, key: str, default: int) -> int:
+    """The --key flag when set, else the config's integer `key` (`default` when absent), at most its limit."""
+    value, name = getattr(args, key, None), f"--{key}"
+    if value is None:
+        value, name = _config_value(doc, key, _integer, default), repr(key)
+    if value > _INTEGER_LIMITS[key]:
+        raise ParseError(f"{name} is {value}, above its limit {_INTEGER_LIMITS[key]}")
+    return value
+
+
+def _numbers(value) -> list[float]:
+    """A JSON list of numbers: a string is rejected, not read character by character."""
+    if not isinstance(value, list) or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+        raise TypeError(f"expected a list of numbers, got {value!r}")
+    return [float(v) for v in value]
+
+
 def _config_symbol(doc: dict, key: str, base: Path, cls=SymbolPolynomial):
     """A symbol (or, with cls=VariableOperator, an operator), inline or as a file name."""
     obj = _config_value(doc, key, lambda v: load_symbol(base / v) if isinstance(v, str) else cls.from_dict(v))
@@ -273,8 +296,8 @@ def run_verify(args) -> int:
     for flag in ("kmax", "lmax"):
         if getattr(args, flag, None) is not None and flag not in keys:
             raise ParseError(f"--{flag} does not apply to the {check} check")
-    seed = _config_value(doc, "seed", _integer, 0) if args.seed is None else args.seed
-    resolution = _config_value(doc, "resolution", _integer, 64) if args.resolution is None else args.resolution
+    seed = _config_integer(doc, args, "seed", 0)
+    resolution = _config_integer(doc, args, "resolution", 64)
     ray_cfg = RayConfig(seed=seed)
     csv_rows: list[tuple] = []
     effective: dict = {"seed": seed, "resolution": resolution}
@@ -288,9 +311,9 @@ def run_verify(args) -> int:
     fixtures = _config_fixtures(doc, GridSpec(omega, resolution))
 
     if check == "domination":
-        lmax = _config_value(doc, "lmax", _integer, 3) if args.lmax is None else args.lmax
+        lmax = _config_integer(doc, args, "lmax", 3)
         effective["lmax"] = lmax
-        x0 = _config_value(doc, "x0", lambda v: [float(c) for c in v], list(op.domain.center))
+        x0 = _config_value(doc, "x0", _numbers, list(op.domain.center))
         delta = _config_value(doc, "delta", float, 0.0)
         rep = verify_domination(op, x0, fixtures[0], lmax, omega, delta, ray_cfg)
         for case in rep.cases:
@@ -304,16 +327,16 @@ def run_verify(args) -> int:
             enforce_diameter=_config_value(doc, "enforce_diameter", bool, True),
         )
     elif check == "prop31":
-        kmax = _config_value(doc, "kmax", _integer, 3) if args.kmax is None else args.kmax
+        kmax = _config_integer(doc, args, "kmax", 3)
         effective["kmax"] = kmax
         rep = verify_iterate_bound(
-            q, d, fixtures, omega, kmax, _config_value(doc, "deltas", lambda v: [float(c) for c in v], [0.1]),
+            q, d, fixtures, omega, kmax, _config_value(doc, "deltas", _numbers, [0.1]),
             enforce_diameter=_config_value(doc, "enforce_diameter", bool, True), ray_cfg=ray_cfg,
         )  # per-case rows would be enormous; keep the report, no sweeps
     else:  # th1
         seq = _config_value(doc, "sequence", lambda v: _sequence(v, base))
-        lmax = _config_value(doc, "lmax", _integer, 6) if args.lmax is None else args.lmax
-        amax = _config_value(doc, "amax", _integer, 12)
+        lmax = _config_integer(doc, args, "lmax", 6)
+        amax = _config_integer(doc, args, "amax", 12)
         effective.update({"lmax": lmax, "amax": amax})
         rep = verify_growth_chain(
             fixtures[0], q, seq, d, omega, _config_value(doc, "delta", float, 0.05), lmax, amax,

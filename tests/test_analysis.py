@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,10 +16,11 @@ from hypoel import (
     estimate_d,
     snap_rational,
 )
-from hypoel import analysis
+from hypoel import analysis, cli
 from hypoel.analysis import SLOPE_TOL, freeze_sample_points, unit_directions
 from hypoel.estimates import check_symbol_domination
 from hypoel.fitting import least_squares_slope
+from hypoel.symbols import multi_indices_up_to
 
 from conftest import random_symbol
 
@@ -497,8 +499,8 @@ def test_homogeneous_parts_match_pointwise_evaluation(seed, monkeypatch):
     table = analysis._ray_table(q, cfg)
     xi = table.dirs[:, None, :] * radii[None, :, None]
     for d in (1.0, math.inf):
-        for (beta, logs, _, slopes), (_, dq) in zip(analysis._sweep(table, table.derivatives, d), table.derivatives):
-            ratios = radii ** (sum(beta) / d) * np.abs(dq(xi)) / (1.0 + np.abs(q(xi)))
+        for beta, logs, _, slopes in analysis._sweep(table, table.derivatives, d):
+            ratios = radii ** (sum(beta) / d) * np.abs(q.derive(beta)(xi)) / (1.0 + np.abs(q(xi)))
             active = ~(ratios.max(axis=1) < 1e-250)
             assert np.allclose(np.exp(logs), ratios, rtol=1e-12, atol=0.0)
             want = analysis._tail_slopes(radii, np.log(np.maximum(ratios[active], 1e-300)))
@@ -566,3 +568,127 @@ def test_estimate_samples_rays_once(heat_symbol, monkeypatch):
     rep = estimate_d(heat_symbol)
     assert rep.d_snapped == (2, 1) and rep.fitted_c is not None
     assert len(built) == 1
+
+
+def _sweep_by_reevaluation(q):
+    """The sweep that evaluated every derivative, and Q for the denominator, again on each pass."""
+
+    def sweep(table, derivatives, d=math.inf):
+        log_r = np.log(table.radii)
+        log_denom = np.logaddexp(0.0, analysis._log_abs_on_rays(q, table.dirs, table.radii))
+        for beta, _ in derivatives:
+            log_abs = analysis._log_abs_on_rays(q.derive(beta), table.dirs, table.radii)
+            logs = sum(beta) / d * log_r + log_abs - log_denom
+            yield beta, logs, analysis._exp(logs.max(axis=1)), analysis._tail_slopes(table.radii, logs)
+
+    return sweep
+
+
+def _reports(q, cfg):
+    """estimate_d and check_hypoelliptic at d = 1 and 2, each as its JSON text, which tells -0.0 and NaN apart."""
+    reports = [estimate_d(q, cfg), check_hypoelliptic(q, 1.0, cfg), check_hypoelliptic(q, 2.0, cfg)]
+    return [json.dumps(rep.to_dict()) for rep in reports]
+
+
+def _table_cases():
+    for seed in range(16):
+        rng = np.random.default_rng(100 + seed)
+        n = 1 + seed % 3
+        q = random_symbol(rng, n, int(rng.integers(1, 7)))
+        if q.order == 0:
+            q = q + SymbolPolynomial.variable(n, 0)
+        yield pytest.param(q, RayConfig(directions=64 if n > 1 else 2), None, id=f"random-{seed}")
+    spike = SymbolPolynomial(1, {(0,): 1.0, (40,): 1.0})
+    yield pytest.param(spike, RayConfig(directions=2), "hypoelliptic-consistent", id="spike-1d")
+    # a damped wave: the principal part has real characteristics
+    wave = SymbolPolynomial(2, {(2, 0): 1.779, (0, 2): -0.826, (1, 0): -0.0037j})
+    yield pytest.param(wave, RayConfig(directions=256), "violated", id="damped-wave")
+    # (xi - 2^30)^2: the real root inside the tail window leaves the estimate inconclusive
+    root = SymbolPolynomial(1, {(2,): 1.0, (1,): -(2.0**31), (0,): 2.0**60})
+    yield pytest.param(root, RayConfig(directions=2), "inconclusive", id="root-in-window")
+
+
+@pytest.mark.parametrize("q, cfg, estimate_verdict", list(_table_cases()))
+def test_stored_derivative_logs_give_the_reevaluating_reports(q, cfg, estimate_verdict, monkeypatch):
+    got = _reports(q, cfg)
+    monkeypatch.setattr(analysis, "_sweep", _sweep_by_reevaluation(q))
+    assert got == _reports(q, cfg)
+    assert estimate_verdict in (None, json.loads(got[0])["verdict"])
+
+
+@pytest.mark.parametrize("caller", ["estimate_d", "check_hypoelliptic", "analyze --d"])
+def test_each_nonzero_derivative_is_evaluated_once(caller, heat_symbol, monkeypatch, tmp_path):
+    evaluated, built = [], []
+    evaluate, directions = analysis._log_abs_on_rays, analysis.unit_directions
+    monkeypatch.setattr(analysis, "_log_abs_on_rays", lambda p, *a: evaluated.append(p) or evaluate(p, *a))
+    monkeypatch.setattr(analysis, "unit_directions", lambda *a: built.append(a) or directions(*a))
+    if caller == "estimate_d":
+        estimate_d(heat_symbol)
+    elif caller == "check_hypoelliptic":
+        check_hypoelliptic(heat_symbol, 2.0)
+    else:
+        path = tmp_path / "heat.json"
+        path.write_text(json.dumps(heat_symbol.to_dict()))
+        assert cli.main(["analyze", "--symbol", str(path), "--d", "2", "--out", str(tmp_path / "r.json")]) == 0
+    assert evaluated == [dq for _, dq in heat_symbol.nonzero_derivatives]
+    assert len(built) == 1
+
+
+def _refinement_by_reevaluation(q, dirs):
+    """The characteristic search that evaluated pm(pts) again at the top of every step."""
+    pm = q.principal_part()
+    if pm.is_zero or q.order == 0:
+        return np.zeros((0, q.dimension))
+    coeffs = np.array(list(pm.terms.values()), dtype=complex).view(float)
+    scaled = np.ldexp(coeffs, -math.frexp(np.abs(coeffs).max())[1]).view(complex)
+    pm = SymbolPolynomial(q.dimension, dict(zip(pm.terms, scaled)))
+    vals = np.abs(pm(dirs))
+    vmax = float(vals.max())
+    if vmax == 0.0:
+        return np.zeros((0, q.dimension))
+    order = np.argsort(vals, kind="stable")
+    starts = dirs[order[: min(32, len(dirs))]]
+    grads = [pm.derive(tuple(1 if j == k else 0 for j in range(q.dimension))) for k in range(q.dimension)]
+
+    pts = starts.copy()
+    f = np.abs(pm(pts)) ** 2
+    step = np.full(len(pts), 0.1)
+    for _ in range(40):
+        p_vals = pm(pts)
+        grad = np.stack([2 * np.real(np.conj(p_vals) * g(pts)) for g in grads], axis=1)
+        gn = np.linalg.norm(grad, axis=1)
+        gn[gn == 0] = 1.0
+        cand = pts - step[:, None] * grad / gn[:, None]
+        cn = np.linalg.norm(cand, axis=1)
+        cn[cn == 0] = 1.0
+        cand = cand / cn[:, None]
+        f_cand = np.abs(pm(cand)) ** 2
+        better = f_cand < f
+        pts[better] = cand[better]
+        f[better] = f_cand[better]
+        step = np.where(better, step, step * 0.5)
+
+    keep = f < (1e-6 * vmax) ** 2
+    pts = pts[keep]
+    pts[np.abs(pts) < 1e-10] = 0.0
+    norms = np.linalg.norm(pts, axis=1)
+    return pts[norms > 0] / norms[norms > 0, None]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_refinement_reuses_the_accepted_values_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    n, m = 2 + seed % 2, int(rng.integers(2, 7))
+    if seed % 4 < 3:
+        # real coefficients and +-xi_j^m terms give the principal part real zeros to descend to
+        alphas = list(multi_indices_up_to(n, m))
+        terms = {alphas[i]: float(rng.standard_normal()) for i in rng.choice(len(alphas), 6, replace=False)}
+        terms.update({(m,) + (0,) * (n - 1): 1.0, (0,) * (n - 1) + (m,): (-1.0) ** (m + 1)})
+        q = SymbolPolynomial(n, terms)
+    else:
+        q = random_symbol(rng, n, m)
+    dirs = unit_directions(n, 64)
+    got, want = analysis._characteristic_refinement(q, dirs), _refinement_by_reevaluation(q, dirs)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if seed % 4 < 3:
+        assert len(got)

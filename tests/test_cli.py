@@ -78,6 +78,22 @@ def test_analyze_with_check_at_d(tmp_path):
     assert read(out)["results"]["check_at_d"]["verdict"] == "hypoelliptic-consistent"
 
 
+@pytest.mark.parametrize(
+    "terms, named",
+    [
+        ([], "zero symbol"),
+        ([{"alpha": [0, 0], "re": 2.0, "im": 0.0}], "order >= 1"),
+        ([{"alpha": [2, 0], "re": 1.0, "im": 0.0}, {"alpha": [0, 1], "re": 0.0, "im": 1.0}], "d must be >= 1"),
+    ],
+    ids=["zero", "order-0", "heat"],
+)
+def test_analyze_rejects_the_symbol_before_the_exponent(tmp_path, capsys, terms, named):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"dimension": 2, "terms": terms}))
+    assert run(["analyze", "--symbol", str(path), "--d", "1/2", "--out", str(tmp_path / "r.json")]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_analyze_malformed_input_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ truncated")
@@ -274,9 +290,21 @@ def run_p1_with_fixture(tmp_path, fixture) -> int:
         ("prop31", {"deltas": [0.05, 0.0]}, [], ["shrink distance", "0.0"]),
         ("domination", {"lmax": 1e300}, [], ["'lmax'", "integer"]),
         ("th1", {"d": float("inf")}, [], ["'d'"]),
+        ("prop31", {"deltas": "12"}, [], ["'deltas'", "list of numbers"]),
+        ("domination", {"x0": "00"}, [], ["'x0'", "list of numbers"]),
+        ("domination", {"x0": [True, False]}, [], ["'x0'", "list of numbers"]),
+        ("domination", {"lmax": 10**30}, [], ["'lmax'", "limit 100"]),
+        ("th1", {"lmax": 101}, [], ["'lmax'", "limit 100"]),
+        ("th1", {"amax": 10**30}, [], ["'amax'", "limit 100"]),
+        ("prop31", {"kmax": 10**30}, [], ["'kmax'", "limit 100"]),
+        ("p1", {"seed": 2**63}, [], ["'seed'", f"limit {2**63 - 1}"]),
+        ("p1", {"resolution": 2**100}, [], ["'resolution'", "limit 4096"]),
+        ("th1", {}, ["--lmax", str(10**30)], ["--lmax", "limit 100"]),
     ],
     ids=["sequence-without-s", "deltas-int", "t-null", "x0-null", "amax-str", "unknown-key", "unread-key",
-         "kmax-th1", "lmax-p1", "lmax-prop31", "deltas-zero", "lmax-float", "d-inf"],
+         "kmax-th1", "lmax-p1", "lmax-prop31", "deltas-zero", "lmax-float", "d-inf", "deltas-str", "x0-str",
+         "x0-bools", "lmax-huge", "lmax-past-limit", "amax-huge", "kmax-huge", "seed-huge", "resolution-huge",
+         "lmax-flag-huge"],
 )
 def test_verify_malformed_config_exits_2_naming_the_key(tmp_path, capsys, check, edit, flags, named):
     doc = read(fixture_path(f"verify_{check}.json"))
@@ -513,7 +541,9 @@ VERIFY_CONFIGS = {
 #: numbers for one key of a verify config, or for the entries of a list under it;
 #: integers stay small so a run stays short
 NUMBERS = [-1, 0, 1, 2, 3, 0.0, -0.05, 1e-9, 0.05, 0.3, 1e300, float("nan"), float("inf")]
+#: besides these, huge integers, past every integer key's limit, and digit strings, which no list key takes
 CONFIG_VALUES = NUMBERS + [
+    10**30, -(10**30), 2**63, "12", "00",
     "x", "1/2", "0/1", "1/0", "-1", None, True, [], ["x"],
     {}, {"lo": [-0.3, -0.3], "hi": [0.3, 0.3]}, {"lo": [0.3, 0.3], "hi": [-0.3, -0.3]},
     {"family": "gaussian_bump", "width": 0.1}, {"kind": "gevrey", "s": 0.5}, {"kind": "table", "path": "none.txt"},
