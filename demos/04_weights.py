@@ -42,8 +42,9 @@ print(f"\nstrength of the Laplacian: C = {fit.c}, N = {fit.n_exp}")
 rep = verify_ball_sup_sandwich(sw, delta=1.0, j=2, fit=fit)
 print(f"sandwich verdict: {'pass' if rep.passed else 'fail'}")
 
-# Powers delegate their maximizer search to the base weight, so the
-# shared-sample identity (h^j)_delta = (h_delta)^j is exact arithmetic.
+# h^j has the maximizers of h, so searching either finds the same points up to
+# rounding; verify_ball_sup_sandwich above searches once and evaluates h and
+# h^j on those points, which makes (h^j)_delta = (h_delta)^j exact arithmetic.
 pw = PowerWeight(sw, 3)
 pts = np.array([[0.0, 0.0], [2.0, -1.0]])
 lhs = h_delta(pw, 0.7, pts)

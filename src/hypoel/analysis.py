@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import HypoelError
-from .fitting import least_squares_slope
+from .fitting import ascend, least_squares_slope
 from .symbols import MultiIndex, SymbolPolynomial, VariableOperator
 
 #: per-ray tail slopes above this count as divergence
@@ -25,8 +25,8 @@ SLOPE_TOL = 0.05
 #: total tail increase of a log-ratio below this certifies boundedness on the ray
 BOUNDED_GROWTH_TOL = 0.1
 
-#: exponent boosts used when testing that a non-decaying ratio really diverges
-EPS_TEST_LIST = (0.1, 0.2, 0.5)
+#: exponent boost used when testing that a non-decaying ratio really diverges
+EPS_BOOST = 0.1
 
 #: fraction of ambiguous rays above which a verdict becomes "inconclusive"
 AMBIGUOUS_RAY_FRACTION = 0.05
@@ -101,7 +101,7 @@ def unit_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
 
 
 def _characteristic_refinement(q: SymbolPolynomial, dirs: np.ndarray) -> np.ndarray:
-    """Extra directions found by descending |principal part|^2 on the sphere."""
+    """Extra directions found by descending |principal part|^2 on the sphere, as an ascent of -|P_m|^2."""
     pm = q.principal_part()
     if pm.is_zero or q.order == 0:
         return np.zeros((0, q.dimension))
@@ -117,27 +117,20 @@ def _characteristic_refinement(q: SymbolPolynomial, dirs: np.ndarray) -> np.ndar
     starts = dirs[order[: min(32, len(dirs))]]
     grads = [pm.derive(tuple(1 if j == k else 0 for j in range(q.dimension))) for k in range(q.dimension)]
 
-    pts = starts.copy()
-    p_vals = pm(pts)
-    f = np.abs(p_vals) ** 2
-    step = np.full(len(pts), 0.1)
-    for _ in range(40):
-        grad = np.stack([2 * np.real(np.conj(p_vals) * g(pts)) for g in grads], axis=1)
-        gn = np.linalg.norm(grad, axis=1)
-        gn[gn == 0] = 1.0
-        cand = pts - step[:, None] * grad / gn[:, None]
+    def score(pts):
+        p_vals = pm(pts)
+        return -(np.abs(p_vals) ** 2), p_vals
+
+    def descent(pts, p_vals):
+        return np.stack([-2 * np.real(np.conj(p_vals) * g(pts)) for g in grads], axis=1)
+
+    def to_sphere(cand):
         cn = np.linalg.norm(cand, axis=1)
         cn[cn == 0] = 1.0
-        cand = cand / cn[:, None]
-        p_cand = pm(cand)
-        f_cand = np.abs(p_cand) ** 2
-        better = f_cand < f
-        pts[better] = cand[better]
-        p_vals[better] = p_cand[better]
-        f[better] = f_cand[better]
-        step = np.where(better, step, step * 0.5)
+        return cand / cn[:, None]
 
-    keep = f < (1e-6 * vmax) ** 2
+    pts, neg_f = ascend(score, descent, to_sphere, starts, 0.1, 40)
+    keep = -neg_f < (1e-6 * vmax) ** 2
     pts = pts[keep]
     # snap components that converged to machine-level zeros
     pts[np.abs(pts) < 1e-10] = 0.0
@@ -421,10 +414,10 @@ def estimate_d(q: SymbolPolynomial, cfg: RayConfig | None = None) -> HypoReport:
 
     For each beta the ratio |Q^(beta)|/(1 + |Q|) decays along rays at rate
     -|beta|/d when the inequality is tight, so d is the max over (beta, ray)
-    of -|beta|/slope on decaying rays.  Non-decaying rays whose boosted ratio
-    |xi|^eps * ratio diverges for every tested eps mean no d works.  The
-    check at the estimate runs on the same rays; a violation there is the
-    verdict, with its witness.
+    of -|beta|/slope on decaying rays.  Non-decaying rays whose ratio,
+    boosted by |xi|^EPS_BOOST, has a tail slope above SLOPE_TOL mean no d
+    works.  The check at the estimate runs on the same rays; a violation
+    there is the verdict, with its witness.
     """
     return _estimate(q, cfg or RayConfig())[0]
 
@@ -452,9 +445,7 @@ def _estimate(q: SymbolPolynomial, cfg: RayConfig) -> tuple[HypoReport, _RayTabl
         if fitted.any():
             d_best = max(d_best, float(np.max(-sum(beta) / slopes[fitted])))
             candidates += int(np.count_nonzero(fitted))
-        diverging = active & ~decaying
-        for eps in EPS_TEST_LIST:
-            diverging &= slopes + eps > SLOPE_TOL
+        diverging = active & ~decaying & (slopes + EPS_BOOST > SLOPE_TOL)
         violation, _ = _steepest(violation, table, beta, logs, peaks, slopes, diverging)
 
     config = table.cfg.to_dict()

@@ -86,6 +86,14 @@ def _ray_config(args, seed: int) -> RayConfig:
 # -- analyze ---------------------------------------------------------------------
 
 
+def _exponent_flag(text: str) -> float:
+    """The --d flag, a fraction such as 3/2 or a decimal, as a finite float."""
+    try:
+        return float(Fraction(text))
+    except (ValueError, ArithmeticError) as exc:
+        raise ParseError(f"--d {text!r} is not a finite exponent: {exc}") from None
+
+
 def run_analyze(args) -> int:
     q = load_symbol(args.symbol)
     if not isinstance(q, SymbolPolynomial):
@@ -95,7 +103,7 @@ def run_analyze(args) -> int:
     results = {"estimate": est.to_dict()}
     if args.d is not None:
         # check_hypoelliptic(q, d, cfg), on the rays the estimate has already evaluated
-        results["check_at_d"] = _check_rays(table, float(Fraction(args.d))).to_dict()
+        results["check_at_d"] = _check_rays(table, _exponent_flag(args.d)).to_dict()
     witnesses = [est.witness.to_dict()] if est.witness else []
     config = {
         "symbol": q.to_dict(),
@@ -232,11 +240,29 @@ def _config_integer(doc: dict, args, key: str, default: int) -> int:
     return value
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value) -> float:
+    """A JSON number: a string such as "12" or a boolean is rejected, not converted."""
+    if not _is_number(value):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _numbers(value) -> list[float]:
     """A JSON list of numbers: a string is rejected, not read character by character."""
-    if not isinstance(value, list) or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+    if not isinstance(value, list) or not all(map(_is_number, value)):
         raise TypeError(f"expected a list of numbers, got {value!r}")
     return [float(v) for v in value]
+
+
+def _boolean(value) -> bool:
+    """A JSON boolean: a string such as "false" is rejected, not read as true."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
 
 
 def _config_symbol(doc: dict, key: str, base: Path, cls=SymbolPolynomial):
@@ -251,6 +277,8 @@ def _sequence(desc, base: Path) -> RoumieuSequence:
     if not isinstance(desc, dict):
         raise ParseError("config needs a 'sequence' object")
     if desc.get("kind") == "gevrey":
+        if not _is_number(desc["s"]):
+            raise TypeError(f"'s' must be a number, got {desc['s']!r}")
         return gevrey(float(desc["s"]))
     if desc.get("kind") == "table":
         return load_table(base / desc["path"])
@@ -314,7 +342,7 @@ def run_verify(args) -> int:
         lmax = _config_integer(doc, args, "lmax", 3)
         effective["lmax"] = lmax
         x0 = _config_value(doc, "x0", _numbers, list(op.domain.center))
-        delta = _config_value(doc, "delta", float, 0.0)
+        delta = _config_value(doc, "delta", _number, 0.0)
         rep = verify_domination(op, x0, fixtures[0], lmax, omega, delta, ray_cfg)
         for case in rep.cases:
             l = case.params["l"]
@@ -323,15 +351,15 @@ def run_verify(args) -> int:
     elif check == "p1":
         r = _config_symbol(doc, "r_symbol", base)
         rep = verify_dominated_transfer(
-            q, r, d, fixtures, omega, _config_value(doc, "t", float, 0.25), ray_cfg,
-            enforce_diameter=_config_value(doc, "enforce_diameter", bool, True),
+            q, r, d, fixtures, omega, _config_value(doc, "t", _number, 0.25), ray_cfg,
+            enforce_diameter=_config_value(doc, "enforce_diameter", _boolean, True),
         )
     elif check == "prop31":
         kmax = _config_integer(doc, args, "kmax", 3)
         effective["kmax"] = kmax
         rep = verify_iterate_bound(
             q, d, fixtures, omega, kmax, _config_value(doc, "deltas", _numbers, [0.1]),
-            enforce_diameter=_config_value(doc, "enforce_diameter", bool, True), ray_cfg=ray_cfg,
+            enforce_diameter=_config_value(doc, "enforce_diameter", _boolean, True), ray_cfg=ray_cfg,
         )  # per-case rows would be enormous; keep the report, no sweeps
     else:  # th1
         seq = _config_value(doc, "sequence", lambda v: _sequence(v, base))
@@ -339,7 +367,7 @@ def run_verify(args) -> int:
         amax = _config_integer(doc, args, "amax", 12)
         effective.update({"lmax": lmax, "amax": amax})
         rep = verify_growth_chain(
-            fixtures[0], q, seq, d, omega, _config_value(doc, "delta", float, 0.05), lmax, amax,
+            fixtures[0], q, seq, d, omega, _config_value(doc, "delta", _number, 0.05), lmax, amax,
             ray_cfg=ray_cfg,
         )
         csv_rows = _sweep_rows("iterates", rep.vector_fit) + _sweep_rows("derivatives", rep.space_fit)

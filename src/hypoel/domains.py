@@ -41,15 +41,12 @@ class BoxDomain:
     def diameter(self) -> float:
         return math.sqrt(sum(s * s for s in self.sides))
 
-    def contains(self, x, closed: bool = False) -> bool:
+    def contains(self, x) -> bool:
+        """Whether the point x lies in the closed box, the closure of this one."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
             return False
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        if closed:
-            return bool(np.all(x >= lo) and np.all(x <= hi))
-        return bool(np.all(x > lo) and np.all(x < hi))
+        return bool(np.all(x >= np.asarray(self.lo)) and np.all(x <= np.asarray(self.hi)))
 
     def scaled(self, factor: float) -> "BoxDomain":
         """Box with the same center and sides multiplied by `factor`."""

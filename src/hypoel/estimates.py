@@ -177,6 +177,12 @@ def _check_diameter(omega: BoxDomain, enforce: bool) -> None:
         )
 
 
+def _check_nodes_left(u: GridFunction, region: BoxDomain, delta: float) -> None:
+    """Raise unless the region shrunk by delta holds a node of u's grid: an empty box compares nothing."""
+    if any(s.start >= s.stop for s in _box_slices(u.spec, region, delta)):
+        raise PreconditionError("empty-region", f"shrinking the region by the distance {delta} leaves no grid node")
+
+
 def check_symbol_domination(
     r: SymbolPolynomial, q: SymbolPolynomial, cfg: RayConfig | None = None
 ) -> dict:
@@ -272,7 +278,6 @@ def verify_iterate_bound(
     kmax: int,
     deltas: Sequence[float],
     enforce_diameter: bool = True,
-    check_exponent: bool = True,
     ray_cfg: RayConfig | None = None,
 ) -> EstimateReport:
     """Derivative bound through operator iterates, in both exponent variants.
@@ -292,8 +297,10 @@ def verify_iterate_bound(
     _check_diameter(omega, enforce_diameter)
     m = q.order
     fixtures = _as_fixture_list(fixtures)
-    if check_exponent:
-        _consistent_exponent(q, d, ray_cfg)
+    for u in fixtures:
+        for dl in deltas:
+            _check_nodes_left(u, omega, dl)
+    _consistent_exponent(q, d, ray_cfg)
     res = fixtures[0].spec.resolution if fixtures else 0
     if fixtures and kmax * m * d.nu > res // 2:
         raise PreconditionError(
@@ -479,16 +486,15 @@ def verify_growth_chain(
     delta: float,
     lmax: int,
     amax: int,
-    check_exponent: bool = True,
     ray_cfg: RayConfig | None = None,
 ) -> GrowthChainReport:
     """Iterate growth against M implies derivative growth against M^d.
 
     Preconditions, checked for p <= 60: the sequence satisfies the basic
     conditions and dominates the d-th factorial power ((p!)^d included in
-    M_p); and the symbol's estimated exponent is consistent with d.  Both
-    growth fits must come back finite with nonpositive residual tail slopes
-    for a pass verdict.
+    M_p); the region shrunk by delta holds a grid node; and the symbol's
+    estimated exponent is consistent with d.  Both growth fits must come
+    back finite with nonpositive residual tail slopes for a pass verdict.
     """
     basics = check_basic(m_seq, 60)
     if not basics.all_passed:
@@ -506,8 +512,8 @@ def verify_growth_chain(
         "sequence_conditions": basics.to_dict(),
         "factorial_inclusion": inclusion.to_dict(),
     }
-    if check_exponent:
-        preconditions["exponent_estimate"] = _consistent_exponent(q, d, ray_cfg)
+    _check_nodes_left(u, region, delta)
+    preconditions["exponent_estimate"] = _consistent_exponent(q, d, ray_cfg)
 
     vector = fit_roumieu_vector(u, q, m_seq, region, delta, lmax)
     space = fit_roumieu_space(u, m_seq, d.value, region, delta, amax)
@@ -543,6 +549,7 @@ def verify_domination(
     """
     if lmax < 0:
         raise ValueError("lmax must be >= 0")
+    _check_nodes_left(u, region, delta)
     strength = check_constant_strength(p, ray_cfg)
     if strength.verdict != "constant-strength":
         raise PreconditionError(

@@ -1,4 +1,4 @@
-"""The least-squares slope behind every tail-slope verdict in the package."""
+"""The least-squares slope behind every tail-slope verdict, and the local search behind every maximizer."""
 
 from __future__ import annotations
 
@@ -20,3 +20,28 @@ def least_squares_slope(x, y) -> float | np.ndarray:
     yc = y - y.mean(axis=-1, keepdims=True)
     slope = (yc[..., None, :] @ xm[:, None])[..., 0, 0] / denom if denom else np.zeros(y.shape[:-1])
     return float(slope) if slope.ndim == 0 else slope
+
+
+def ascend(score, gradient, project, start: np.ndarray, step: float, steps: int):
+    """Step-halving ascent from each start point: the points reached and their scores.
+
+    A point steps along its normalized gradient and is projected back; it keeps
+    the move only when its score rises, else halves its step.  `score` also gives
+    the values `gradient` needs, kept for accepted moves rather than recomputed.
+    """
+    pts = np.array(start, dtype=float)
+    scores, values = score(pts)
+    step = np.full(len(pts), step)
+    for _ in range(steps):
+        grad = gradient(pts, values)
+        gn = np.linalg.norm(grad, axis=1, keepdims=True)
+        gn[gn == 0] = 1.0
+        cand = project(pts + step[:, None] * grad / gn)
+        cand_scores, cand_values = score(cand)
+        better = cand_scores > scores
+        pts[better] = cand[better]
+        scores[better] = cand_scores[better]
+        if values is not None:
+            values[better] = cand_values[better]
+        step = np.where(better, step, step * 0.5)
+    return pts, scores

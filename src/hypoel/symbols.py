@@ -313,7 +313,7 @@ class VariableOperator:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
             raise DimensionMismatch(f"point has shape {x.shape}, expected ({self.dimension},)")
-        if not self.domain.contains(x, closed=True):
+        if not self.domain.contains(x):
             raise DomainError(f"freeze point {tuple(x)} lies outside the closure of {self.domain}")
         return SymbolPolynomial(self.dimension, {a: coeff(x) for a, coeff in self.terms.items()})
 

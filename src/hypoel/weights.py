@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, HypoelError, PreconditionError
+from .fitting import ascend
 from .symbols import SymbolPolynomial
 
 #: C candidates for the temperate fit
@@ -35,14 +36,6 @@ class WeightFunction:
     def gradient(self, xi) -> np.ndarray | None:
         """Gradient for local ascent, or None when not available."""
         return None
-
-    def ascent_score(self, xi) -> np.ndarray:
-        """Monotone surrogate driving ball-sup maximizer searches.
-
-        Powers delegate to their base so that the maximizer search of h^j
-        makes bit-identical decisions to that of h on shared samples.
-        """
-        return self(xi)
 
 
 class ConstantWeight(WeightFunction):
@@ -120,9 +113,6 @@ class PowerWeight(WeightFunction):
         # ascent directions of h^j and h coincide
         return self.base.gradient(xi)
 
-    def ascent_score(self, xi):
-        return self.base.ascent_score(xi)
-
 
 # -- temperate fit --------------------------------------------------------------
 
@@ -195,12 +185,17 @@ class TemperateFit:
         }
 
 
-def temperate_residual(h: WeightFunction, c: float, n_exp: float, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """log h(xi+eta) - N log(1 + C|eta|) - log h(xi) on the given pairs."""
+def _residuals(h: WeightFunction, xi: np.ndarray, eta: np.ndarray):
+    """(C, N) -> the temperate residuals on the given pairs, with h evaluated on them once."""
     log_h_shift = np.log(h(xi + eta))
     log_h = np.log(h(xi))
     eta_norm = np.linalg.norm(eta, axis=-1)
-    return log_h_shift - n_exp * np.log1p(c * eta_norm) - log_h
+    return lambda c, n_exp: log_h_shift - n_exp * np.log1p(c * eta_norm) - log_h
+
+
+def temperate_residual(h: WeightFunction, c: float, n_exp: float, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """log h(xi+eta) - N log(1 + C|eta|) - log h(xi) on the given pairs."""
+    return _residuals(h, xi, eta)(c, n_exp)
 
 
 def fit_temperate(h: WeightFunction, cfg: PairSampleConfig | None = None) -> TemperateFit:
@@ -213,10 +208,11 @@ def fit_temperate(h: WeightFunction, cfg: PairSampleConfig | None = None) -> Tem
     cfg = cfg or PairSampleConfig()
     xi, eta = sample_pairs(h.dimension, cfg)
     n_grid = np.arange(0.0, 2.0 * h.degree + 0.25, 0.5) if h.degree > 0 else np.array([0.0])
+    residuals = _residuals(h, xi, eta)
     worst = None
     for n_exp in n_grid:
         for c in C_GRID:
-            res = temperate_residual(h, c, float(n_exp), xi, eta)
+            res = residuals(c, float(n_exp))
             peak = float(res.max())
             if worst is None or peak < worst[0]:
                 i = int(res.argmax())
@@ -250,46 +246,38 @@ def _unit_ball_template(n: int) -> np.ndarray:
     return np.concatenate([np.array(pts), cloud, -cloud])
 
 
-def h_delta(h: WeightFunction, delta: float, xi) -> float | np.ndarray:
-    """Approximate sup of h over the closed ball of radius delta around xi.
+def _ball_maximizers(h: WeightFunction, delta: float, pts: np.ndarray) -> np.ndarray:
+    """Where h is largest in the closed ball of radius delta around each of pts, as far as the search finds.
 
-    Fixed quasi-uniform ball samples, refined by 32 steps of deterministic
-    local ascent when the weight exposes a gradient.  Always >= h(xi) since
-    the center is one of the samples.
+    The best of fixed quasi-uniform ball samples, the center among them,
+    refined by 32 steps of local ascent when the weight exposes a gradient.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
-    xi = np.asarray(xi, dtype=float)
-    scalar = xi.ndim == 1
-    pts = np.atleast_2d(xi)
     if pts.shape[-1] != h.dimension:
         raise DimensionMismatch(f"points have dimension {pts.shape[-1]}, expected {h.dimension}")
     offsets = _unit_ball_template(h.dimension) * delta
-    scores = h.ascent_score(pts[:, None, :] + offsets[None, :, :])
-    best_idx = np.argmax(scores, axis=1)
-    best_pts = pts + offsets[best_idx]
-    best_score = scores[np.arange(len(pts)), best_idx]
+    best = pts + offsets[np.argmax(h(pts[:, None, :] + offsets[None, :, :]), axis=1)]
+    if h.gradient(pts[:1]) is None:
+        return best
 
-    if h.gradient(pts[:1]) is not None:
-        step = np.full(len(pts), 0.25 * delta)
-        for _ in range(32):
-            grad = h.gradient(best_pts)
-            gn = np.linalg.norm(grad, axis=1, keepdims=True)
-            gn = np.where(gn == 0, 1.0, gn)
-            cand = best_pts + step[:, None] * grad / gn
-            # project back into the closed ball around xi
-            rel = cand - pts
-            dist = np.linalg.norm(rel, axis=1, keepdims=True)
-            too_far = dist > delta
-            cand = np.where(too_far, pts + rel * (delta / np.maximum(dist, 1e-300)), cand)
-            s_cand = h.ascent_score(cand)
-            better = s_cand > best_score
-            best_pts = np.where(better[:, None], cand, best_pts)
-            best_score = np.where(better, s_cand, best_score)
-            step = np.where(better, step, step * 0.5)
+    def to_ball(cand):
+        rel = cand - pts
+        dist = np.linalg.norm(rel, axis=1, keepdims=True)
+        return np.where(dist > delta, pts + rel * (delta / np.maximum(dist, 1e-300)), cand)
 
-    best = h(best_pts)
-    if scalar:
+    return ascend(lambda x: (h(x), None), lambda x, _: h.gradient(x), to_ball, best, 0.25 * delta, 32)[0]
+
+
+def h_delta(h: WeightFunction, delta: float, xi) -> float | np.ndarray:
+    """Approximate sup of h over the closed ball of radius delta around xi.
+
+    h at the best of fixed quasi-uniform ball samples, refined by local
+    ascent; always >= h(xi) since the center is one of the samples.
+    """
+    xi = np.asarray(xi, dtype=float)
+    best = h(_ball_maximizers(h, delta, np.atleast_2d(xi)))
+    if xi.ndim == 1:
         return float(best[0])
     return best
 
@@ -325,10 +313,10 @@ def verify_ball_sup_sandwich(
     """Check h <= h_delta <= h (1 + C delta)^N and the shared-sample power identity.
 
     Both are checked to a relative 1e-6 on fixed points: structured ones of
-    radius up to 20 and 64 seeded gaussian ones.  The power identity
-    (h^j)_delta = (h_delta)^j is evaluated on the same ball sample set on
-    both sides, so it is an arithmetic identity rather than an approximation
-    claim.
+    radius up to 20 and 64 seeded gaussian ones.  One search finds the
+    maximizers of h, which are those of h^j too; h and h^j are evaluated on
+    them, so the power identity (h^j)_delta = (h_delta)^j is an arithmetic
+    identity rather than an approximation claim.
     """
     if j < 1:
         raise ValueError("power j must be >= 1")
@@ -339,13 +327,13 @@ def verify_ball_sup_sandwich(
     xi_points = np.concatenate([_structured_points(h.dimension, 20.0), rand])
 
     h_vals = h(xi_points)
-    sup_vals = h_delta(h, delta, xi_points)
+    maximizers = _ball_maximizers(h, delta, xi_points)
+    sup_vals = h(maximizers)
     upper = h_vals * (1.0 + fit.c * delta) ** fit.n_exp
     lower_margin = float(((sup_vals - h_vals) / h_vals).min())
     upper_margin = float(((upper - sup_vals) / upper).min())
 
-    powered = PowerWeight(h, j)
-    sup_powered = h_delta(powered, delta, xi_points)
+    sup_powered = PowerWeight(h, j)(maximizers)
     residual = float(np.max(np.abs(sup_powered - sup_vals**j) / np.abs(sup_vals**j)))
 
     passed = lower_margin >= -1e-6 and upper_margin >= -1e-6 and residual <= 1e-6

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypoel import (
     BoxDomain,
@@ -17,7 +19,7 @@ from hypoel import (
     snap_rational,
 )
 from hypoel import analysis, cli
-from hypoel.analysis import SLOPE_TOL, freeze_sample_points, unit_directions
+from hypoel.analysis import EPS_BOOST, SLOPE_TOL, freeze_sample_points, unit_directions
 from hypoel.estimates import check_symbol_domination
 from hypoel.fitting import least_squares_slope
 from hypoel.symbols import multi_indices_up_to
@@ -692,3 +694,18 @@ def test_refinement_reuses_the_accepted_values_bit_for_bit(seed):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     if seed % 4 < 3:
         assert len(got)
+
+
+#: slopes at which a boost of 0.1, 0.2 or 0.5 brings the boosted slope to SLOPE_TOL, and their neighbours
+BOOST_EDGES = [v for edge in (-0.05, -0.15, -0.45) for v in (edge, np.nextafter(edge, 0), np.nextafter(edge, -1))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.floats(-0.06, -0.04), st.sampled_from(BOOST_EDGES)), min_size=1, max_size=40))
+def test_one_boost_decides_like_the_three_it_replaced(values):
+    # fl(s + a) is monotone in a, so the smallest boost decides; NaN fails every test
+    slopes = np.array(values)
+    old = np.ones(len(slopes), dtype=bool)
+    for eps in (0.1, 0.2, 0.5):
+        old &= slopes + eps > SLOPE_TOL
+    assert np.array_equal(slopes + EPS_BOOST > SLOPE_TOL, old)

@@ -94,6 +94,14 @@ def test_analyze_rejects_the_symbol_before_the_exponent(tmp_path, capsys, terms,
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d", ["1/0", "1e400", "inf", "two"])
+def test_analyze_rejects_an_exponent_that_is_not_a_finite_number(tmp_path, capsys, d):
+    out = tmp_path / "r.json"
+    assert run(["analyze", "--symbol", fixture_path("heat.json"), "--d", d, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"--d {d!r}" in capsys.readouterr().err
+
+
 def test_analyze_malformed_input_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ truncated")
@@ -300,11 +308,25 @@ def run_p1_with_fixture(tmp_path, fixture) -> int:
         ("p1", {"seed": 2**63}, [], ["'seed'", f"limit {2**63 - 1}"]),
         ("p1", {"resolution": 2**100}, [], ["'resolution'", "limit 4096"]),
         ("th1", {}, ["--lmax", str(10**30)], ["--lmax", "limit 100"]),
+        ("domination", {"delta": "12"}, [], ["'delta'", "expected a number"]),
+        ("th1", {"delta": "0.05"}, [], ["'delta'", "expected a number"]),
+        ("th1", {"delta": True}, [], ["'delta'", "expected a number"]),
+        ("p1", {"t": "12"}, [], ["'t'", "expected a number"]),
+        ("th1", {"sequence": {"kind": "gevrey", "s": True}}, [], ["'sequence'", "'s'", "number"]),
+        ("th1", {"sequence": {"kind": "gevrey", "s": "2"}}, [], ["'sequence'", "'s'", "number"]),
+        ("p1", {"enforce_diameter": "false"}, [], ["'enforce_diameter'", "true or false"]),
+        ("prop31", {"enforce_diameter": "no"}, [], ["'enforce_diameter'", "true or false"]),
+        ("prop31", {"enforce_diameter": 0}, [], ["'enforce_diameter'", "true or false"]),
+        ("domination", {"delta": 5.0}, [], ["empty-region", "distance 5.0"]),
+        ("th1", {"delta": 5.0}, [], ["empty-region", "distance 5.0"]),
+        ("prop31", {"deltas": [0.05, 5.0]}, [], ["empty-region", "distance 5.0"]),
     ],
     ids=["sequence-without-s", "deltas-int", "t-null", "x0-null", "amax-str", "unknown-key", "unread-key",
          "kmax-th1", "lmax-p1", "lmax-prop31", "deltas-zero", "lmax-float", "d-inf", "deltas-str", "x0-str",
          "x0-bools", "lmax-huge", "lmax-past-limit", "amax-huge", "kmax-huge", "seed-huge", "resolution-huge",
-         "lmax-flag-huge"],
+         "lmax-flag-huge", "delta-str", "delta-str-th1", "delta-bool", "t-str", "s-bool", "s-str",
+         "enforce-diameter-str", "enforce-diameter-no", "enforce-diameter-int", "delta-empties-domination",
+         "delta-empties-th1", "deltas-empty-prop31"],
 )
 def test_verify_malformed_config_exits_2_naming_the_key(tmp_path, capsys, check, edit, flags, named):
     doc = read(fixture_path(f"verify_{check}.json"))
@@ -541,13 +563,24 @@ VERIFY_CONFIGS = {
 #: numbers for one key of a verify config, or for the entries of a list under it;
 #: integers stay small so a run stays short
 NUMBERS = [-1, 0, 1, 2, 3, 0.0, -0.05, 1e-9, 0.05, 0.3, 1e300, float("nan"), float("inf")]
-#: besides these, huge integers, past every integer key's limit, and digit strings, which no list key takes
+#: besides these, huge integers, past every integer key's limit, digit strings, which no list key takes,
+#: and strings and booleans under the keys that take one number or one boolean
 CONFIG_VALUES = NUMBERS + [
     10**30, -(10**30), 2**63, "12", "00",
-    "x", "1/2", "0/1", "1/0", "-1", None, True, [], ["x"],
+    "x", "1/2", "0/1", "1/0", "-1", None, True, False, "false", "no", [], ["x"],
     {}, {"lo": [-0.3, -0.3], "hi": [0.3, 0.3]}, {"lo": [0.3, 0.3], "hi": [-0.3, -0.3]},
     {"family": "gaussian_bump", "width": 0.1}, {"kind": "gevrey", "s": 0.5}, {"kind": "table", "path": "none.txt"},
+    {"kind": "gevrey", "s": "2"}, {"kind": "gevrey", "s": True},
 ]
+
+
+def _mistyped(key, value) -> bool:
+    """A scalar that must be a JSON number (delta, t, a Gevrey s) or boolean (enforce_diameter) but is not."""
+    if key == "sequence" and isinstance(value, dict) and value.get("kind") == "gevrey" and "s" in value:
+        key, value = "s", value["s"]
+    if key == "enforce_diameter":
+        return not isinstance(value, bool)
+    return key in ("delta", "t", "s") and (isinstance(value, bool) or not isinstance(value, (int, float)))
 
 
 @st.composite
@@ -557,7 +590,7 @@ def verify_configs(draw):
     doc = json.loads(json.dumps(VERIFY_CONFIGS[check]))
     doc["resolution"] = draw(st.sampled_from([16, 32]))
     for _ in range(draw(st.integers(0, 2))):
-        key = draw(st.sampled_from(sorted(doc) + ["fixtures", "unknown"]))
+        key = draw(st.sampled_from(sorted(doc) + ["fixtures", "unknown", "enforce_diameter"]))
         if draw(st.integers(0, 4)) == 0:
             doc.pop(key, None)
         else:
@@ -573,4 +606,5 @@ def test_verify_fuzzed_configs_exit_cleanly(config):
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(doc))
         argv = ["verify", "--check", check, "--config", str(path), "--out", str(Path(tmp) / "r.json")]
-        assert _quiet_main(argv) in (0, 1, 2)
+        code = _quiet_main(argv)
+        assert code == 2 if any(_mistyped(k, v) for k, v in doc.items()) else code in (0, 1, 2)

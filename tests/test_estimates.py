@@ -132,7 +132,7 @@ def test_iterate_bound_k0_reduces_to_restriction(heat_symbol, small_box):
     spec = GridSpec(small_box, 64)
     u = gaussian_bump(spec, 0.1)
     rep = verify_iterate_bound(
-        heat_symbol, RationalExponent(2, 1), u, small_box, 0, [0.05, 0.1], check_exponent=False
+        heat_symbol, RationalExponent(2, 1), u, small_box, 0, [0.05, 0.1]
     )
     assert rep.verdict == "pass"
     assert all(c.margin >= 0 for c in rep.cases)
@@ -142,8 +142,7 @@ def test_iterate_bound_k0_reduces_to_restriction(heat_symbol, small_box):
 def test_iterate_bound_zero_fixture(heat_symbol, small_box):
     spec = GridSpec(small_box, 64)
     rep = verify_iterate_bound(
-        heat_symbol, RationalExponent(2, 1), zero_function(spec), small_box, 2, [0.1],
-        check_exponent=False,
+        heat_symbol, RationalExponent(2, 1), zero_function(spec), small_box, 2, [0.1]
     )
     assert rep.verdict == "pass"
 
@@ -356,6 +355,22 @@ def test_domination_zero_fixture_vacuous(drift_operator):
     rep = verify_domination(drift_operator, (0.0, 0.0), zero_function(spec), 2, region)
     assert rep.verdict == "pass"
     assert rep.fitted_constant == 0.0
+
+
+def test_checks_reject_a_shrink_distance_that_empties_the_region(laplacian, heat_symbol, drift_operator, wide_box):
+    # a shrunk box without a grid node compares nothing, so it must not pass vacuously
+    spec = GridSpec(wide_box, 64)
+    u = gaussian_bump(spec, 0.1)
+    runs = [
+        lambda: verify_domination(drift_operator, (0.0, 0.0), u, 2, wide_box, delta=5.0),
+        lambda: verify_growth_chain(u, laplacian, gevrey(1), RationalExponent(1, 1), wide_box, 5.0, 3, 4),
+        lambda: verify_iterate_bound(heat_symbol, RationalExponent(2, 1), u, wide_box, 1, [0.05, 5.0],
+                                     enforce_diameter=False),
+    ]
+    for call in runs:
+        with pytest.raises(PreconditionError, match="distance 5.0") as err:
+            call()
+        assert err.value.name == "empty-region"
 
 
 def test_domination_drift_operator_stable(drift_operator):

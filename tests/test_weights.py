@@ -13,7 +13,8 @@ from hypoel import (
     h_delta,
     verify_ball_sup_sandwich,
 )
-from hypoel.weights import sample_pairs, temperate_residual
+from hypoel import weights
+from hypoel.weights import C_GRID, FIT_RESIDUAL_TOL, WeightFunction, _unit_ball_template, sample_pairs, temperate_residual
 
 
 @pytest.fixture
@@ -63,7 +64,104 @@ def test_power_weight_satisfies_scaled_constants(one_plus_norm):
         assert fit_temperate(powered).success
 
 
+class ExpNorm(WeightFunction):
+    """exp(|xi|), which no (C, N) makes temperate."""
+
+    def __init__(self, dimension: int):
+        self.dimension = dimension
+        self.degree = 1.0
+
+    def __call__(self, xi):
+        return np.exp(np.linalg.norm(np.asarray(xi, dtype=float), axis=-1))
+
+
+def _fit_by_reevaluation(h, cfg=None):
+    """fit_temperate as it was first written: h evaluated on the pairs again for every (N, C)."""
+    cfg = cfg or PairSampleConfig()
+    xi, eta = sample_pairs(h.dimension, cfg)
+    n_grid = np.arange(0.0, 2.0 * h.degree + 0.25, 0.5) if h.degree > 0 else np.array([0.0])
+    worst = None
+    for n_exp in n_grid:
+        for c in C_GRID:
+            log_h_shift = np.log(h(xi + eta))
+            log_h = np.log(h(xi))
+            res = log_h_shift - float(n_exp) * np.log1p(c * np.linalg.norm(eta, axis=-1)) - log_h
+            peak = float(res.max())
+            if worst is None or peak < worst[0]:
+                i = int(res.argmax())
+                worst = (peak, {"xi": xi[i].tolist(), "eta": eta[i].tolist(), "residual": peak})
+            if peak <= FIT_RESIDUAL_TOL:
+                return {"success": True, "C": float(c), "N": float(n_exp), "residual": peak,
+                        "worst_pair": None, "config": cfg.to_dict()}
+    return {"success": False, "C": None, "N": None, "residual": worst[0], "worst_pair": worst[1],
+            "config": cfg.to_dict()}
+
+
+def test_fit_matches_the_per_candidate_reevaluation_bit_for_bit(laplacian):
+    cases = [ConstantWeight(2, 2.0), OnePlusNorm(1), OnePlusNorm(3), StrengthWeight(laplacian),
+             PowerWeight(StrengthWeight(SymbolPolynomial(1, {(3,): 1.0, (1,): 2.0})), 2), ExpNorm(2)]
+    for h in cases:
+        for cfg in (PairSampleConfig(), PairSampleConfig(pairs=300, seed=5)):
+            got = fit_temperate(h, cfg).to_dict()
+            assert repr(got) == repr(_fit_by_reevaluation(h, cfg))
+    assert not fit_temperate(ExpNorm(2)).success
+
+
 # -- h_delta ------------------------------------------------------------------------
+
+
+def _h_delta_by_hand(h, delta, pts):
+    """h_delta's first loop: powers searched with their base's scores (then `ascent_score`)."""
+    score = h.base if isinstance(h, PowerWeight) else h
+    offsets = _unit_ball_template(h.dimension) * delta
+    scores = score(pts[:, None, :] + offsets[None, :, :])
+    best_idx = np.argmax(scores, axis=1)
+    best_pts = pts + offsets[best_idx]
+    best_score = scores[np.arange(len(pts)), best_idx]
+    if h.gradient(pts[:1]) is not None:
+        step = np.full(len(pts), 0.25 * delta)
+        for _ in range(32):
+            grad = h.gradient(best_pts)
+            gn = np.linalg.norm(grad, axis=1, keepdims=True)
+            gn = np.where(gn == 0, 1.0, gn)
+            cand = best_pts + step[:, None] * grad / gn
+            rel = cand - pts
+            dist = np.linalg.norm(rel, axis=1, keepdims=True)
+            cand = np.where(dist > delta, pts + rel * (delta / np.maximum(dist, 1e-300)), cand)
+            s_cand = score(cand)
+            better = s_cand > best_score
+            best_pts = np.where(better[:, None], cand, best_pts)
+            best_score = np.where(better, s_cand, best_score)
+            step = np.where(better, step, step * 0.5)
+    return h(best_pts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_h_delta_matches_its_first_loop_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    strengths = [
+        StrengthWeight(SymbolPolynomial(n, {(2,) + (0,) * (n - 1): 1.0, (0,) * (n - 1) + (1,): 1j})),
+        StrengthWeight(SymbolPolynomial(n, {(1,) * n: 2.0, (0,) * n: -1.5, (3,) + (0,) * (n - 1): 0.5})),
+    ]
+    cases = [OnePlusNorm(n), ConstantWeight(n, 2.5), *strengths, PowerWeight(strengths[0], 3)]
+    pts = rng.standard_normal((30, n)) * 4.0
+    for h in cases:
+        for delta in (0.1, 0.7, 2.0):
+            assert h_delta(h, delta, pts).tobytes() == _h_delta_by_hand(h, delta, pts).tobytes()
+            assert h_delta(h, delta, pts[3]) == _h_delta_by_hand(h, delta, pts[3:4])[0]
+
+
+def test_sandwich_searches_once(monkeypatch, strength_weight):
+    calls, search = [], weights.ascend
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(weights, "ascend", counted)
+    rep = verify_ball_sup_sandwich(strength_weight, delta=0.7, j=4)
+    assert len(calls) == 1
+    assert rep.passed and rep.power_identity_residual == 0.0
 
 
 def test_ball_sup_of_constant():
