@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import HypoelError
+from .errors import HypoelError, PreconditionError
 from .fitting import ascend, least_squares_slope
 from .symbols import MultiIndex, SymbolPolynomial, VariableOperator
 
@@ -505,6 +505,25 @@ def _compare_strengths(log_p, log_q, dirs, radii, cfg: RayConfig) -> StrengthRep
     }
     verdict = "P-weaker" if fwd_bounded else "Q-weaker" if bwd_bounded else "incomparable"
     return StrengthReport(verdict, bounds, witness, cfg.seed, cfg.to_dict())
+
+
+def check_symbol_domination(
+    r: SymbolPolynomial, q: SymbolPolynomial, cfg: RayConfig | None = None
+) -> dict:
+    """Spot-check |R(xi)| <= C (1 + |Q(xi)|) on the ray grid; raises when it diverges."""
+    dirs, _, radii = _ray_grid(q.dimension, cfg or RayConfig())
+    logs = _log_abs_on_rays(r, dirs, radii) - np.logaddexp(0.0, _log_abs_on_rays(q, dirs, radii))
+    slopes = _tail_slopes(radii, logs)
+    peaks = _exp(logs.max(axis=1))
+    worst = _first_max(slopes, ~(peaks < 1e-250))
+    worst_slope = -math.inf if worst is None else float(slopes[worst])
+    if worst_slope > SLOPE_TOL:
+        raise PreconditionError(
+            "symbol-domination",
+            f"|R|/(1+|Q|) grows at rate {worst_slope:.3f} along direction "
+            f"{[round(float(v), 6) for v in dirs[worst]]}",
+        )
+    return {"max_ratio": float(peaks.max()), "worst_slope": worst_slope}
 
 
 def freeze_sample_points(domain, per_axis: int = 3) -> list[np.ndarray]:

@@ -130,7 +130,10 @@ def _sequence_from_args(args) -> tuple[RoumieuSequence, dict]:
 def run_seq_check(args) -> int:
     seq, desc = _sequence_from_args(args)
     report = check_basic(seq, args.pmax)
-    frac = Fraction(args.power_m)
+    try:
+        frac = Fraction(args.power_m)
+    except ZeroDivisionError:
+        raise ParseError(f"--power-m {args.power_m!r} has a zero denominator") from None
     try:
         report.h4_b = fit_power_bound(seq, frac.numerator, frac.denominator, args.pmax)
     except HypoelError:

@@ -16,17 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import (
-    SLOPE_TOL,
-    RayConfig,
-    _exp,
-    _first_max,
-    _log_abs_on_rays,
-    _ray_grid,
-    _tail_slopes,
-    check_constant_strength,
-    estimate_d,
-)
+from .analysis import RayConfig, check_constant_strength, check_symbol_domination, estimate_d
 from .domains import BoxDomain
 from .errors import HypoelError, PreconditionError
 from .fitting import least_squares_slope
@@ -183,23 +173,40 @@ def _check_nodes_left(u: GridFunction, region: BoxDomain, delta: float) -> None:
         raise PreconditionError("empty-region", f"shrinking the region by the distance {delta} leaves no grid node")
 
 
-def check_symbol_domination(
-    r: SymbolPolynomial, q: SymbolPolynomial, cfg: RayConfig | None = None
-) -> dict:
-    """Spot-check |R(xi)| <= C (1 + |Q(xi)|) on the ray grid; raises when it diverges."""
-    dirs, _, radii = _ray_grid(q.dimension, cfg or RayConfig())
-    logs = _log_abs_on_rays(r, dirs, radii) - np.logaddexp(0.0, _log_abs_on_rays(q, dirs, radii))
-    slopes = _tail_slopes(radii, logs)
-    peaks = _exp(logs.max(axis=1))
-    worst = _first_max(slopes, ~(peaks < 1e-250))
-    worst_slope = -math.inf if worst is None else float(slopes[worst])
-    if worst_slope > SLOPE_TOL:
-        raise PreconditionError(
-            "symbol-domination",
-            f"|R|/(1+|Q|) grows at rate {worst_slope:.3f} along direction "
-            f"{[round(float(v), 6) for v in dirs[worst]]}",
-        )
-    return {"max_ratio": float(peaks.max()), "worst_slope": worst_slope}
+def _fit(cases, powers, default: float = 0.0) -> float:
+    """The smallest A with lhs <= A**k rhs on every unflagged case of power k >= 1.
+
+    A vanishing right side under a nonzero left makes A infinite; with no
+    case to fit, A is `default`.
+    """
+    ratios = [
+        (c.lhs / c.rhs) ** (1.0 / k) if c.rhs > 0 else math.inf
+        for c, k in zip(cases, powers)
+        if k >= 1 and not c.flagged and (c.rhs > 0 or c.lhs > 0)
+    ]
+    return max(ratios, default=default)
+
+
+def _close(cases, powers, default: float = 0.0) -> tuple[float, str]:
+    """Fit A and close every case at it; the constant, capped at 1e300, and the verdict.
+
+    Each case's right side becomes min(A**k, 1e300) times its unscaled one (an
+    infinite one stays inf) and its margin rhs - lhs.  The verdict fails on an
+    infinite A or on an unflagged margin below the relative tolerance.
+    """
+    fitted = _fit(cases, powers, default)
+    verdict = "fail" if math.isinf(fitted) else "pass"
+    for case, k in zip(cases, powers):
+        if case.rhs != math.inf:
+            try:
+                case.rhs *= min(fitted**k, 1e300)
+            except OverflowError:
+                case.rhs *= 1e300
+        # two sides past the float range have no margin, not a NaN one
+        case.margin = 0.0 if case.lhs == case.rhs == math.inf else case.rhs - case.lhs
+        if not case.flagged and case.margin < -MARGIN_REL_TOL * max(case.rhs, 1.0):
+            verdict = "fail"
+    return min(fitted, 1e300), verdict
 
 
 def verify_dominated_transfer(
@@ -221,34 +228,19 @@ def verify_dominated_transfer(
     domination = check_symbol_domination(r, q, cfg)
     mu_exp = d.value * q.order
     cases = []
-    worst_ratio = 0.0
     for idx, u in enumerate(_as_fixture_list(fixtures)):
         lhs = shrink_norm(apply_symbol(r, u), omega, mu_exp, t)
         rhs_core = shrink_norm(apply_symbol(q, u), omega, mu_exp, t) + restricted_l2(u, omega, 0.0)
-        if rhs_core > 0:
-            worst_ratio = max(worst_ratio, lhs / rhs_core)
-        elif lhs > 0:
+        if lhs > 0 and not rhs_core > 0:
             return EstimateReport(
                 verdict="fail",
                 fitted_constant=math.inf,
                 cases=[EstimateCase({"fixture": idx}, lhs, 0.0, -lhs)],
                 extras={"domination": domination, "reason": "zero right-hand side with nonzero left"},
             )
-        cases.append(
-            EstimateCase(
-                {"fixture": idx, "mu_exponent": mu_exp, "t": t, "rhs_core": rhs_core},
-                lhs,
-                rhs_core,
-                0.0,
-            )
-        )
-    fitted = worst_ratio
-    verdict = "pass"
-    for case in cases:
-        case.rhs = fitted * case.params["rhs_core"]
-        case.margin = case.rhs - case.lhs
-        if case.margin < -MARGIN_REL_TOL * max(case.rhs, 1.0):
-            verdict = "fail"
+        params = {"fixture": idx, "mu_exponent": mu_exp, "t": t, "rhs_core": rhs_core}
+        cases.append(EstimateCase(params, lhs, rhs_core, 0.0))
+    fitted, verdict = _close(cases, [1] * len(cases))
     return EstimateReport(
         verdict=verdict,
         fitted_constant=fitted,
@@ -270,6 +262,19 @@ def _consistent_exponent(q: SymbolPolynomial, d: RationalExponent, ray_cfg: RayC
     return est.d_estimate
 
 
+def _iterate_sum(norms: list[float], k: int, base: float, exponent: float) -> float:
+    """sum_i binom(k, i) base^{(k-i) exponent} ||Q^i u||: a term past the float range is inf, one of a zero norm 0."""
+    total = 0.0
+    for i in range(k + 1):
+        if norms[i] == 0.0:
+            continue
+        try:
+            total += math.comb(k, i) * base ** ((k - i) * exponent) * norms[i]
+        except OverflowError:
+            return math.inf
+    return total
+
+
 def verify_iterate_bound(
     q: SymbolPolynomial,
     d: RationalExponent,
@@ -286,7 +291,8 @@ def verify_iterate_bound(
     shrunk box against C^k sum_i binom(k, i) base^{(k-i) e} ||Q^i u||, where
     the statement variant uses base k/delta with e = d m and the proof
     variant uses base (k+1)/delta with e = d m mu.  The verdict uses the
-    proof variant; both fitted constants are reported.
+    proof variant; both fitted constants are reported.  A sum past the float
+    range is inf and binds neither fit.
     """
     if q.is_zero or q.order < 1:
         raise HypoelError("iterate bound needs a nonzero symbol of order >= 1")
@@ -312,61 +318,30 @@ def verify_iterate_bound(
     dm = d.value * m
     gamma = d.gamma(m)
     cases: list[EstimateCase] = []
-    ratios_statement: list[float] = []
-    ratios_proof: list[float] = []
-    case_data = []
-
+    statement: list[EstimateCase] = []  # the same cases against the statement variant's right side
+    powers: list[int] = []
     for fx, u in enumerate(fixtures):
         qsweep = iterate_norms(q, u, kmax, omega, 0.0)
         dsweep = _derivative_sweep(u, alphas, omega, deltas)
         for k in range(kmax + 1):
+            q_flag = any(qsweep.flagged[: k + 1])
+            sums = [
+                (_iterate_sum(qsweep.norms, k, k / dl, dm), _iterate_sum(qsweep.norms, k, (k + 1) / dl, gamma))
+                for dl in deltas
+            ]
             for alpha in alphas:
                 if sum(alpha) > k * m * d.nu:
                     continue
                 d_flag, d_norms = dsweep[alpha]
-                for dl, lhs in zip(deltas, d_norms):
-                    flagged = d_flag or any(qsweep.flagged[i] for i in range(k + 1))
-                    s_statement = 0.0
-                    s_proof = 0.0
-                    for i in range(k + 1):
-                        binom = math.comb(k, i)
-                        qn = qsweep.norms[i]
-                        s_statement += binom * (k / dl) ** ((k - i) * dm) * qn
-                        s_proof += binom * ((k + 1) / dl) ** ((k - i) * gamma) * qn
-                    case_data.append((fx, k, alpha, dl, lhs, s_statement, s_proof, flagged))
-                    if flagged or k == 0:
-                        continue
-                    if s_proof > 0:
-                        ratios_proof.append((lhs / s_proof) ** (1.0 / k))
-                    elif lhs > 0:
-                        ratios_proof.append(math.inf)
-                    if s_statement > 0:
-                        ratios_statement.append((lhs / s_statement) ** (1.0 / k))
-                    elif lhs > 0:
-                        ratios_statement.append(math.inf)
+                for dl, lhs, (s_statement, s_proof) in zip(deltas, d_norms, sums):
+                    params = {"fixture": fx, "k": k, "alpha": list(alpha), "delta": dl}
+                    flagged = d_flag or q_flag
+                    cases.append(EstimateCase(params, lhs, s_proof, 0.0, flagged))
+                    statement.append(EstimateCase(params, lhs, s_statement, 0.0, flagged))
+                    powers.append(k)
 
-    fitted_proof = max(ratios_proof, default=0.0)
-    fitted_statement = max(ratios_statement, default=0.0)
-    verdict = "pass"
-    if math.isinf(fitted_proof) or math.isinf(fitted_statement):
-        # some case has a vanishing right-hand side against a nonzero left:
-        # no constant can close it
-        verdict = "fail"
-        fitted_proof = min(fitted_proof, 1e300)
-    for fx, k, alpha, dl, lhs, s_statement, s_proof, flagged in case_data:
-        rhs_at_fit = min(fitted_proof**k, 1e300) * s_proof
-        margin = rhs_at_fit - lhs
-        cases.append(
-            EstimateCase(
-                {"fixture": fx, "k": k, "alpha": list(alpha), "delta": dl},
-                lhs,
-                rhs_at_fit,
-                margin,
-                flagged,
-            )
-        )
-        if not flagged and margin < -MARGIN_REL_TOL * max(rhs_at_fit, 1.0):
-            verdict = "fail"
+    fitted_statement = _fit(statement, powers)
+    fitted_proof, verdict = _close(cases, powers)
     return EstimateReport(
         verdict=verdict,
         fitted_constant=fitted_proof,
@@ -388,9 +363,10 @@ def verify_iterate_bound(
 def _growth_fit_from_sweep(
     sweep: NormSweep, log_targets: list[float], target_name: str
 ) -> GrowthFit:
+    # log_targets[i] is the target of sweep.labels[i]
     usable = [
-        (l, n)
-        for l, n, f in zip(sweep.labels, sweep.norms, sweep.flagged)
+        (l, n, target)
+        for l, n, f, target in zip(sweep.labels, sweep.norms, sweep.flagged, log_targets)
         if not f and n > 0.0
     ]
     if not any(not f for f in sweep.flagged):
@@ -406,17 +382,13 @@ def _growth_fit_from_sweep(
             flagged=sweep.flagged,
             target=target_name,
         )
-    log_c = max(
-        (math.log(n) - log_targets[sweep.labels.index(l)]) / (l + 1) for l, n in usable
-    )
-    residuals: list[float | None] = []
-    for l, n, f in zip(sweep.labels, sweep.norms, sweep.flagged):
-        if f or n <= 0.0:
-            residuals.append(None)
-        else:
-            residuals.append(math.log(n) - (l + 1) * log_c - log_targets[sweep.labels.index(l)])
-    xs = [log_targets[sweep.labels.index(l)] for l, _ in usable]
-    ys = [math.log(n) for _, n in usable]
+    log_c = max((math.log(n) - target) / (l + 1) for l, n, target in usable)
+    residuals: list[float | None] = [
+        None if f or n <= 0.0 else math.log(n) - (l + 1) * log_c - target
+        for l, n, f, target in zip(sweep.labels, sweep.norms, sweep.flagged, log_targets)
+    ]
+    xs = [target for _, _, target in usable]
+    ys = [math.log(n) for _, n, _ in usable]
     slope = least_squares_slope(xs, ys)
     return GrowthFit(
         constant=math.exp(log_c),
@@ -566,33 +538,16 @@ def verify_domination(
             "fixture-support", "fixture is not supported inside the operator's domain"
         )
 
-    q0 = p.freeze(np.asarray(x0, dtype=float))
-    lhs_sweep = iterate_norms(q0, u, lmax, region, delta)
+    x0 = np.asarray(x0, dtype=float)
+    lhs_sweep = iterate_norms(p.freeze(x0), u, lmax, region, delta)
     rhs_sweep = iterate_norms(p, u, lmax, region, delta)
-    cases = []
-    ratios = []
-    verdict = "pass"
-    for l in range(lmax + 1):
-        lhs = lhs_sweep.norms[l]
-        rhs = rhs_sweep.norms[l]
-        flagged = lhs_sweep.flagged[l] or rhs_sweep.flagged[l]
-        if not flagged and l >= 1:
-            if rhs > 0:
-                ratios.append((lhs / rhs) ** (1.0 / l))
-            elif lhs > 0:
-                verdict = "fail"
-        params = {"l": l, "x0": list(np.asarray(x0, dtype=float)), "rhs_core": rhs}
-        cases.append(EstimateCase(params, lhs, rhs, 0.0, flagged))
-    fitted = max(ratios, default=0.0 if total == 0.0 else 1.0)
-    if total == 0.0:
-        fitted = 0.0
-    for case in cases:
-        l = case.params["l"]
-        raw = case.params["rhs_core"]
-        case.rhs = fitted**l * raw if l >= 1 else raw
-        case.margin = case.rhs - case.lhs
-        if not case.flagged and case.margin < -MARGIN_REL_TOL * max(case.rhs, 1.0):
-            verdict = "fail"
+    flags = [a or b for a, b in zip(lhs_sweep.flagged, rhs_sweep.flagged)]
+    cases = [
+        EstimateCase({"l": l, "x0": list(x0), "rhs_core": rhs}, lhs, rhs, 0.0, flag)
+        for l, (lhs, rhs, flag) in enumerate(zip(lhs_sweep.norms, rhs_sweep.norms, flags))
+    ]
+    # a nonzero fixture with no iterate to fit is dominated at A = 1, the zero one at 0
+    fitted, verdict = _close(cases, range(lmax + 1), default=1.0 if total else 0.0)
     return EstimateReport(
         verdict=verdict,
         fitted_constant=fitted,

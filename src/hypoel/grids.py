@@ -348,6 +348,11 @@ def _unresolved(fraction: float, norms) -> bool:
     return not (fraction <= TAIL_FLAG_THRESHOLD and all(math.isfinite(v) for v in norms))
 
 
+def _past_range(norm: float) -> float:
+    """A sweep entry's norm, NaN read as inf: NaN comes only from a multiplier or iterate past the float range."""
+    return math.inf if math.isnan(norm) else norm
+
+
 def _ifft_to_box(values: np.ndarray, axis: int, keep: slice, mult: np.ndarray | None = None) -> np.ndarray:
     """One step of an inverse transform restricted to a box of nodes.
 
@@ -427,6 +432,8 @@ def shrink_norm(u: GridFunction, region: BoxDomain, mu: float, t: float) -> floa
         slices = tuple(slice(int(start[i]), int(stop[i])) for start, stop in bounds)
         if slices != seen:
             seen, norm = slices, _box_l2(sq[slices], u.spec.volume_element)
+        if norm == 0.0:  # an empty box adds nothing, and a distance past it may overflow d**mu
+            continue
         val = d**mu * norm
         if val > best:
             best = val
@@ -519,14 +526,14 @@ def iterate_norms(
                 values = spec_l
                 for axis in reversed(range(u.dimension)):
                     values = _ifft_to_box(values, axis, box[axis])
-                norms.append(_box_l2(np.abs(values) ** 2, u.spec.volume_element))
+                norms.append(_past_range(_box_l2(np.abs(values) ** 2, u.spec.volume_element)))
                 flagged.append(_unresolved(fraction, norms[-1:]))
         else:
             current = u
             for l in labels:
                 if l > 0:
                     current = apply_operator(op, current)
-                norms.append(restricted_l2(current, region, delta))
+                norms.append(_past_range(restricted_l2(current, region, delta)))
                 flagged.append(_unresolved(spectral_tail_fraction(current.spectrum()), norms[-1:]))
     return NormSweep(
         kind="iterates",
@@ -571,7 +578,7 @@ def _derivative_sweep(u: GridFunction, alphas: list, region: BoxDomain, deltas: 
                     mult = freq[k] ** alpha[k] if alpha[k] else None
                     partial[k] = (alpha[k:], _ifft_to_box(base, k, box[k], mult))
             sq = np.abs(partial[0][1]) ** 2
-            norms = tuple(_box_l2(sq[sub], u.spec.volume_element) for sub in subs)
+            norms = tuple(_past_range(_box_l2(sq[sub], u.spec.volume_element)) for sub in subs)
             out[alpha] = (_unresolved(float(fractions[alpha]), norms), norms)
     return {alpha: out[alpha] for alpha in alphas}
 

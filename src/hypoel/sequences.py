@@ -28,6 +28,14 @@ def log_factorial(p: int) -> float:
     return math.lgamma(p + 1)
 
 
+def _exp(log_value: float) -> float:
+    """A fitted constant from its log; inf past the floating-point range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
+
+
 class RoumieuSequence:
     """A positive sequence (M_p) with M_0 = 1, queried through log M_p."""
 
@@ -230,7 +238,7 @@ def check_basic(m: RoumieuSequence, pmax: int = 60) -> SequenceConditionReport:
     # fmax passes over the NaN of an infinite table value, inf - inf, as the loop's max did
     with np.errstate(invalid="ignore"):
         worst_h = np.fmax.reduce((logs[p] - logs[k] - logs[j]) / p, axis=None, initial=0.0, where=inside)
-    report.h3_right_h = math.exp(worst_h)
+    report.h3_right_h = _exp(worst_h)
     return report
 
 
@@ -256,7 +264,7 @@ def fit_power_bound(m: RoumieuSequence, mu: int, nu: int, pmax: int = 60) -> flo
     for p in tested:
         pm = p * mu // nu
         worst = max(worst, (m.log_m(pm) - ratio * m.log_m(p)) / p)
-    return math.exp(worst)
+    return _exp(worst)
 
 
 def _tail_slope(values: Sequence[float]) -> float:
@@ -283,7 +291,7 @@ def fit_inclusion(m: RoumieuSequence, n: RoumieuSequence, pmax: int = 60) -> Inc
         return InclusionFit(holds=False, tail_slope=slope, witness_p=witness)
     log_l = max(slope, 0.0)
     log_c = max(r[p] - p * log_l for p in range(pmax + 1))
-    return InclusionFit(holds=True, big_l=math.exp(log_l), c=math.exp(log_c), tail_slope=slope)
+    return InclusionFit(holds=True, big_l=_exp(log_l), c=_exp(log_c), tail_slope=slope)
 
 
 def check_gevrey_domination(
@@ -301,5 +309,5 @@ def check_gevrey_domination(
         if slope > SLOPE_TOL:
             out.append({"L": big_l, "holds": False, "tail_slope": slope})
         else:
-            out.append({"L": big_l, "holds": True, "C": math.exp(max(g)), "tail_slope": slope})
+            out.append({"L": big_l, "holds": True, "C": _exp(max(g)), "tail_slope": slope})
     return out

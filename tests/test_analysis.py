@@ -19,8 +19,7 @@ from hypoel import (
     snap_rational,
 )
 from hypoel import analysis, cli
-from hypoel.analysis import EPS_BOOST, SLOPE_TOL, freeze_sample_points, unit_directions
-from hypoel.estimates import check_symbol_domination
+from hypoel.analysis import EPS_BOOST, SLOPE_TOL, check_symbol_domination, freeze_sample_points, unit_directions
 from hypoel.fitting import least_squares_slope
 from hypoel.symbols import multi_indices_up_to
 

@@ -160,6 +160,36 @@ def test_seq_check_packaged_table(tmp_path):
     assert read(out)["results"]["h1"]["passed"]
 
 
+@pytest.mark.parametrize("order", ["1000", "1e300"])
+def test_seq_check_constants_past_the_float_range_read_inf(tmp_path, order):
+    out = tmp_path / "report.json"
+    assert run(["seq-check", "--gevrey", order, "--pmax", "60", "--out", str(out)]) == 0
+    results = read(out)["results"]
+    assert results["h4_b"] == "inf"
+    assert results["h3_right_h"] == ("inf" if order == "1e300" else pytest.approx(3.528404161667198e284))
+
+
+def test_seq_check_rejects_a_zero_denominator(tmp_path, capsys):
+    assert run(["seq-check", "--gevrey", "2", "--power-m", "1/0", "--out", str(tmp_path / "r.json")]) == 2
+    assert "--power-m '1/0'" in capsys.readouterr().err
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.floats(1.0, 1e300),
+    pmax=st.integers(0, 200),
+    power_m=st.tuples(st.integers(-3, 400), st.integers(0, 80)).map(lambda f: f"{f[0]}/{f[1]}"),
+    inclusion=st.none() | st.floats(0.5, 1e300),
+)
+def test_seq_check_fuzzed_flags_exit_cleanly(order, pmax, power_m, inclusion):
+    # a RuntimeWarning is an error here, and main lets every other exception through
+    argv = ["seq-check", f"--gevrey={order!r}", f"--pmax={pmax}", f"--power-m={power_m}"]
+    if inclusion is not None:
+        argv.append(f"--inclusion-gevrey={inclusion!r}")
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _quiet_main(argv + ["--out", str(Path(tmp) / "r.json")]) in (0, 1, 2)
+
+
 # -- strength -------------------------------------------------------------------
 
 
@@ -226,6 +256,23 @@ def test_verify_p1(tmp_path):
     code = run(["verify", "--check", "p1", "--config", fixture_path("verify_p1.json"), "--out", str(out)])
     assert code == 0
     assert read(out)["results"]["verdict"] == "pass"
+
+
+def test_verify_prop31_past_the_float_range_exits_without_nan(tmp_path):
+    # at kmax 60 the binomial sums leave the float range: those right sides read "inf"
+    symbol = {"dimension": 1, "terms": [{"alpha": [2], "re": 1.0, "im": 0.0}, {"alpha": [0], "re": 1.0, "im": 0.0}]}
+    doc = {
+        "check": "prop31", "symbol": symbol, "d": "1/1", "resolution": 512,
+        "omega": {"lo": [-0.3], "hi": [0.3]}, "kmax": 60, "deltas": [0.01],
+        "fixture": {"family": "gaussian_bump", "width": 0.05},
+    }
+    cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps(doc))
+    # main lets every exception but a rejected input through, as a traceback
+    assert run(["verify", "--check", "prop31", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    text = out.read_text()
+    assert '"nan"' not in text
+    assert any(case["rhs"] == "inf" for case in json.loads(text)["results"]["cases"])
 
 
 def test_verify_check_flag_must_match_config(tmp_path):

@@ -25,9 +25,11 @@ from hypoel import (
     verify_iterate_bound,
     zero_function,
 )
-from hypoel.grids import cell_frequency
+from hypoel import estimates
+from hypoel.estimates import MARGIN_REL_TOL
+from hypoel.grids import _derivative_sweep, cell_frequency
 from hypoel.sequences import TableSequence, log_factorial
-from hypoel.symbols import load
+from hypoel.symbols import load, multi_indices_up_to
 
 
 @pytest.fixture
@@ -428,3 +430,192 @@ def test_domination_accepts_fixture_inside_domain(drift_operator, width):
     u = gaussian_bump(GridSpec(region, 128), width, support=BoxDomain((-0.9, -0.9), (0.9, 0.9)))
     rep = verify_domination(drift_operator, (0.0, 0.0), u, 1, region)
     assert rep.verdict == "pass"
+
+
+# -- one fit for the three checks --------------------------------------------------------
+
+
+def _packaged(check: str):
+    """The packaged verify config of a check: its document, region, grid fixtures and symbols."""
+    fixtures = resources.files("hypoel") / "fixtures"
+    doc = json.loads((fixtures / f"verify_{check}.json").read_text())
+    omega = BoxDomain.from_dict(doc["omega" if "omega" in doc else "region"])
+    descs = doc.get("fixtures") or [doc["fixture"]]
+    spec = GridSpec(omega, doc["resolution"])
+    us = [sample(spec, desc["family"], **{k: v for k, v in desc.items() if k != "family"}) for desc in descs]
+    symbols = {k: load(fixtures / doc[k]) for k in ("symbol", "r_symbol", "operator") if k in doc}
+    return doc, omega, us, symbols
+
+
+def _rows(verdict, fitted, cases):
+    """A check's outcome with every float as its exact bits."""
+    return verdict, float(fitted).hex(), [tuple(float(v).hex() for v in c[:3]) + (c[3],) for c in cases]
+
+
+def _report_rows(rep):
+    return _rows(rep.verdict, rep.fitted_constant, [(c.lhs, c.rhs, c.margin, c.flagged) for c in rep.cases])
+
+
+def _earlier_transfer_fit(pairs):
+    """The dominated transfer's fit as it was written before the shared one, on (lhs, rhs_core) pairs."""
+    worst_ratio = 0.0
+    for lhs, rhs_core in pairs:
+        if rhs_core > 0:
+            worst_ratio = max(worst_ratio, lhs / rhs_core)
+    verdict, cases = "pass", []
+    for lhs, rhs_core in pairs:
+        rhs = worst_ratio * rhs_core
+        margin = rhs - lhs
+        if margin < -MARGIN_REL_TOL * max(rhs, 1.0):
+            verdict = "fail"
+        cases.append((lhs, rhs, margin, False))
+    return _rows(verdict, worst_ratio, cases)
+
+
+def _earlier_domination_fit(triples, total):
+    """The domination fit as it was written before the shared one, on (lhs, rhs, flagged) per l."""
+    ratios, verdict = [], "pass"
+    for l, (lhs, rhs, flagged) in enumerate(triples):
+        if not flagged and l >= 1:
+            if rhs > 0:
+                ratios.append((lhs / rhs) ** (1.0 / l))
+            elif lhs > 0:
+                verdict = "fail"
+    fitted = max(ratios, default=0.0 if total == 0.0 else 1.0)
+    if total == 0.0:
+        fitted = 0.0
+    cases = []
+    for l, (lhs, raw, flagged) in enumerate(triples):
+        rhs = fitted**l * raw if l >= 1 else raw
+        margin = rhs - lhs
+        if not flagged and margin < -MARGIN_REL_TOL * max(rhs, 1.0):
+            verdict = "fail"
+        cases.append((lhs, rhs, margin, flagged))
+    return _rows(verdict, fitted, cases)
+
+
+def _earlier_iterate_fit(q, d, fixtures, omega, kmax, deltas):
+    """The iterate bound's sums and fit as they were written before the shared one."""
+    m = q.order
+    alphas = multi_indices_up_to(q.dimension, kmax * m * d.nu)
+    dm, gamma = d.value * m, d.gamma(m)
+    ratios_statement, ratios_proof, case_data = [], [], []
+    for u in fixtures:
+        qsweep = estimates.iterate_norms(q, u, kmax, omega, 0.0)
+        dsweep = _derivative_sweep(u, alphas, omega, deltas)
+        for k in range(kmax + 1):
+            for alpha in alphas:
+                if sum(alpha) > k * m * d.nu:
+                    continue
+                d_flag, d_norms = dsweep[alpha]
+                for dl, lhs in zip(deltas, d_norms):
+                    flagged = d_flag or any(qsweep.flagged[i] for i in range(k + 1))
+                    s_statement = s_proof = 0.0
+                    for i in range(k + 1):
+                        binom, qn = math.comb(k, i), qsweep.norms[i]
+                        s_statement += binom * (k / dl) ** ((k - i) * dm) * qn
+                        s_proof += binom * ((k + 1) / dl) ** ((k - i) * gamma) * qn
+                    case_data.append((k, lhs, s_proof, flagged))
+                    if flagged or k == 0:
+                        continue
+                    for s, ratios in ((s_proof, ratios_proof), (s_statement, ratios_statement)):
+                        if s > 0:
+                            ratios.append((lhs / s) ** (1.0 / k))
+                        elif lhs > 0:
+                            ratios.append(math.inf)
+    fitted_proof = max(ratios_proof, default=0.0)
+    fitted_statement = max(ratios_statement, default=0.0)
+    verdict = "pass"
+    if math.isinf(fitted_proof) or math.isinf(fitted_statement):
+        verdict = "fail"
+        fitted_proof = min(fitted_proof, 1e300)
+    cases = []
+    for k, lhs, s_proof, flagged in case_data:
+        rhs = min(fitted_proof**k, 1e300) * s_proof
+        margin = rhs - lhs
+        if not flagged and margin < -MARGIN_REL_TOL * max(rhs, 1.0):
+            verdict = "fail"
+        cases.append((lhs, rhs, margin, flagged))
+    return _rows(verdict, fitted_proof, cases), float(fitted_statement).hex()
+
+
+def test_transfer_fit_matches_the_earlier_loop_bit_for_bit():
+    doc, omega, us, sym = _packaged("p1")
+    rep = verify_dominated_transfer(
+        sym["symbol"], sym["r_symbol"], RationalExponent.parse(doc["d"]), us, omega, doc["t"]
+    )
+    assert rep.verdict == "pass" and len(rep.cases) == 3
+    assert _report_rows(rep) == _earlier_transfer_fit([(c.lhs, c.params["rhs_core"]) for c in rep.cases])
+
+
+def test_domination_fit_matches_the_earlier_loop_bit_for_bit():
+    doc, region, (u,), sym = _packaged("domination")
+    rep = verify_domination(sym["operator"], doc["x0"], u, doc["lmax"], region, doc["delta"])
+    assert rep.verdict == "pass" and rep.fitted_constant != 1.0
+    triples = [(c.lhs, c.params["rhs_core"], c.flagged) for c in rep.cases]
+    assert _report_rows(rep) == _earlier_domination_fit(triples, u.l2_norm())
+
+
+def _vanishing_iterates(monkeypatch, first=0, operator=None):
+    """Make iterate_norms report zero norms from l = first on, for one operator or for every one."""
+    real = estimates.iterate_norms
+
+    def patched(op, u, lmax, region, delta=0.0):
+        sweep = real(op, u, lmax, region, delta)
+        if operator is None or op is operator:
+            sweep.norms = sweep.norms[:first] + [0.0] * (lmax + 1 - first)
+        return sweep
+
+    monkeypatch.setattr(estimates, "iterate_norms", patched)
+
+
+@pytest.mark.parametrize("vanishing", [False, True])
+def test_iterate_fit_matches_the_earlier_loop_bit_for_bit(monkeypatch, vanishing):
+    doc, omega, us, sym = _packaged("prop31")
+    q, d = sym["symbol"], RationalExponent.parse(doc["d"])
+    kmax = doc["kmax"]
+    if vanishing:
+        # the failing case: every right side vanishes; at k = 1 the earlier code still ran
+        _vanishing_iterates(monkeypatch)
+        kmax = 1
+    rep = verify_iterate_bound(q, d, us, omega, kmax, doc["deltas"])
+    earlier, statement = _earlier_iterate_fit(q, d, us, omega, kmax, doc["deltas"])
+    assert _report_rows(rep) == earlier
+    assert float(rep.extras["fitted_constant_statement_variant"]).hex() == statement
+    assert rep.verdict == ("fail" if vanishing else "pass")
+
+
+def test_iterate_bound_fails_at_the_cap_on_a_vanishing_right_side(monkeypatch, heat_symbol, small_box):
+    # a vanishing right side under a nonzero left fits no constant; at kmax >= 2 the
+    # earlier code raised OverflowError on 1e300**k
+    _vanishing_iterates(monkeypatch)
+    u = gaussian_bump(GridSpec(small_box, 128), 0.05)
+    rep = verify_iterate_bound(heat_symbol, RationalExponent(2, 1), u, small_box, 2, [0.1])
+    assert any(c.params["k"] == 2 and not c.flagged for c in rep.cases)
+    assert rep.verdict == "fail"
+    assert rep.fitted_constant == 1e300
+    assert math.isinf(rep.extras["fitted_constant_statement_variant"])
+    assert all(c.rhs == 0.0 and c.margin == -c.lhs for c in rep.cases)
+
+
+def test_domination_fails_at_the_cap_on_a_vanishing_variable_iterate(monkeypatch, drift_operator):
+    # the earlier code failed too, but reported the largest of the other ratios as the constant
+    region, u = domination_fixture(64)
+    _vanishing_iterates(monkeypatch, first=2, operator=drift_operator)
+    rep = verify_domination(drift_operator, (0.0, 0.0), u, 3, region)
+    assert rep.verdict == "fail"
+    assert rep.fitted_constant == 1e300
+    assert [c.rhs for c in rep.cases[2:]] == [0.0, 0.0]
+    assert rep.cases[1].rhs == 1e300 * rep.cases[1].params["rhs_core"]
+
+
+def test_iterate_bound_counts_terms_past_the_float_range_as_inf():
+    # 6000**120 leaves the float range: such a right side is inf, binds no fit, and no NaN appears
+    q = SymbolPolynomial(1, {(2,): 1.0, (0,): 1.0})
+    omega = BoxDomain((-0.3,), (0.3,))
+    u = gaussian_bump(GridSpec(omega, 512), 0.05)
+    rep = verify_iterate_bound(q, RationalExponent(1, 1), u, omega, 60, [0.01])
+    infinite = [c for c in rep.cases if c.rhs == math.inf]
+    assert infinite and all(c.params["k"] >= 2 for c in infinite)
+    assert math.isfinite(rep.fitted_constant)
+    assert not any(math.isnan(v) for c in rep.cases for v in (c.lhs, c.rhs, c.margin))

@@ -294,6 +294,27 @@ def test_shrink_norm_zero_function(spec128, unit_box):
     assert shrink_norm(zero_function(spec128), unit_box, 1.0, 0.5) == 0.0
 
 
+def test_sweep_norms_past_the_float_range_read_inf():
+    # D^alpha u at |alpha| >= 95 and Q^l u at high l leave the float range: inf and flagged, never NaN
+    om = BoxDomain((-0.3,), (0.3,))
+    u = gaussian_bump(GridSpec(om, 512), 0.05)
+    sweeps = [
+        derivative_norms(u, 120, om, 0.01),
+        iterate_norms(SymbolPolynomial(1, {(2,): 1.0, (0,): 1.0}), u, 60, om, 0.0),
+    ]
+    for sweep in sweeps:
+        assert math.inf in sweep.norms and not any(math.isnan(n) for n in sweep.norms)
+        assert all(f for n, f in zip(sweep.norms, sweep.flagged) if n == math.inf)
+
+
+def test_shrink_norm_skips_distances_past_the_region():
+    # every distance of delta_grid(1e300) empties the box: each adds nothing, and its
+    # d**mu, past the float range, is never formed (a RuntimeWarning is an error here)
+    om = BoxDomain((0.0,), (1.0,))
+    u = GridFunction(GridSpec(om, 256), np.ones(256))
+    assert shrink_norm(u, om, 2.0, 1e300) == 0.0
+
+
 def test_shrink_norm_small_t_bound(spec128, unit_box):
     u = gaussian_bump(spec128, 0.1)
     t = 1e-3

@@ -233,6 +233,18 @@ def test_domination_factorial_unit_l():
     assert out[0]["holds"] and out[0]["C"] == pytest.approx(1.0)
 
 
+def test_fitted_constants_past_the_float_range_read_inf():
+    # each fitted log constant here is past log(DBL_MAX) ~ 709.8; its exp is inf, not an OverflowError
+    assert fit_power_bound(gevrey(1000), 2, 1, 60) == math.inf
+    assert check_basic(gevrey(1e300), 60).h3_right_h == math.inf
+    # M_p = p! 1e-310 from p = 1 on: p!/M_p and M_p-inclusion constants of about e^713.8
+    tiny = TableSequence([1.0] + [math.factorial(p) * 1e-310 for p in range(1, 21)])
+    (dom,) = check_gevrey_domination(tiny, [1.0], 20)
+    assert dom["holds"] and dom["C"] == math.inf
+    inc = fit_inclusion(gevrey(1), tiny, 20)
+    assert inc.holds and inc.c == math.inf and math.isfinite(inc.big_l)
+
+
 # -- root monotonicity consequences ---------------------------------------------------------
 
 
