@@ -45,6 +45,8 @@ class RayConfig:
             raise ValueError("need at least 8 radii (J >= 8)")
         if self.radii > 1023:
             raise ValueError(f"at most 1023 radii, got {self.radii}: the radius 2^1024 overflows a float")
+        if self.directions > 2**16:
+            raise ValueError(f"at most 65536 directions, got {self.directions}: a ray table has one row per direction")
 
     def validate_for_dimension(self, n: int) -> None:
         if self.directions < 2 * n:
@@ -552,9 +554,11 @@ def check_constant_strength(
     """
     cfg = cfg or RayConfig()
     n = p.dimension
-    per_axis = 3 if points is None else max(2, math.ceil(points ** (1.0 / n)))
     if points is not None and points < 2:
         raise ValueError("points must be >= 2")
+    if points is not None and points > 2**12:
+        raise ValueError(f"at most 4096 freeze points, got {points}: each is a ray sweep of its own")
+    per_axis = 3 if points is None else max(2, math.ceil(points ** (1.0 / n)))
     def report(verdict, ratio_bounds=None, witness=None):
         return StrengthReport(verdict, ratio_bounds, witness, seed=cfg.seed, config=cfg.to_dict())
 

@@ -9,7 +9,9 @@ failed numerically, 2 = malformed input or a rejected precondition.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -43,8 +45,65 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 
 
+#: the string escaping of json.dumps (ASCII output)
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)` and a newline, in one walk.
+
+    Keys are strings.  A float that is not finite is written as the string
+    "inf", "-inf" or "nan", since JSON has no such number; tuples are written
+    as lists.
+    """
+    parts: list[str] = []
+    _write_json(obj, parts.append, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_json(obj, write, newline: str) -> None:
+    """Pass the text of `obj` to `write` in pieces; `newline` ends a line and indents the next."""
+    if isinstance(obj, str):
+        write(_quote(obj))
+    elif obj is None:
+        write("null")
+    elif obj is True:
+        write("true")
+    elif obj is False:
+        write("false")
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    elif isinstance(obj, float):
+        write(float.__repr__(obj) if math.isfinite(obj) else f'"{float.__repr__(obj)}"')
+    elif isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            write(f"{sep}{_quote(key)}: ")
+            _write_json(value, write, inner)
+            sep = "," + inner
+        write(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            write(sep)
+            _write_json(value, write, inner)
+            sep = "," + inner
+        write(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = _json_text(report)
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
     else:
@@ -61,24 +120,11 @@ def _report(command: str, config: dict, results: dict, witnesses: list) -> dict:
     }
 
 
-def _sanitize(obj):
-    """Make report values JSON-safe: inf/nan become strings."""
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, float):
-        if obj != obj or obj in (float("inf"), float("-inf")):
-            return repr(obj)
-        return obj
-    return obj
-
-
 def _ray_config(args, seed: int) -> RayConfig:
     kwargs = {"seed": seed}
-    if getattr(args, "rays", None):
+    if args.rays is not None:
         kwargs["directions"] = args.rays
-    if getattr(args, "radii", None):
+    if args.radii is not None:
         kwargs["radii"] = args.radii
     return RayConfig(**kwargs)
 
@@ -111,7 +157,7 @@ def run_analyze(args) -> int:
         "rays": cfg.to_dict(),
         "d": args.d,
     }
-    _emit(_report("analyze", config, _sanitize(results), _sanitize(witnesses)), args.out)
+    _emit(_report("analyze", config, results, witnesses), args.out)
     return EXIT_OK
 
 
@@ -128,6 +174,9 @@ def _sequence_from_args(args) -> tuple[RoumieuSequence, dict]:
 
 
 def run_seq_check(args) -> int:
+    for flag, value in (("--gevrey", args.gevrey), ("--inclusion-gevrey", args.inclusion_gevrey)):
+        if value is not None and not math.isfinite(value):
+            raise ParseError(f"{flag} {value!r} is not a finite number")
     seq, desc = _sequence_from_args(args)
     report = check_basic(seq, args.pmax)
     try:
@@ -153,7 +202,7 @@ def run_seq_check(args) -> int:
         entry = results[name]
         if not entry["passed"]:
             witnesses.append({"condition": name, "first_failure": entry["first_failure"]})
-    _emit(_report("seq-check", config, _sanitize(results), _sanitize(witnesses)), args.out)
+    _emit(_report("seq-check", config, results, witnesses), args.out)
     return EXIT_OK
 
 
@@ -176,16 +225,35 @@ def run_strength(args) -> int:
         rep = equally_strong(p, q, cfg)
         config = {"p": p.to_dict(), "q": q.to_dict(), "seed": args.seed, "rays": cfg.to_dict()}
     witnesses = [rep.witness] if rep.witness else []
-    _emit(_report("strength", config, _sanitize(rep.to_dict()), _sanitize(witnesses)), args.out)
+    _emit(_report("strength", config, rep.to_dict(), witnesses), args.out)
     return EXIT_OK
 
 
 # -- verify ----------------------------------------------------------------------
 
 
+def _non_finite(value) -> bool:
+    """True for a float that is not finite, or a list holding one at any depth."""
+    if isinstance(value, list):
+        return any(map(_non_finite, value))
+    return isinstance(value, float) and not math.isfinite(value)
+
+
+def _finite_object(pairs: list) -> dict:
+    """A config object; a number under a key that is not finite (NaN, Infinity, 1e400) is rejected.
+
+    Python's JSON reader accepts these, JSON does not; every object is checked as
+    it is read, so a nested one names its own key.
+    """
+    for key, value in pairs:
+        if _non_finite(value):
+            raise ParseError(f"{key!r} holds a number that is not finite: {value!r}")
+    return dict(pairs)
+
+
 def _load_config(path) -> dict:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_finite_object)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -381,7 +449,7 @@ def run_verify(args) -> int:
     witnesses = []
     if isinstance(results.get("extras"), dict) and "reason" in results["extras"]:
         witnesses.append(results["extras"]["reason"])
-    _emit(_report("verify", _sanitize(config), _sanitize(results), witnesses), args.out)
+    _emit(_report("verify", config, results, witnesses), args.out)
     if args.csv and csv_rows:
         _write_csv(args.csv, csv_rows)
     return EXIT_OK if rep.verdict == "pass" else EXIT_FAIL
@@ -405,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--d", default=None, help="also test the inequality at this exponent")
     p_an.add_argument("--seed", type=int, default=0)
     p_an.add_argument("--out", default=None, help="report path (default: stdout)")
-    p_an.set_defaults(func=run_analyze)
 
     p_seq = sub.add_parser("seq-check", help="check defining-sequence conditions and fit constants")
     group = p_seq.add_mutually_exclusive_group(required=True)
@@ -416,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument("--inclusion-gevrey", type=float, default=None, help="fit inclusion into gevrey(S)")
     p_seq.add_argument("--seed", type=int, default=0)
     p_seq.add_argument("--out", default=None)
-    p_seq.set_defaults(func=run_seq_check)
 
     p_str = sub.add_parser("strength", help="compare operator strength")
     p_str.add_argument("--p", default=None, help="first symbol file")
@@ -427,7 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_str.add_argument("--radii", type=int, default=None)
     p_str.add_argument("--seed", type=int, default=0)
     p_str.add_argument("--out", default=None)
-    p_str.set_defaults(func=run_strength)
 
     p_ver = sub.add_parser("verify", help="run an estimate verification from a config file")
     p_ver.add_argument("--check", required=True, choices=["p1", "prop31", "th1", "domination"])
@@ -438,17 +503,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--lmax", type=int, default=None)
     p_ver.add_argument("--csv", default=None, help="export norm sweeps as CSV")
     p_ver.add_argument("--out", default=None)
-    p_ver.set_defaults(func=run_verify)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of `main`; parsing leaves it unchanged, so every later call reuses it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "strength" and not args.variable and not (args.p and args.q):
         parser.error("strength needs either --variable or both --p and --q")
+    # looked up on each call, so a replaced (say, wrapped) run_* function is the one that runs
+    run = {"analyze": run_analyze, "seq-check": run_seq_check, "strength": run_strength, "verify": run_verify}
     try:
-        return args.func(args)
+        return run[args.command](args)
     except (HypoelError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

@@ -364,7 +364,11 @@ def _ifft_to_box(values: np.ndarray, axis: int, keep: slice, mult: np.ndarray | 
     if mult is not None:
         shape = [1] * values.ndim
         shape[axis] = mult.size
-        values = values * mult.reshape(shape)
+        product = values * mult.reshape(shape)
+        if not np.isfinite(mult).all():
+            # 0 * a multiplier past the float range is NaN; an exact zero stays zero
+            product[values == 0] = 0
+        values = product
     index = [slice(None)] * values.ndim
     index[axis] = keep
     return np.fft.ifft(values, axis=axis)[tuple(index)]
@@ -491,6 +495,14 @@ class NormSweep:
         }
 
 
+def _spectral_entry(spectrum: np.ndarray, box: tuple, spec: GridSpec) -> tuple[float, float]:
+    """Tail fraction of a spectrum and the norm of its inverse transform on a box of nodes."""
+    values = spectrum
+    for axis in reversed(range(spectrum.ndim)):
+        values = _ifft_to_box(values, axis, box[axis])
+    return spectral_tail_fraction(spectrum), _box_l2(np.abs(values) ** 2, spec.volume_element)
+
+
 def iterate_norms(
     op: SymbolPolynomial | VariableOperator,
     u: GridFunction,
@@ -518,15 +530,19 @@ def iterate_norms(
             u_hat = u.spectrum()
             powered = np.ones_like(mult)
             spec_l = np.empty_like(mult)
+            zeros = None
             for l in labels:
                 if l > 0:
                     powered *= mult
                 np.multiply(powered, u_hat, out=spec_l)
-                fraction = spectral_tail_fraction(spec_l)
-                values = spec_l
-                for axis in reversed(range(u.dimension)):
-                    values = _ifft_to_box(values, axis, box[axis])
-                norms.append(_past_range(_box_l2(np.abs(values) ** 2, u.spec.volume_element)))
+                fraction, norm = _spectral_entry(spec_l, box, u.spec)
+                if not math.isfinite(norm):
+                    # 0 * a power past the float range is NaN: redo with u_hat's exact zeros kept at zero
+                    zeros = u_hat == 0 if zeros is None else zeros
+                    if zeros.any():
+                        spec_l[zeros] = 0
+                        fraction, norm = _spectral_entry(spec_l, box, u.spec)
+                norms.append(_past_range(norm))
                 flagged.append(_unresolved(fraction, norms[-1:]))
         else:
             current = u

@@ -9,9 +9,11 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hypoel import analysis, cli
+from hypoel.analysis import RayConfig
 from hypoel.cli import main
 
 FIXTURES = resources.files("hypoel") / "fixtures"
@@ -102,6 +104,32 @@ def test_analyze_rejects_an_exponent_that_is_not_a_finite_number(tmp_path, capsy
     assert f"--d {d!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, named", [("--rays", "need at least 4 directions"), ("--radii", "at least 8 radii")])
+def test_analyze_rejects_a_zero_count(tmp_path, capsys, flag, named):
+    # a zero is a value given, not a flag left out
+    out = tmp_path / "r.json"
+    assert run(["analyze", "--symbol", fixture_path("laplacian.json"), flag, "0", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert named in capsys.readouterr().err
+
+
+def test_analyze_rejects_rays_past_the_limit_before_building_any(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(analysis, "unit_directions", lambda *a, **k: pytest.fail("directions were built"))
+    args = ["analyze", "--symbol", fixture_path("laplacian.json"), "--out", str(tmp_path / "r.json")]
+    assert run(args + ["--rays", str(2**16 + 1)]) == 2
+    assert "at most 65536 directions, got 65537" in capsys.readouterr().err
+    assert run(args + ["--rays", "100000000000"]) == 2
+    assert RayConfig(directions=2**16).directions == 2**16
+
+
+def test_strength_rejects_points_past_the_limit_before_freezing_any(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(analysis, "freeze_sample_points", lambda *a, **k: pytest.fail("the operator was frozen"))
+    args = ["strength", "--variable", fixture_path("drift_operator.json"), "--out", str(tmp_path / "r.json")]
+    assert run(args + ["--points", str(2**12 + 1)]) == 2
+    assert "at most 4096 freeze points, got 4097" in capsys.readouterr().err
+    assert run(args + ["--points", str(10**400)]) == 2
+
+
 def test_analyze_malformed_input_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ truncated")
@@ -167,6 +195,24 @@ def test_seq_check_constants_past_the_float_range_read_inf(tmp_path, order):
     results = read(out)["results"]
     assert results["h4_b"] == "inf"
     assert results["h3_right_h"] == ("inf" if order == "1e300" else pytest.approx(3.528404161667198e284))
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--gevrey", "nan"], "--gevrey nan"),
+        (["--gevrey", "inf"], "--gevrey inf"),
+        (["--gevrey", "2", "--inclusion-gevrey", "nan"], "--inclusion-gevrey nan"),
+        (["--gevrey", "2", "--inclusion-gevrey=-inf"], "--inclusion-gevrey -inf"),
+    ],
+)
+def test_seq_check_rejects_an_order_that_is_not_finite(tmp_path, capsys, monkeypatch, flags, named):
+    # rejected before any sequence is checked
+    monkeypatch.setattr(cli, "check_basic", lambda *a: pytest.fail("the sequence was checked"))
+    out = tmp_path / "r.json"
+    assert run(["seq-check", *flags, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"{named} is not a finite number" in capsys.readouterr().err
 
 
 def test_seq_check_rejects_a_zero_denominator(tmp_path, capsys):
@@ -367,13 +413,18 @@ def run_p1_with_fixture(tmp_path, fixture) -> int:
         ("domination", {"delta": 5.0}, [], ["empty-region", "distance 5.0"]),
         ("th1", {"delta": 5.0}, [], ["empty-region", "distance 5.0"]),
         ("prop31", {"deltas": [0.05, 5.0]}, [], ["empty-region", "distance 5.0"]),
+        ("th1", {"sequence": {"kind": "gevrey", "s": float("nan")}}, [], ["'s'", "not finite"]),
+        ("th1", {"sequence": {"kind": "gevrey", "s": float("inf")}}, [], ["'s'", "not finite"]),
+        ("p1", {"t": float("inf")}, [], ["'t'", "not finite"]),
+        ("prop31", {"deltas": [0.05, float("-inf")]}, [], ["'deltas'", "not finite"]),
+        ("domination", {"x0": [float("nan"), 0.0]}, [], ["'x0'", "not finite"]),
     ],
     ids=["sequence-without-s", "deltas-int", "t-null", "x0-null", "amax-str", "unknown-key", "unread-key",
          "kmax-th1", "lmax-p1", "lmax-prop31", "deltas-zero", "lmax-float", "d-inf", "deltas-str", "x0-str",
          "x0-bools", "lmax-huge", "lmax-past-limit", "amax-huge", "kmax-huge", "seed-huge", "resolution-huge",
          "lmax-flag-huge", "delta-str", "delta-str-th1", "delta-bool", "t-str", "s-bool", "s-str",
          "enforce-diameter-str", "enforce-diameter-no", "enforce-diameter-int", "delta-empties-domination",
-         "delta-empties-th1", "deltas-empty-prop31"],
+         "delta-empties-th1", "deltas-empty-prop31", "s-nan", "s-inf", "t-inf", "deltas-minus-inf", "x0-nan"],
 )
 def test_verify_malformed_config_exits_2_naming_the_key(tmp_path, capsys, check, edit, flags, named):
     doc = read(fixture_path(f"verify_{check}.json"))
@@ -390,6 +441,18 @@ def test_verify_malformed_config_exits_2_naming_the_key(tmp_path, capsys, check,
     assert err.startswith("error: ")
     for word in named:
         assert word in err
+
+
+def test_verify_rejects_a_number_past_the_float_range_naming_the_key(tmp_path, capsys):
+    # 1e400 reads as inf, as the literals NaN and Infinity read as nan and inf
+    doc = read(fixture_path("verify_p1.json"))
+    for key in ("symbol", "r_symbol"):
+        doc[key] = fixture_path(doc[key])
+    doc["t"] = "T"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc).replace('"T"', "1e400"))
+    assert run(["verify", "--check", "p1", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    assert "'t' holds a number that is not finite: inf" in capsys.readouterr().err
 
 
 def test_verify_csv_export(tmp_path):
@@ -436,6 +499,109 @@ def test_reports_byte_identical_across_runs(tmp_path, args):
     assert run(args + ["--out", str(out1)]) in (0, 1)
     assert run(args + ["--out", str(out2)]) in (0, 1)
     assert out1.read_bytes() == out2.read_bytes()
+
+
+PACKAGED_COMMANDS = [
+    ["analyze", "--symbol", fixture_path("laplacian.json")],
+    ["analyze", "--symbol", fixture_path("heat.json"), "--d", "2"],
+    ["analyze", "--symbol", fixture_path("wave.json")],
+    ["seq-check", "--gevrey", "2", "--pmax", "60", "--inclusion-gevrey", "1"],
+    ["seq-check", "--table", fixture_path("factorial_table.txt"), "--pmax", "20"],
+    ["seq-check", "--table", fixture_path("factorial_table.txt")],
+    ["strength", "--p", fixture_path("first_order.json"), "--q", fixture_path("laplacian.json")],
+    ["strength", "--variable", fixture_path("drift_operator.json")],
+    ["strength", "--variable", fixture_path("degenerate_operator.json")],
+    *(["verify", "--check", check, "--config", fixture_path(f"verify_{check}.json")]
+      for check in ("p1", "prop31", "th1", "domination")),
+    ["verify", "--check", "th1", "--config", fixture_path("verify_th1_bad.json")],
+]
+
+
+def test_every_packaged_command_runs_twice_in_one_process_alike(tmp_path):
+    # the second run reuses the parser the first one built
+    def once(args):
+        out, csv, err = tmp_path / "r.json", tmp_path / "r.csv", io.StringIO()
+        for path in (out, csv):
+            path.unlink(missing_ok=True)
+        flags = ["--csv", str(csv)] if args[0] == "verify" else []
+        with contextlib.redirect_stderr(err):
+            code = main(args + ["--out", str(out), *flags])
+        return code, err.getvalue(), *(p.read_bytes() if p.exists() else None for p in (out, csv))
+
+    for args in PACKAGED_COMMANDS:
+        first = once(args)
+        assert first[0] in (0, 1, 2) and (first[2] is None) == (first[0] == 2)
+        assert once(args) == first, args
+
+
+def test_the_parser_is_built_on_the_first_call_only(tmp_path, monkeypatch):
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    args = ["seq-check", "--gevrey", "2", "--pmax", "20", "--out", str(tmp_path / "r.json")]
+    assert main(args) == 0 and main(args) == 0
+    assert built == [1]
+
+
+def test_the_parser_parses_correctly_after_an_argparse_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--symbol", fixture_path("laplacian.json"), "--rays", "many"])
+    assert exc.value.code == 2 and "--rays: invalid int value" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["seq-check", "--gevrey", "2", "--table", fixture_path("factorial_table.txt")])
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--symbol", fixture_path("laplacian.json"), "--rays", "16", "--out", str(out)]) == 0
+    config = read(out)["config"]
+    assert config["rays"]["directions"] == 16 and config["d"] is None and config["seed"] == 0
+
+
+def test_a_replaced_run_function_is_the_one_that_runs(monkeypatch):
+    cli._parser()  # built before the replacement
+    seen = []
+    monkeypatch.setattr(cli, "run_analyze", lambda args: seen.append(args.symbol) or 7)
+    assert main(["analyze", "--symbol", "q.json"]) == 7
+    assert seen == ["q.json"]
+
+
+def test_module_run_prints_the_in_process_report(capsys):
+    args = ["analyze", "--symbol", fixture_path("laplacian.json"), "--rays", "32"]
+    assert main(args) == 0
+    in_process = capsys.readouterr().out
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "hypoel.cli", *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == in_process
+
+
+def _sanitize(obj):
+    """Reference: inf and nan become their repr strings; json.dumps of the result is the text the writer must give."""
+    if isinstance(obj, dict):
+        return {k: _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_sanitize(v) for v in obj]
+    if isinstance(obj, float):
+        if obj != obj or obj in (float("inf"), float("-inf")):
+            return repr(obj)
+        return obj
+    return obj
+
+
+report_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.lists(children).map(tuple) | st.dictionaries(st.text(), children),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=report_trees)
+@example(tree={"ä": [0.0, -0.0, float("inf"), float("-inf"), float("nan")], "": {}, "e": [], "t": (1, "\u2028")})
+@example(tree=[10**40, -1, True, None, 1e-300, 5e-324, 1.7976931348623157e308, "\x00\"\\"])
+def test_report_text_is_the_sanitized_json_dump(tree):
+    want = json.dumps(_sanitize(tree), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert cli._json_text(tree) == want
 
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))

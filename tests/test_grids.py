@@ -307,6 +307,19 @@ def test_sweep_norms_past_the_float_range_read_inf():
         assert all(f for n, f in zip(sweep.norms, sweep.flagged) if n == math.inf)
 
 
+def test_zero_function_sweeps_read_zero_past_the_float_range():
+    # an exact zero of the spectrum times a multiplier or power past the float range is 0, not NaN read as inf
+    om = BoxDomain((-0.3,), (0.3,))
+    u = zero_function(GridSpec(om, 512))
+    sweeps = [
+        derivative_norms(u, 120, om, 0.01),
+        iterate_norms(SymbolPolynomial(1, {(2,): 1.0, (0,): 1.0}), u, 100, om, 0.0),
+    ]
+    for sweep in sweeps:
+        assert sweep.norms == [0.0] * len(sweep.labels)
+        assert not any(sweep.flagged)
+
+
 def test_shrink_norm_skips_distances_past_the_region():
     # every distance of delta_grid(1e300) empties the box: each adds nothing, and its
     # d**mu, past the float range, is never formed (a RuntimeWarning is an error here)
