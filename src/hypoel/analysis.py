@@ -181,30 +181,13 @@ class StrengthReport:
 
 
 def snap_rational(value: float) -> tuple[int, int] | None:
-    """Nearest fraction with denominator at most 12, via Stern-Brocot descent.
+    """Nearest fraction with denominator at most 12.
 
     Returns (numerator, denominator) when within 2% relatively, else None.
     """
     if value <= 0:
         return None
-    lo_n, lo_d = 0, 1
-    hi_n, hi_d = 1, 0
-    best = (round(value), 1)
-    best_err = abs(value - round(value))
-    for _ in range(120):
-        med_n, med_d = lo_n + hi_n, lo_d + hi_d
-        if med_d > 12:
-            break
-        med = med_n / med_d
-        if abs(value - med) < best_err:
-            best, best_err = (med_n, med_d), abs(value - med)
-        if med < value:
-            lo_n, lo_d = med_n, med_d
-        elif med > value:
-            hi_n, hi_d = med_n, med_d
-        else:
-            break
-    frac = Fraction(*best)
+    frac = Fraction(value).limit_denominator(12)
     if abs(frac - value) <= 0.02 * abs(value):
         return frac.numerator, frac.denominator
     return None

@@ -120,13 +120,10 @@ def _report(command: str, config: dict, results: dict, witnesses: list) -> dict:
     }
 
 
-def _ray_config(args, seed: int) -> RayConfig:
-    kwargs = {"seed": seed}
-    if args.rays is not None:
-        kwargs["directions"] = args.rays
-    if args.radii is not None:
-        kwargs["radii"] = args.radii
-    return RayConfig(**kwargs)
+def _ray_config(args) -> RayConfig:
+    """The --seed flag, and the --rays and --radii flags that are set."""
+    sizes = {"directions": args.rays, "radii": args.radii}
+    return RayConfig(seed=args.seed, **{k: v for k, v in sizes.items() if v is not None})
 
 
 # -- analyze ---------------------------------------------------------------------
@@ -144,7 +141,7 @@ def run_analyze(args) -> int:
     q = load_symbol(args.symbol)
     if not isinstance(q, SymbolPolynomial):
         raise ParseError(f"{args.symbol} holds a variable operator; `analyze` expects a symbol")
-    cfg = _ray_config(args, args.seed)
+    cfg = _ray_config(args)
     est, table = _estimate(q, cfg)
     results = {"estimate": est.to_dict()}
     if args.d is not None:
@@ -174,6 +171,8 @@ def _sequence_from_args(args) -> tuple[RoumieuSequence, dict]:
 
 
 def run_seq_check(args) -> int:
+    if args.pmax > _INTEGER_LIMITS["pmax"]:
+        raise ParseError(f"--pmax is {args.pmax}, above its limit {_INTEGER_LIMITS['pmax']}")
     for flag, value in (("--gevrey", args.gevrey), ("--inclusion-gevrey", args.inclusion_gevrey)):
         if value is not None and not math.isfinite(value):
             raise ParseError(f"{flag} {value!r} is not a finite number")
@@ -210,7 +209,7 @@ def run_seq_check(args) -> int:
 
 
 def run_strength(args) -> int:
-    cfg = _ray_config(args, args.seed)
+    cfg = _ray_config(args)
     if args.variable:
         op = load_symbol(args.variable)
         if not isinstance(op, VariableOperator):
@@ -296,9 +295,10 @@ def _integer(value) -> int:
 
 
 #: the largest value of each integer setting: a seed a signed 64-bit integer holds,
-#: 2^12 grid nodes per axis, and iterate and derivative orders far past the point
-#: where their norms leave the floating-point range
-_INTEGER_LIMITS = {"seed": 2**63 - 1, "resolution": 2**12, "kmax": 100, "lmax": 100, "amax": 100}
+#: 2^12 grid nodes per axis, iterate and derivative orders far past the point
+#: where their norms leave the floating-point range, and a seq-check depth whose
+#: (pmax+1)^2 tables stay a few megabytes; a grid has at most 2^24 nodes in all
+_INTEGER_LIMITS = {"seed": 2**63 - 1, "resolution": 2**12, "kmax": 100, "lmax": 100, "amax": 100, "pmax": 1000}
 
 
 def _config_integer(doc: dict, args, key: str, default: int) -> int:
@@ -367,12 +367,8 @@ def _config_fixtures(doc: dict, spec: GridSpec) -> list[GridFunction]:
     return [sample(spec, d["family"], **{k: v for k, v in d.items() if k != "family"}) for d in descs]
 
 
-def _sweep_rows(tag: str, fit_or_sweep) -> list[tuple]:
-    d = fit_or_sweep.to_dict()
-    return [
-        (tag, l, n, int(f))
-        for l, n, f in zip(d["labels"], d["norms"], d["flagged"])
-    ]
+def _sweep_rows(tag: str, fit) -> list[tuple]:
+    return [(tag, l, n, int(f)) for l, n, f in zip(fit.labels, fit.norms, fit.flagged)]
 
 
 def _write_csv(path, rows: list[tuple]) -> None:
@@ -407,6 +403,8 @@ def run_verify(args) -> int:
         q = _config_symbol(doc, "symbol", base)
         omega = _config_value(doc, "omega", BoxDomain.from_dict)
         d = _config_value(doc, "d", RationalExponent.parse, RationalExponent(1, 1))
+    if resolution**omega.dimension > 2**24:
+        raise ParseError(f"resolution {resolution} gives {resolution}^{omega.dimension} nodes, above the limit 2^24")
     fixtures = _config_fixtures(doc, GridSpec(omega, resolution))
 
     if check == "domination":

@@ -78,9 +78,6 @@ class RationalExponent:
                 raise ValueError(f"cannot parse exponent {text!r}")
         return RationalExponent(frac.numerator, frac.denominator)
 
-    def to_dict(self) -> dict:
-        return {"mu": self.mu, "nu": self.nu, "value": self.value}
-
 
 @dataclass
 class EstimateCase:
@@ -371,31 +368,20 @@ def _growth_fit_from_sweep(
     ]
     if not any(not f for f in sweep.flagged):
         raise HypoelError("all sweep entries are flagged as unresolved")
-    if not usable:
-        # zero fixture: 0 <= C^{k+1} target holds for the sentinel constant 0
-        return GrowthFit(
-            constant=0.0,
-            labels=sweep.labels,
-            norms=sweep.norms,
-            log_residuals=[None] * len(sweep.labels),
-            slope=0.0,
-            flagged=sweep.flagged,
-            target=target_name,
-        )
-    log_c = max((math.log(n) - target) / (l + 1) for l, n, target in usable)
+    # a zero fixture leaves nothing usable: 0 <= C^{k+1} target holds for the sentinel constant exp(-inf) = 0
+    log_c = max(((math.log(n) - target) / (l + 1) for l, n, target in usable), default=-math.inf)
     residuals: list[float | None] = [
         None if f or n <= 0.0 else math.log(n) - (l + 1) * log_c - target
         for l, n, f, target in zip(sweep.labels, sweep.norms, sweep.flagged, log_targets)
     ]
     xs = [target for _, _, target in usable]
     ys = [math.log(n) for _, n, _ in usable]
-    slope = least_squares_slope(xs, ys)
     return GrowthFit(
         constant=math.exp(log_c),
         labels=sweep.labels,
         norms=sweep.norms,
         log_residuals=residuals,
-        slope=slope,
+        slope=least_squares_slope(xs, ys) if usable else 0.0,
         flagged=sweep.flagged,
         target=target_name,
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -72,13 +72,6 @@ class GridSpec:
     @property
     def volume_element(self) -> float:
         return math.prod((hi - lo) / self.resolution for lo, hi in zip(self.cell.lo, self.cell.hi))
-
-    def to_dict(self) -> dict:
-        return {
-            "omega": self.omega.to_dict(),
-            "resolution": self.resolution,
-            "cell": self.cell.to_dict(),
-        }
 
 
 class GridFunction:
@@ -475,24 +468,9 @@ def weighted_norm(u: GridFunction, h, p: float = 2.0) -> float:
 class NormSweep:
     """Restricted norms of operator iterates or derivative orders."""
 
-    kind: str
     labels: list[int]
     norms: list[float]
     flagged: list[bool]
-    region: dict = field(default_factory=dict)
-    delta: float = 0.0
-    grid: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "labels": self.labels,
-            "norms": self.norms,
-            "flagged": self.flagged,
-            "region": self.region,
-            "delta": self.delta,
-            "grid": self.grid,
-        }
 
 
 def _spectral_entry(spectrum: np.ndarray, box: tuple, spec: GridSpec) -> tuple[float, float]:
@@ -551,15 +529,7 @@ def iterate_norms(
                     current = apply_operator(op, current)
                 norms.append(_past_range(restricted_l2(current, region, delta)))
                 flagged.append(_unresolved(spectral_tail_fraction(current.spectrum()), norms[-1:]))
-    return NormSweep(
-        kind="iterates",
-        labels=labels,
-        norms=norms,
-        flagged=flagged,
-        region=region.to_dict(),
-        delta=delta,
-        grid=u.spec.to_dict(),
-    )
+    return NormSweep(labels, norms, flagged)
 
 
 def _derivative_sweep(u: GridFunction, alphas: list, region: BoxDomain, deltas: Sequence[float]) -> dict:
@@ -613,12 +583,4 @@ def derivative_norms(
         a = sum(alpha)
         flagged[a] = flagged[a] or flag
         norms[a] = max(norms[a], norm)
-    return NormSweep(
-        kind="derivatives",
-        labels=labels,
-        norms=norms,
-        flagged=flagged,
-        region=region.to_dict(),
-        delta=delta,
-        grid=u.spec.to_dict(),
-    )
+    return NormSweep(labels, norms, flagged)

@@ -15,7 +15,7 @@ import cmath
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -193,15 +193,11 @@ class SymbolPolynomial:
             return complex(out)
         return out
 
-    def derivatives(self) -> Iterator[tuple[MultiIndex, "SymbolPolynomial"]]:
-        """All (alpha, d^alpha Q) with |alpha| <= order, including alpha = 0."""
-        for alpha in multi_indices_up_to(self.dimension, self.order):
-            yield alpha, self.derive(alpha)
-
     @cached_property
     def nonzero_derivatives(self) -> tuple[tuple[MultiIndex, "SymbolPolynomial"], ...]:
-        """The (alpha, d^alpha Q) of derivatives() that are not zero, computed once."""
-        return tuple((alpha, dq) for alpha, dq in self.derivatives() if not dq.is_zero)
+        """The (alpha, d^alpha Q) with |alpha| <= order, alpha = 0 included, that are not zero, computed once."""
+        derivatives = ((alpha, self.derive(alpha)) for alpha in multi_indices_up_to(self.dimension, self.order))
+        return tuple((alpha, dq) for alpha, dq in derivatives if not dq.is_zero)
 
     def strength(self, xi) -> float | np.ndarray:
         """Hormander strength: sqrt of the sum of |d^alpha Q(xi)|^2 over all alpha."""
@@ -255,7 +251,7 @@ class SymbolPolynomial:
 
 
 def multi_indices_up_to(dimension: int, max_total: int) -> list[MultiIndex]:
-    """All multi-indices alpha with |alpha| <= max_total, in graded-lex order."""
+    """All multi-indices alpha with |alpha| <= max_total, in graded-lex order: lex order within each total."""
     out: list[MultiIndex] = []
 
     def rec(prefix, remaining, slots):
@@ -266,11 +262,7 @@ def multi_indices_up_to(dimension: int, max_total: int) -> list[MultiIndex]:
             rec(prefix + (v,), remaining - v, slots - 1)
 
     for total in range(max_total + 1):
-        block: list[MultiIndex] = []
-        start = len(out)
         rec((), total, dimension)
-        block = sorted(out[start:], key=_grlex_key)
-        out[start:] = block
     return out
 
 
@@ -301,12 +293,6 @@ class VariableOperator:
                 cleaned[alpha] = coeff
         ordered = {a: cleaned[a] for a in sorted(cleaned, key=_grlex_key)}
         object.__setattr__(self, "terms", ordered)
-
-    @property
-    def order(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(a) for a in self.terms)
 
     def freeze(self, x) -> SymbolPolynomial:
         """Constant-coefficient symbol with coefficients evaluated at x."""

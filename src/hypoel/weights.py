@@ -33,9 +33,9 @@ class WeightFunction:
     def __call__(self, xi) -> np.ndarray:
         raise NotImplementedError
 
-    def gradient(self, xi) -> np.ndarray | None:
-        """Gradient for local ascent, or None when not available."""
-        return None
+    def gradient(self, xi) -> np.ndarray:
+        """Gradient for local ascent."""
+        raise NotImplementedError
 
 
 class ConstantWeight(WeightFunction):
@@ -49,6 +49,9 @@ class ConstantWeight(WeightFunction):
     def __call__(self, xi):
         xi = np.asarray(xi, dtype=float)
         return np.full(xi.shape[:-1], self.value)
+
+    def gradient(self, xi):
+        return np.zeros(np.shape(xi))
 
 
 class OnePlusNorm(WeightFunction):
@@ -119,9 +122,11 @@ class PowerWeight(WeightFunction):
 
 @dataclass(frozen=True)
 class PairSampleConfig:
-    xi_radius: float = 100.0
-    eta_radius: float = 10.0
-    pairs: int = 2000
+    """The seed of the temperate fit's pair sample; its radii and size are fixed."""
+
+    xi_radius = 100.0
+    eta_radius = 10.0
+    pairs = 2000
     seed: int = 0
 
     def to_dict(self) -> dict:
@@ -250,7 +255,7 @@ def _ball_maximizers(h: WeightFunction, delta: float, pts: np.ndarray) -> np.nda
     """Where h is largest in the closed ball of radius delta around each of pts, as far as the search finds.
 
     The best of fixed quasi-uniform ball samples, the center among them,
-    refined by 32 steps of local ascent when the weight exposes a gradient.
+    refined by 32 steps of local ascent along the weight's gradient.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
@@ -258,8 +263,6 @@ def _ball_maximizers(h: WeightFunction, delta: float, pts: np.ndarray) -> np.nda
         raise DimensionMismatch(f"points have dimension {pts.shape[-1]}, expected {h.dimension}")
     offsets = _unit_ball_template(h.dimension) * delta
     best = pts + offsets[np.argmax(h(pts[:, None, :] + offsets[None, :, :]), axis=1)]
-    if h.gradient(pts[:1]) is None:
-        return best
 
     def to_ball(cand):
         rel = cand - pts
@@ -291,17 +294,6 @@ class LemmaReport:
     fit: TemperateFit
     delta: float
     j: int
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "sandwich_lower_margin": self.sandwich_lower_margin,
-            "sandwich_upper_margin": self.sandwich_upper_margin,
-            "power_identity_residual": self.power_identity_residual,
-            "fit": self.fit.to_dict(),
-            "delta": self.delta,
-            "j": self.j,
-        }
 
 
 def verify_ball_sup_sandwich(

@@ -109,6 +109,8 @@ def test_unit_directions_match_the_row_construction_bit_for_bit(n, seed):
         (1.5, (3, 2)),
         (4 / 3 + 1e-4, (4, 3)),
         (1.083333, (13, 12)),
+        (119.5, (239, 2)),
+        (130.25, (521, 4)),
     ],
 )
 def test_snap_rational_hits(value, expected):

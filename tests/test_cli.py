@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypoel import analysis, cli
 from hypoel.analysis import RayConfig
 from hypoel.cli import main
+from hypoel.errors import ParseError
 
 FIXTURES = resources.files("hypoel") / "fixtures"
 
@@ -179,6 +180,14 @@ def test_seq_check_inclusion_option(tmp_path):
 
 def test_seq_check_invalid_order_exits_2(tmp_path):
     assert run(["seq-check", "--gevrey", "0.5", "--out", str(tmp_path / "r.json")]) == 2
+
+
+def test_seq_check_rejects_pmax_past_the_limit_before_any_log_m(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "check_basic", lambda *a, **k: pytest.fail("the sequence was evaluated"))
+    out = tmp_path / "r.json"
+    assert run(["seq-check", "--gevrey", "2", "--pmax", "1001", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "--pmax is 1001, above its limit 1000" in capsys.readouterr().err
 
 
 def test_seq_check_packaged_table(tmp_path):
@@ -441,6 +450,34 @@ def test_verify_malformed_config_exits_2_naming_the_key(tmp_path, capsys, check,
     assert err.startswith("error: ")
     for word in named:
         assert word in err
+
+
+def _reached_fixtures(*args):
+    raise ParseError("reached the fixtures")
+
+
+@pytest.mark.parametrize(
+    "dim, in_config, flags, named",
+    [
+        (3, 512, [], "resolution 512 gives 512^3 nodes, above the limit 2^24"),
+        (3, 64, ["--resolution", "512"], "resolution 512 gives 512^3 nodes, above the limit 2^24"),
+        (3, 256, [], "reached the fixtures"),
+        (2, 4096, [], "reached the fixtures"),
+    ],
+)
+def test_verify_bounds_the_grid_nodes_before_building_a_fixture(tmp_path, capsys, monkeypatch, dim, in_config,
+                                                                  flags, named):
+    monkeypatch.setattr(cli, "_config_fixtures", _reached_fixtures)
+    doc = read(fixture_path("verify_prop31.json"))
+    doc.update({
+        "symbol": {"dimension": dim, "terms": [{"alpha": [2] + [0] * (dim - 1), "re": 1.0}]},
+        "omega": {"lo": [-0.2] * dim, "hi": [0.2] * dim},
+        "resolution": in_config,
+    })
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run(["verify", "--check", "prop31", "--config", str(cfg), "--out", str(tmp_path / "r.json"), *flags]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_verify_rejects_a_number_past_the_float_range_naming_the_key(tmp_path, capsys):

@@ -199,6 +199,8 @@ def test_vector_fit_zero_fixture_sentinel(laplacian, wide_box):
     spec = GridSpec(wide_box, 64)
     fit = fit_roumieu_vector(zero_function(spec), laplacian, gevrey(1), wide_box, 0.05, 4)
     assert fit.constant == 0.0
+    assert fit.log_residuals == [None] * 5
+    assert fit.slope == 0.0 and fit.residual_tail_slope() == 0.0
 
 
 def test_vector_fit_eigenmode_closed_form(laplacian, wide_box):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -97,6 +98,14 @@ def test_derive_monomial():
     q = SymbolPolynomial(2, {(2, 1): 1.0})  # xi1^2 xi2
     d = q.derive((1, 1))
     assert d == SymbolPolynomial(2, {(1, 0): 2.0})
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+def test_multi_indices_come_in_graded_lex_order(dimension):
+    for max_total in range(11):
+        every = itertools.product(range(max_total + 1), repeat=dimension)
+        want = sorted((a for a in every if sum(a) <= max_total), key=lambda a: (sum(a), a))
+        assert multi_indices_up_to(dimension, max_total) == want
 
 
 def test_derive_zero_multi_index_is_identity():
