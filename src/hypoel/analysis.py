@@ -12,12 +12,13 @@ import functools
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from .errors import HypoelError, PreconditionError
 from .fitting import ascend, least_squares_slope
-from .symbols import MultiIndex, SymbolPolynomial, VariableOperator
+from .symbols import MultiIndex, SymbolPolynomial, VariableOperator, _evaluate
 
 #: per-ray tail slopes above this count as divergence
 SLOPE_TOL = 0.05
@@ -117,14 +118,14 @@ def _characteristic_refinement(q: SymbolPolynomial, dirs: np.ndarray) -> np.ndar
         return np.zeros((0, q.dimension))
     order = np.argsort(vals, kind="stable")
     starts = dirs[order[: min(32, len(dirs))]]
-    grads = [pm.derive(tuple(1 if j == k else 0 for j in range(q.dimension))) for k in range(q.dimension)]
+    family = [pm, *(pm.derive(tuple(1 if j == k else 0 for j in range(q.dimension))) for k in range(q.dimension))]
 
     def score(pts):
-        p_vals = pm(pts)
-        return -(np.abs(p_vals) ** 2), p_vals
+        values = np.stack(list(_evaluate(family, pts)), axis=1)  # P_m, then its gradient
+        return -(np.abs(values[:, 0]) ** 2), values
 
-    def descent(pts, p_vals):
-        return np.stack([-2 * np.real(np.conj(p_vals) * g(pts)) for g in grads], axis=1)
+    def descent(pts, values):
+        return -2 * np.real(np.conj(values[:, :1]) * values[:, 1:])
 
     def to_sphere(cand):
         cn = np.linalg.norm(cand, axis=1)
@@ -206,35 +207,43 @@ def _ray_grid(n: int, cfg: RayConfig, refine_for: SymbolPolynomial | None = None
     return dirs, num_base, cfg.radius_grid()
 
 
-def _log_abs_on_rays(p: SymbolPolynomial, dirs: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """log|P(r theta)|, shaped (rays, radii), from the homogeneous parts H_k of P on each direction.
+def _log_abs_on_rays(family: Sequence[SymbolPolynomial], dirs: np.ndarray, radii: np.ndarray) -> list[np.ndarray]:
+    """log|P(r theta)| for each P of the family, from the homogeneous parts H_k of P on each direction.
 
-    Each ray is scaled by its own top nonzero degree k*, as
+    The direction powers and the monomials of all the family's multi-indices
+    are tabled once.  Each ray is scaled by its own top nonzero degree k*, as
     r^k* sum_{k <= k*} H_k(theta) r^(k - k*), so no radius overflows; a row
-    of -inf is a ray on which P vanishes identically.
+    of -inf is a ray on which P vanishes identically.  A P of positive order
+    is shaped (rays, radii), a constant (rays, 1), the same at every radius.
     """
-    m, n = p.order, p.dimension
-    alphas = np.array(list(p.terms), dtype=int).reshape(-1, n)
-    coeffs = np.array(list(p.terms.values()), dtype=complex)
-    if not np.isfinite(coeffs).all():
-        raise HypoelError("a derivative of the symbol has a coefficient beyond floating-point range")
-    # dividing by a power of two is exact and keeps every sum below in range
-    scale = math.frexp(np.abs(coeffs.view(float)).max(initial=0.0))[1]
-    by_degree = np.zeros((len(alphas), m + 1), dtype=complex)
-    by_degree[np.arange(len(alphas)), alphas.sum(axis=1)] = np.ldexp(coeffs.view(float), -scale).view(complex)
-    powers = np.ones((len(dirs), n, m + 1))
+    n = dirs.shape[1]
+    union = {alpha: i for i, alpha in enumerate(dict.fromkeys(a for p in family for a in p.terms))}
+    powers = np.ones((len(dirs), n, max(p.order for p in family) + 1))
     powers[:, :, 1:] = dirs[:, :, None]
     np.cumprod(powers, axis=2, out=powers)
-    parts = np.prod(powers[:, np.arange(n), alphas], axis=-1) @ by_degree
-    top = m - np.argmax(parts[:, ::-1] != 0, axis=1)
-    # column j of the reversed parts holds H_{k*-j}, the coefficient of r^-j
-    shift = top[:, None] - np.arange(m + 1)
-    reversed_parts = np.where(shift >= 0, parts[np.arange(len(parts))[:, None], shift], 0)
-    logs = np.abs(reversed_parts @ radii ** -np.arange(m + 1.0)[:, None])
-    with np.errstate(divide="ignore"):
-        np.log(logs, out=logs)
-    logs += top[:, None] * np.log(radii) + scale * math.log(2.0)
-    return logs
+    monomials = np.prod(powers[:, np.arange(n), np.array(list(union), dtype=int).reshape(-1, n)], axis=-1)
+    out = []
+    for p in family:
+        m = p.order
+        coeffs = np.array(list(p.terms.values()), dtype=complex)
+        if not np.isfinite(coeffs).all():
+            raise HypoelError("a derivative of the symbol has a coefficient beyond floating-point range")
+        # dividing by a power of two is exact and keeps every sum below in range
+        scale = math.frexp(np.abs(coeffs.view(float)).max(initial=0.0))[1]
+        by_degree = np.zeros((len(coeffs), m + 1), dtype=complex)
+        by_degree[np.arange(len(coeffs)), [sum(a) for a in p.terms]] = np.ldexp(coeffs.view(float), -scale).view(complex)
+        parts = monomials[:, [union[a] for a in p.terms]] @ by_degree
+        top = m - np.argmax(parts[:, ::-1] != 0, axis=1)
+        # column j of the reversed parts holds H_{k*-j}, the coefficient of r^-j
+        shift = top[:, None] - np.arange(m + 1)
+        reversed_parts = np.where(shift >= 0, parts[np.arange(len(parts))[:, None], shift], 0)
+        r = radii if m else radii[:1]
+        logs = np.abs(reversed_parts @ r ** -np.arange(m + 1.0)[:, None])
+        with np.errstate(divide="ignore"):
+            np.log(logs, out=logs)
+        logs += top[:, None] * np.log(r) + scale * math.log(2.0)
+        out.append(logs)
+    return out
 
 
 def _exp(logs):
@@ -258,7 +267,8 @@ class _RayTable:
 def _ray_table(q: SymbolPolynomial, cfg: RayConfig) -> _RayTable:
     """The table of q on cfg's rays, each nonzero derivative evaluated once."""
     dirs, num_base, radii = _ray_grid(q.dimension, cfg, q)
-    derivatives = tuple((beta, _log_abs_on_rays(dq, dirs, radii)) for beta, dq in q.nonzero_derivatives)
+    betas, family = zip(*q.nonzero_derivatives)
+    derivatives = tuple(zip(betas, _log_abs_on_rays(family, dirs, radii)))
     log_denom = np.logaddexp(0.0, derivatives[0][1])
     return _RayTable(cfg, dirs, np.arange(len(dirs)) < num_base, radii, log_denom, derivatives)
 
@@ -330,6 +340,8 @@ def _steepest(current: RaySample | None, table: _RayTable, beta, logs, peaks, sl
     rays below the guard show the transition plateau of a near-characteristic
     window and never give the sample.
     """
+    if not growing.any():
+        return current, growing
     growing[growing] = _is_monotone_tail(logs[growing])
     plateau = ~table.base & (peaks < _refined_guard(peaks, table.base))
     i = _first_max(slopes, growing & ~plateau)
@@ -466,7 +478,7 @@ def equally_strong(
 def _log_strength(s: SymbolPolynomial, dirs: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """log Hormander strength of s on the rays, half the logsumexp of 2 log|s^(alpha)|; constants add in one column."""
     derivatives = sorted((ds for _, ds in s.nonzero_derivatives), key=lambda ds: ds.order)
-    squares = (2 * _log_abs_on_rays(ds, dirs, radii if ds.order else radii[:1]) for ds in derivatives)
+    squares = (2 * logs for logs in _log_abs_on_rays(derivatives, dirs, radii))
     return 0.5 * np.broadcast_to(functools.reduce(np.logaddexp, squares), (len(dirs), len(radii)))
 
 
@@ -497,7 +509,8 @@ def check_symbol_domination(
 ) -> dict:
     """Spot-check |R(xi)| <= C (1 + |Q(xi)|) on the ray grid; raises when it diverges."""
     dirs, _, radii = _ray_grid(q.dimension, cfg or RayConfig())
-    logs = _log_abs_on_rays(r, dirs, radii) - np.logaddexp(0.0, _log_abs_on_rays(q, dirs, radii))
+    log_r, log_q = _log_abs_on_rays([r, q], dirs, radii)
+    logs = np.broadcast_to(log_r - np.logaddexp(0.0, log_q), (len(dirs), len(radii)))
     slopes = _tail_slopes(radii, logs)
     peaks = _exp(logs.max(axis=1))
     worst = _first_max(slopes, ~(peaks < 1e-250))

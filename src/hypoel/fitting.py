@@ -41,7 +41,6 @@ def ascend(score, gradient, project, start: np.ndarray, step: float, steps: int)
         better = cand_scores > scores
         pts[better] = cand[better]
         scores[better] = cand_scores[better]
-        if values is not None:
-            values[better] = cand_values[better]
+        values[better] = cand_values[better]
         step = np.where(better, step, step * 0.5)
     return pts, scores

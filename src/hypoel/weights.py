@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, HypoelError, PreconditionError
 from .fitting import ascend
-from .symbols import SymbolPolynomial
+from .symbols import SymbolPolynomial, _evaluate, _points, _root_sum_squares
 
 #: C candidates for the temperate fit
 C_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
@@ -36,6 +36,10 @@ class WeightFunction:
     def gradient(self, xi) -> np.ndarray:
         """Gradient for local ascent."""
         raise NotImplementedError
+
+    def _value_and_gradient(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """h and its gradient at the points xi, for the ascent; a weight that shares their work overrides it."""
+        return self(xi), self.gradient(xi)
 
 
 class ConstantWeight(WeightFunction):
@@ -79,23 +83,26 @@ class StrengthWeight(WeightFunction):
         self.symbol = symbol
         self.dimension = symbol.dimension
         self.degree = float(symbol.order)
-        self._grads = [
-            [dq.derive(tuple(1 if j == k else 0 for j in range(self.dimension))) for k in range(self.dimension)]
-            for _, dq in symbol.nonzero_derivatives
-        ]
+        derivatives = [dq for _, dq in symbol.nonzero_derivatives]
+        axes = [tuple(1 if j == k else 0 for j in range(self.dimension)) for k in range(self.dimension)]
+        # the derivatives, then the gradient of each in turn: one family, evaluated at once
+        self._family = derivatives + [dq.derive(e) for dq in derivatives for e in axes]
 
     def __call__(self, xi):
         return self.symbol.strength(xi)
 
     def gradient(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        h = np.maximum(self(xi), 1e-300)
+        return self._value_and_gradient(_points(xi, self.dimension))[1]
+
+    def _value_and_gradient(self, xi):
+        n, count = self.dimension, len(self.symbol.nonzero_derivatives)
+        values = list(_evaluate(self._family, xi))
+        strength = _root_sum_squares(values[:count], xi.shape[:-1])
         grad = np.zeros(xi.shape)
-        for (_, dq), dgrads in zip(self.symbol.nonzero_derivatives, self._grads):
-            vals = dq(xi)
-            for k in range(self.dimension):
-                grad[..., k] += np.real(np.conj(vals) * dgrads[k](xi))
-        return grad / h[..., None]
+        for i, vals in enumerate(values[:count]):
+            for k in range(n):
+                grad[..., k] += np.real(np.conj(vals) * values[count + i * n + k])
+        return strength, grad / np.maximum(strength, 1e-300)[..., None]
 
 
 class PowerWeight(WeightFunction):
@@ -251,8 +258,8 @@ def _unit_ball_template(n: int) -> np.ndarray:
     return np.concatenate([np.array(pts), cloud, -cloud])
 
 
-def _ball_maximizers(h: WeightFunction, delta: float, pts: np.ndarray) -> np.ndarray:
-    """Where h is largest in the closed ball of radius delta around each of pts, as far as the search finds.
+def _ball_maximizers(h: WeightFunction, delta: float, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where h is largest in the closed ball of radius delta around each of pts, as far as the search finds, and h there.
 
     The best of fixed quasi-uniform ball samples, the center among them,
     refined by 32 steps of local ascent along the weight's gradient.
@@ -269,7 +276,7 @@ def _ball_maximizers(h: WeightFunction, delta: float, pts: np.ndarray) -> np.nda
         dist = np.linalg.norm(rel, axis=1, keepdims=True)
         return np.where(dist > delta, pts + rel * (delta / np.maximum(dist, 1e-300)), cand)
 
-    return ascend(lambda x: (h(x), None), lambda x, _: h.gradient(x), to_ball, best, 0.25 * delta, 32)[0]
+    return ascend(h._value_and_gradient, lambda x, grad: grad, to_ball, best, 0.25 * delta, 32)
 
 
 def h_delta(h: WeightFunction, delta: float, xi) -> float | np.ndarray:
@@ -279,7 +286,7 @@ def h_delta(h: WeightFunction, delta: float, xi) -> float | np.ndarray:
     ascent; always >= h(xi) since the center is one of the samples.
     """
     xi = np.asarray(xi, dtype=float)
-    best = h(_ball_maximizers(h, delta, np.atleast_2d(xi)))
+    best = _ball_maximizers(h, delta, np.atleast_2d(xi))[1]
     if xi.ndim == 1:
         return float(best[0])
     return best
@@ -319,8 +326,7 @@ def verify_ball_sup_sandwich(
     xi_points = np.concatenate([_structured_points(h.dimension, 20.0), rand])
 
     h_vals = h(xi_points)
-    maximizers = _ball_maximizers(h, delta, xi_points)
-    sup_vals = h(maximizers)
+    maximizers, sup_vals = _ball_maximizers(h, delta, xi_points)
     upper = h_vals * (1.0 + fit.c * delta) ** fit.n_exp
     lower_margin = float(((sup_vals - h_vals) / h_vals).min())
     upper_margin = float(((upper - sup_vals) / upper).min())

@@ -435,7 +435,7 @@ def test_high_order_symbol_free_of_an_axis_violated_on_every_radius():
     q = SymbolPolynomial(2, {(0, 0): 1.0, (40, 0): 1.0})
     # scaled by r^40 for the symbol's order, not per ray, Q underflowed to 0 there
     radii = RayConfig().radius_grid()
-    assert np.array_equal(analysis._log_abs_on_rays(q, np.array([[0.0, 1.0]]), radii), np.zeros((1, 41)))
+    assert np.array_equal(analysis._log_abs_on_rays([q], np.array([[0.0, 1.0]]), radii)[0], np.zeros((1, 41)))
     rep = estimate_d(q)
     assert rep.verdict == "violated"
     assert np.allclose(np.abs(rep.witness.direction), [0.0, 1.0])
@@ -444,10 +444,10 @@ def test_high_order_symbol_free_of_an_axis_violated_on_every_radius():
     assert check.verdict == "violated" and check.config["radii"] == 40
 
 
-def _log_abs_by_call(p, dirs, radii):
-    """log|P| by SymbolPolynomial.__call__ on the (rays, radii, n) points, as the sweep took it before."""
+def _log_abs_by_call(family, dirs, radii):
+    """Each log|P| of the family by SymbolPolynomial.__call__ on the (rays, radii, n) points, as the sweep took it before."""
     with np.errstate(divide="ignore"):
-        return np.log(np.abs(p(dirs[:, None, :] * radii[None, :, None])))
+        return [np.log(np.abs(p(dirs[:, None, :] * radii[None, :, None]))) for p in family]
 
 
 def _ray_ratios_by_call(q, beta, direction, radii, d):
@@ -522,10 +522,11 @@ def nan_rays(monkeypatch):
     evaluate = analysis._log_abs_on_rays
 
     def poison(symbol, count):
-        def poisoned(p, dirs, radii):
-            out = evaluate(p, dirs, radii)
-            if p != symbol:
-                out[:count] = np.nan
+        def poisoned(family, dirs, radii):
+            out = evaluate(family, dirs, radii)
+            for p, logs in zip(family, out):
+                if p != symbol:
+                    logs[:count] = np.nan
             return out
 
         monkeypatch.setattr(analysis, "_log_abs_on_rays", poisoned)
@@ -578,9 +579,9 @@ def _sweep_by_reevaluation(q):
 
     def sweep(table, derivatives, d=math.inf):
         log_r = np.log(table.radii)
-        log_denom = np.logaddexp(0.0, analysis._log_abs_on_rays(q, table.dirs, table.radii))
+        log_denom = np.logaddexp(0.0, analysis._log_abs_on_rays([q], table.dirs, table.radii)[0])
         for beta, _ in derivatives:
-            log_abs = analysis._log_abs_on_rays(q.derive(beta), table.dirs, table.radii)
+            log_abs = analysis._log_abs_on_rays([q.derive(beta)], table.dirs, table.radii)[0]
             logs = sum(beta) / d * log_r + log_abs - log_denom
             yield beta, logs, analysis._exp(logs.max(axis=1)), analysis._tail_slopes(table.radii, logs)
 
@@ -623,7 +624,7 @@ def test_stored_derivative_logs_give_the_reevaluating_reports(q, cfg, estimate_v
 def test_each_nonzero_derivative_is_evaluated_once(caller, heat_symbol, monkeypatch, tmp_path):
     evaluated, built = [], []
     evaluate, directions = analysis._log_abs_on_rays, analysis.unit_directions
-    monkeypatch.setattr(analysis, "_log_abs_on_rays", lambda p, *a: evaluated.append(p) or evaluate(p, *a))
+    monkeypatch.setattr(analysis, "_log_abs_on_rays", lambda ps, *a: evaluated.append(list(ps)) or evaluate(ps, *a))
     monkeypatch.setattr(analysis, "unit_directions", lambda *a: built.append(a) or directions(*a))
     if caller == "estimate_d":
         estimate_d(heat_symbol)
@@ -633,8 +634,33 @@ def test_each_nonzero_derivative_is_evaluated_once(caller, heat_symbol, monkeypa
         path = tmp_path / "heat.json"
         path.write_text(json.dumps(heat_symbol.to_dict()))
         assert cli.main(["analyze", "--symbol", str(path), "--d", "2", "--out", str(tmp_path / "r.json")]) == 0
-    assert evaluated == [dq for _, dq in heat_symbol.nonzero_derivatives]
+    assert evaluated == [[dq for _, dq in heat_symbol.nonzero_derivatives]]
     assert len(built) == 1
+
+
+def test_characteristic_search_evaluates_once_per_step(monkeypatch):
+    q = SymbolPolynomial(2, {(2, 0): 1.0, (0, 2): -1.0, (1, 0): 1j})
+    families, evaluate = [], analysis._evaluate
+    monkeypatch.setattr(analysis, "_evaluate", lambda ps, xi: families.append(list(ps)) or evaluate(ps, xi))
+    assert len(analysis._characteristic_refinement(q, unit_directions(2, 64)))
+    # the starts, then one candidate set for each of the 40 steps: P_m (scaled by 1/2) and its gradient each time
+    pm = 0.5 * q.principal_part()
+    assert families == [[pm, pm.derive((1, 0)), pm.derive((0, 1))]] * 41
+
+
+def test_ray_table_builds_one_monomial_table(heat_symbol, monkeypatch):
+    tables, prod = [], np.prod
+
+    def counted(a, *args, **kwargs):
+        # the monomial table is the one product over a (rays, multi-indices, n) array of direction powers
+        if np.ndim(a) == 3:
+            tables.append(np.shape(a))
+        return prod(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "prod", counted)
+    table = analysis._ray_table(heat_symbol, RayConfig(directions=64))
+    union = {alpha for _, dq in heat_symbol.nonzero_derivatives for alpha in dq.terms}
+    assert tables == [(len(table.dirs), len(union), 2)]
 
 
 def _refinement_by_reevaluation(q, dirs):

@@ -15,7 +15,7 @@ from hypoel import (
     VariableOperator,
 )
 from hypoel.domains import BoxDomain
-from hypoel.symbols import load, multi_indices_up_to, save
+from hypoel.symbols import _evaluate, load, multi_indices_up_to, save
 
 from conftest import random_symbol
 
@@ -378,3 +378,75 @@ def test_eval_of_power_is_power_of_eval(seed, k):
     lhs = complex((q**k)(xi))
     rhs = complex(q(xi)) ** k
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
+
+
+# -- subtraction and hashing ----------------------------------------------------------
+
+
+def test_symbol_minus_itself_is_zero(heat_symbol):
+    assert (heat_symbol - heat_symbol).is_zero
+
+
+def test_reflected_subtraction_and_double_negation(heat_symbol):
+    assert 2 - heat_symbol == -heat_symbol + 2
+    assert -(-heat_symbol) == heat_symbol
+
+
+def test_subtraction_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        SymbolPolynomial.variable(2, 0) - SymbolPolynomial.variable(3, 0)
+
+
+def test_equal_symbols_hash_equal_whatever_their_term_order():
+    a = SymbolPolynomial(2, {(2, 0): 1.0, (0, 1): 1j, (0, 0): -3.0})
+    b = SymbolPolynomial(2, {(0, 0): -3.0, (0, 1): 1j, (2, 0): 1.0})
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+# -- the shared evaluator -------------------------------------------------------------
+
+
+def _value_by_terms(p, xi):
+    """p at xi term by term, every power and monomial computed afresh, as evaluation did before sharing."""
+    out = np.zeros(xi.shape[:-1], dtype=complex)
+    for alpha, c in p.terms.items():
+        mono = np.ones(xi.shape[:-1])
+        for j, a in enumerate(alpha):
+            if a:
+                mono = mono * xi[..., j] ** a
+        out = out + c * mono
+    return out
+
+
+@st.composite
+def families(draw):
+    """Points of dimension 1-3 and polynomials over one pool of multi-indices, so they share monomials."""
+    n = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.tuples(*[st.integers(0, 7)] * n), min_size=1, max_size=6, unique=True))
+    pool.append((0,) * n)  # a constant term
+    magnitude = st.builds(lambda m, s: s * m, st.floats(1e-3, 1e6), st.sampled_from([1.0, -1.0]))
+    coefficient = st.builds(complex, magnitude, st.one_of(st.just(0.0), magnitude))
+    terms = st.dictionaries(st.sampled_from(pool), coefficient, max_size=len(pool))
+    polys = [SymbolPolynomial(n, t) for t in draw(st.lists(terms, min_size=1, max_size=5))]
+    # full-mantissa points: the squares of short ones are exact however they are taken
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    shape = (draw(st.integers(1, 32)), n)
+    return polys, rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3.0, 6.0, shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(families())
+def test_family_evaluation_matches_each_polynomial_alone_bit_for_bit(family):
+    """The evaluator's values have the bits of p(xi) and of the term-by-term sum.
+
+    The trap: on numpy 2.4.6 (x86-64), ``x ** 2`` squares, while ``np.power``
+    with an array of exponents gives a different last bit at exponent 2 for
+    about 3 % of values; exponents 0, 1 and 3-7 matched.  So powers are taken
+    one exponent at a time with ``**``.
+    """
+    polys, xi = family
+    got = list(_evaluate(polys, xi))
+    for p, values in zip(polys, got):
+        assert values.view(np.uint64).tolist() == p(xi).view(np.uint64).tolist()
+        assert values.view(np.uint64).tolist() == _value_by_terms(p, xi).view(np.uint64).tolist()

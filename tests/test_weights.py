@@ -13,7 +13,7 @@ from hypoel import (
     h_delta,
     verify_ball_sup_sandwich,
 )
-from hypoel import weights
+from hypoel import symbols, weights
 from hypoel.weights import C_GRID, FIT_RESIDUAL_TOL, WeightFunction, _unit_ball_template, sample_pairs, temperate_residual
 
 
@@ -161,6 +161,31 @@ def test_sandwich_searches_once(monkeypatch, strength_weight):
     rep = verify_ball_sup_sandwich(strength_weight, delta=0.7, j=4)
     assert len(calls) == 1
     assert rep.passed and rep.power_identity_residual == 0.0
+
+
+def test_h_delta_evaluates_each_derivative_once_per_point_and_step(monkeypatch):
+    h = StrengthWeight(SymbolPolynomial(2, {(2, 0): 1.0, (1, 1): 0.5, (0, 2): 2.0, (0, 1): 1j, (0, 0): 1.0}))
+    derivatives = [dq for _, dq in h.symbol.nonzero_derivatives]
+    points = dict.fromkeys(map(id, derivatives), 0)
+    family_calls, evaluate = [], symbols._evaluate
+
+    def counted(polys, xi):
+        polys = list(polys)
+        if polys == h._family:
+            family_calls.append(len(xi))
+        for p in polys:
+            if id(p) in points:
+                points[id(p)] += len(xi.reshape(-1, 2))
+        return evaluate(polys, xi)
+
+    monkeypatch.setattr(symbols, "_evaluate", counted)
+    monkeypatch.setattr(weights, "_evaluate", counted)
+    pts = np.random.default_rng(4).standard_normal((10, 2)) * 3.0
+    h_delta(h, 0.5, pts)
+    # one value-and-gradient evaluation for the starts and one per ascent step
+    assert family_calls == [10] * 33
+    # besides them only the ball samples; nothing is evaluated again, the maximizers' values included
+    assert set(points.values()) == {10 * (len(_unit_ball_template(2)) + 33)}
 
 
 def test_every_weight_has_a_gradient():
