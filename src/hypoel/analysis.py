@@ -9,6 +9,7 @@ bounded ratios saturate with slope ~ 0 and a certifiably small tail increase.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import HypoelError, PreconditionError
+from .errors import DimensionMismatch, HypoelError, PreconditionError
 from .fitting import ascend, least_squares_slope
 from .symbols import MultiIndex, SymbolPolynomial, VariableOperator, _evaluate
 
@@ -32,6 +33,12 @@ EPS_BOOST = 0.1
 #: fraction of ambiguous rays above which a verdict becomes "inconclusive"
 AMBIGUOUS_RAY_FRACTION = 0.05
 
+#: slopes, or logs of ratios, within this of the largest tie for a witness; the first wins
+TIE_TOL = 1e-12
+
+#: most directions a ray table may have; each is one row of it
+MAX_DIRECTIONS = 2**16
+
 
 @dataclass(frozen=True)
 class RayConfig:
@@ -46,8 +53,8 @@ class RayConfig:
             raise ValueError("need at least 8 radii (J >= 8)")
         if self.radii > 1023:
             raise ValueError(f"at most 1023 radii, got {self.radii}: the radius 2^1024 overflows a float")
-        if self.directions > 2**16:
-            raise ValueError(f"at most 65536 directions, got {self.directions}: a ray table has one row per direction")
+        if self.directions > MAX_DIRECTIONS:
+            raise ValueError(f"at most {MAX_DIRECTIONS} directions, got {self.directions}: a ray table has one row per direction")
 
     def validate_for_dimension(self, n: int) -> None:
         if self.directions < 2 * n:
@@ -68,39 +75,37 @@ class RayConfig:
 
 
 def unit_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
-    """Quasi-uniform unit directions plus all coordinate axes and sign diagonals.
+    """Unit directions, each row once, in first-seen order.
 
-    A direction equal to an earlier one after rounding to 12 decimals is dropped.
+    For n <= 3, points of the region x_1 >= ... >= x_n >= 0 and its corners e_1,
+    (e_1 + e_2)/sqrt(2), ... mapped by every signed permutation, the identity
+    first: closed bit for bit under sign flips and coordinate swaps, and each
+    ray's copy in the region leads its mirror images.  For n >= 4, `count` seeded
+    directions, the axes and, up to MAX_DIRECTIONS of them, the sign diagonals.
     """
-    if n == 1:
-        base = np.array([[1.0], [-1.0]])
-    elif n == 2:
-        angles = 2 * np.pi * (np.arange(count) + 0.5) / count
-        base = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    elif n == 3:
-        # Fibonacci sphere
-        golden = (1 + math.sqrt(5)) / 2
-        i = np.arange(count, dtype=float)
-        z = 1 - 2 * (i + 0.5) / count
-        r = np.sqrt(np.maximum(0.0, 1 - z * z))
-        phi = 2 * np.pi * i / golden
-        base = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-    else:
-        rng = np.random.default_rng(seed)
-        pts = rng.standard_normal((count, n))
+    signs = 1.0 - 2.0 * np.array(list(np.ndindex(*(2,) * n))) if 2**n <= MAX_DIRECTIONS else np.zeros((0, n))
+    if n >= 4:
+        pts = np.random.default_rng(seed).standard_normal((count, n))
         norms = np.linalg.norm(pts, axis=1)
-        base = pts[norms > 1e-12] / norms[norms > 1e-12, None]
-
-    # e_0, -e_0, e_1, -e_1, ...; filled into zeros, since -1 * eye would write -0.0
-    axes = np.zeros((2 * n, n))
-    axes[np.arange(2 * n), np.arange(2 * n) // 2] = np.tile([1.0, -1.0], n)
-    parts = [base, axes]
-    if n > 1:
-        parts.append((1.0 - 2.0 * np.array(list(np.ndindex(*(2,) * n)))) / math.sqrt(n))
-    dirs = np.concatenate(parts)
+        axes = np.repeat(np.eye(n), 2, axis=0) * np.tile([1.0, -1.0], n)[:, None]  # e_0, -e_0, e_1, ...
+        rows = np.concatenate([pts[norms > 1e-12] / norms[norms > 1e-12, None], axes, signs / math.sqrt(n)])
+    else:
+        pts = np.zeros((0, n))
+        if n == 2:
+            k = -(-count // 8)
+            angles = np.pi / 4 * (np.arange(k) + 0.5) / k
+            pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        elif n == 3:  # the region's points of the Fibonacci sphere
+            i = np.arange(count, dtype=float)
+            z = 1 - 2 * (i + 0.5) / count
+            r, phi = np.sqrt(np.maximum(0.0, 1 - z * z)), 2 * np.pi * i / ((1 + math.sqrt(5)) / 2)
+            pts = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+            pts = pts[(pts[:, 0] >= pts[:, 1]) & (pts[:, 1] >= pts[:, 2]) & (pts[:, 2] >= 0)]
+        region = np.concatenate([pts, np.tril(np.ones((n, n))) / np.sqrt(np.arange(1.0, n + 1))[:, None]])
+        rows = np.concatenate([region[:, list(p)] * s for p in itertools.permutations(range(n)) for s in signs])
     # + 0.0 turns -0.0 into 0.0, which np.unique would otherwise tell apart
-    _, first = np.unique(np.round(dirs, 12) + 0.0, axis=0, return_index=True)
-    return dirs[np.sort(first)]
+    _, first = np.unique(rows + 0.0, axis=0, return_index=True)
+    return rows[np.sort(first)] + 0.0
 
 
 def _characteristic_refinement(q: SymbolPolynomial, dirs: np.ndarray) -> np.ndarray:
@@ -137,8 +142,7 @@ def _characteristic_refinement(q: SymbolPolynomial, dirs: np.ndarray) -> np.ndar
     pts = pts[keep]
     # snap components that converged to machine-level zeros
     pts[np.abs(pts) < 1e-10] = 0.0
-    norms = np.linalg.norm(pts, axis=1)
-    return pts[norms > 0] / norms[norms > 0, None]
+    return to_sphere(pts)
 
 
 @dataclass
@@ -274,11 +278,11 @@ def _ray_table(q: SymbolPolynomial, cfg: RayConfig) -> _RayTable:
 
 
 def _sweep(table: _RayTable, derivatives, d: float = math.inf):
-    """One derivative at a time: beta, logs of r^{|beta|/d} |Q^(beta)| / (1 + |Q|), row peak ratios, slopes."""
+    """One derivative at a time: beta, logs of r^{|beta|/d} |Q^(beta)| / (1 + |Q|), their row maxima, slopes."""
     log_r = np.log(table.radii)
     for beta, log_abs in derivatives:
         logs = sum(beta) / d * log_r + log_abs - table.log_denom
-        yield beta, logs, _exp(logs.max(axis=1)), _tail_slopes(table.radii, logs)
+        yield beta, logs, logs.max(axis=1), _tail_slopes(table.radii, logs)
 
 
 def _tail_slopes(radii: np.ndarray, logs: np.ndarray) -> np.ndarray:
@@ -291,11 +295,14 @@ def _tail_slopes(radii: np.ndarray, logs: np.ndarray) -> np.ndarray:
         return least_squares_slope(np.log(radii[half:]), logs[..., half:])
 
 
-def _first_max(values: np.ndarray, mask: np.ndarray | bool = True) -> int | None:
-    """Index of the first largest value where mask holds; NaN and -inf never win."""
+def _first_max(values: np.ndarray, mask: np.ndarray | bool = True, current: float = -math.inf) -> int | None:
+    """Index of the first value within TIE_TOL of the largest where mask holds, if it exceeds current by more than TIE_TOL.
+
+    The one tie rule of every witness, for log-domain values: slopes, or logs of ratios.  NaN and -inf never win.
+    """
     masked = np.where(mask & ~np.isnan(values), values, -np.inf)
-    i = int(np.argmax(masked))
-    return i if masked[i] > -np.inf else None
+    i = int(np.argmax(masked >= masked.max(initial=-np.inf) - TIE_TOL))
+    return i if masked[i] > current + TIE_TOL else None
 
 
 def _is_monotone_tail(logs: np.ndarray, count: int = 5) -> np.ndarray:
@@ -336,7 +343,7 @@ def _worst_slope(beta: MultiIndex, slopes: np.ndarray, dirs: np.ndarray, mask: n
 def _steepest(current: RaySample | None, table: _RayTable, beta, logs, peaks, slopes, growing):
     """Narrow growing rays to those with a monotone tail; return the steeper of current and them.
 
-    Returns that sample (ties keep current) and the narrowed mask.  Refined
+    Returns that sample (ties within TIE_TOL keep current) and the narrowed mask.  Refined
     rays below the guard show the transition plateau of a near-characteristic
     window and never give the sample.
     """
@@ -344,8 +351,8 @@ def _steepest(current: RaySample | None, table: _RayTable, beta, logs, peaks, sl
         return current, growing
     growing[growing] = _is_monotone_tail(logs[growing])
     plateau = ~table.base & (peaks < _refined_guard(peaks, table.base))
-    i = _first_max(slopes, growing & ~plateau)
-    if i is not None and (current is None or slopes[i] > current.slope):
+    i = _first_max(slopes, growing & ~plateau, -math.inf if current is None else current.slope)
+    if i is not None:
         current = RaySample(beta, table.dirs[i], float(table.radii[-1]), float(_exp(logs[i, -1])), float(slopes[i]))
     return current, growing
 
@@ -358,19 +365,20 @@ def _check_rays(table: _RayTable, d: float) -> HypoReport:
     """
     if d < 1:
         raise ValueError("exponent d must be >= 1")
-    fitted_c = 0.0
+    fitted_c, best_log = 0.0, -math.inf
     best_sample: RaySample | None = None
     worst_violation: RaySample | None = None
     per_beta: list[dict] = []
     ambiguous = 0
     total_rays = 0
 
-    for beta, logs, peaks, slopes in _sweep(table, table.derivatives, d):
-        i = _first_max(peaks, peaks > fitted_c)
+    for beta, logs, top, slopes in _sweep(table, table.derivatives, d):
+        peaks = _exp(top)
+        fitted_c = float(np.max(peaks, initial=fitted_c, where=~np.isnan(peaks)))
+        i = _first_max(top, current=best_log)
         if i is not None:
-            fitted_c = float(peaks[i])
-            radius = float(table.radii[logs[i].argmax()])
-            best_sample = RaySample(beta, table.dirs[i], radius, fitted_c, 0.0)
+            best_log, j = top[i], _first_max(logs[i])
+            best_sample = RaySample(beta, table.dirs[i], float(table.radii[j]), float(_exp(logs[i, j])), 0.0)
         if sum(beta) == 0:
             continue
         active = ~(peaks < 1e-250)
@@ -432,7 +440,8 @@ def _estimate(q: SymbolPolynomial, cfg: RayConfig) -> tuple[HypoReport, _RayTabl
     per_beta: list[dict] = []
     violation: RaySample | None = None
 
-    for beta, logs, peaks, slopes in _sweep(table, table.derivatives[1:]):
+    for beta, logs, top, slopes in _sweep(table, table.derivatives[1:]):
+        peaks = _exp(top)
         active = ~(peaks < 1e-250)
         per_beta += _worst_slope(beta, slopes, table.dirs, active & table.base)
         decaying = active & (slopes < -SLOPE_TOL)
@@ -508,6 +517,8 @@ def check_symbol_domination(
     r: SymbolPolynomial, q: SymbolPolynomial, cfg: RayConfig | None = None
 ) -> dict:
     """Spot-check |R(xi)| <= C (1 + |Q(xi)|) on the ray grid; raises when it diverges."""
+    if r.dimension != q.dimension:
+        raise DimensionMismatch(f"dimension mismatch: R has dimension {r.dimension}, Q has dimension {q.dimension}")
     dirs, _, radii = _ray_grid(q.dimension, cfg or RayConfig())
     log_r, log_q = _log_abs_on_rays([r, q], dirs, radii)
     logs = np.broadcast_to(log_r - np.logaddexp(0.0, log_q), (len(dirs), len(radii)))

@@ -372,6 +372,16 @@ def test_verify_malformed_fixture_exits_2_naming_it(tmp_path, capsys, fixture, n
         assert word in err
 
 
+def test_verify_p1_names_a_dimension_mismatch(tmp_path, capsys):
+    doc = read(fixture_path("verify_p1.json"))
+    r_symbol = {"dimension": 3, "terms": [{"alpha": [1, 0, 0], "re": 1.0, "im": 0.0}]}
+    doc.update(symbol=fixture_path("laplacian.json"), r_symbol=r_symbol)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run(["verify", "--check", "p1", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    assert "error: dimension mismatch: R has dimension 3, Q has dimension 2" in capsys.readouterr().err
+
+
 def test_verify_builds_a_modulated_bump(tmp_path):
     assert run_p1_with_fixture(tmp_path, {"family": "modulated_bump", "k": [1, 0], "width": 0.1}) == 0
 
