@@ -103,9 +103,14 @@ def unit_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
             pts = pts[(pts[:, 0] >= pts[:, 1]) & (pts[:, 1] >= pts[:, 2]) & (pts[:, 2] >= 0)]
         region = np.concatenate([pts, np.tril(np.ones((n, n))) / np.sqrt(np.arange(1.0, n + 1))[:, None]])
         rows = np.concatenate([region[:, list(p)] * s for p in itertools.permutations(range(n)) for s in signs])
-    # + 0.0 turns -0.0 into 0.0, which np.unique would otherwise tell apart
-    _, first = np.unique(rows + 0.0, axis=0, return_index=True)
-    return rows[np.sort(first)] + 0.0
+    return _distinct_rows(rows + 0.0)  # + 0.0 turns -0.0 into 0.0
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row once, in first-seen order: a stable sort on the columns ranks each row's first copy first."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    return rows[np.sort(order[np.concatenate([[True], (ranked[1:] != ranked[:-1]).any(axis=1)])])]
 
 
 def _characteristic_refinement(q: SymbolPolynomial, dirs: np.ndarray) -> np.ndarray:

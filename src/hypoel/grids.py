@@ -78,11 +78,10 @@ class GridFunction:
     """Complex samples on a GridSpec's nodes."""
 
     def __init__(self, spec: GridSpec, values: np.ndarray):
-        values = np.asarray(values, dtype=complex)
+        values = np.array(values, dtype=complex)
         expected = (spec.resolution,) * spec.dimension
         if values.shape != expected:
             raise DimensionMismatch(f"values have shape {values.shape}, expected {expected}")
-        values = values.copy()
         values.flags.writeable = False
         self.spec = spec
         self.values = values
@@ -252,7 +251,7 @@ def symbol_on_lattice(spec: GridSpec, q: SymbolPolynomial) -> np.ndarray:
     freq = spec.frequency_mesh()
     out = np.zeros((spec.resolution,) * spec.dimension, dtype=complex)
     for alpha, c in q.terms.items():
-        out = out + c * _monomial(freq, alpha)
+        out += c * _monomial(freq, alpha)
     return out
 
 
@@ -413,27 +412,29 @@ def delta_grid(t: float) -> np.ndarray:
 
 
 def shrink_norm(u: GridFunction, region: BoxDomain, mu: float, t: float) -> float:
-    """sup over 0 < delta <= t of delta^mu * ||u||_{L2(region shrunk by delta)}.
+    """sup over 0 < delta <= t of delta^mu * ||u||_{L2(region shrunk by delta)}, delta in delta_grid(t).
 
-    The boxes of every shrink distance come from one search per axis and
-    bound.  Small shrink distances often select the same nodes, so each
-    distinct box of nodes is summed once.
+    Every box lies in the smallest distance's box and |u|^2 >= 0, so no box's float norm tops cap,
+    that norm times 1 + 1e-12.  The nonempty boxes are visited from the largest distance down until
+    delta^mu * cap <= best; delta^mu only falls after that, so the result is the exhaustive maximum
+    bit for bit.  An empty box adds nothing, and its delta^mu, never formed, may overflow.
     """
-    if not (mu > 0 and t > 0):
-        raise ValueError("mu and t must be > 0")
-    deltas = delta_grid(t)
+    if not (0 < mu < math.inf and 0 < t < math.inf):
+        raise ValueError(f"mu and t must be finite and > 0, got mu={mu}, t={t}")
+    deltas = delta_grid(t)[::-1]
     bounds = _box_bounds(u.spec, region, deltas)
-    sq = np.abs(u.values) ** 2
-    best, seen, norm = 0.0, None, 0.0
-    for i, d in enumerate(deltas):
-        slices = tuple(slice(int(start[i]), int(stop[i])) for start, stop in bounds)
-        if slices != seen:
-            seen, norm = slices, _box_l2(sq[slices], u.spec.volume_element)
-        if norm == 0.0:  # an empty box adds nothing, and a distance past it may overflow d**mu
-            continue
-        val = d**mu * norm
-        if val > best:
-            best = val
+    outer = tuple(slice(int(start[-1]), int(stop[-1])) for start, stop in bounds)
+    sq = np.abs(u.values[outer]) ** 2
+    cap = _box_l2(sq, u.spec.volume_element) * (1 + 1e-12)
+    best, seen = 0.0, None
+    for i in np.flatnonzero(np.all([stop > start for start, stop in bounds], axis=0)):
+        box = tuple(slice(int(start[i]) - o.start, int(stop[i]) - o.start) for (start, stop), o in zip(bounds, outer))
+        if best > 0.0 and deltas[i] ** mu * cap <= best:  # until best > 0, d**mu is formed only for mass
+            break
+        if box != seen:
+            seen, norm = box, _box_l2(sq[box], u.spec.volume_element)
+        if norm > 0.0:
+            best = max(best, deltas[i] ** mu * norm)
     return best
 
 

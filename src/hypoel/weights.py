@@ -85,8 +85,13 @@ class StrengthWeight(WeightFunction):
         self.degree = float(symbol.order)
         derivatives = [dq for _, dq in symbol.nonzero_derivatives]
         axes = [tuple(1 if j == k else 0 for j in range(self.dimension)) for k in range(self.dimension)]
-        # the derivatives, then the gradient of each in turn: one family, evaluated at once
-        self._family = derivatives + [dq.derive(e) for dq in derivatives for e in axes]
+        # one family, evaluated at once: the derivatives, then the gradient members not among them (d_k d^alpha Q
+        # = d^(alpha+e_k) Q; zeros stay, giving NaN where a derivative is not finite); _slots[i*n+k] finds d_k of i
+        members = [dq.derive(e) for dq in derivatives for e in axes]
+        index = {dq: i for i, dq in enumerate(derivatives)}
+        self._family = derivatives + [g for g in members if g not in index]
+        extra = iter(range(len(derivatives), len(self._family)))
+        self._slots = [index[g] if g in index else next(extra) for g in members]
 
     def __call__(self, xi):
         return self.symbol.strength(xi)
@@ -101,7 +106,7 @@ class StrengthWeight(WeightFunction):
         grad = np.zeros(xi.shape)
         for i, vals in enumerate(values[:count]):
             for k in range(n):
-                grad[..., k] += np.real(np.conj(vals) * values[count + i * n + k])
+                grad[..., k] += np.real(np.conj(vals) * values[self._slots[i * n + k]])
         return strength, grad / np.maximum(strength, 1e-300)[..., None]
 
 

@@ -89,6 +89,22 @@ def test_unit_directions_match_the_row_construction_bit_for_bit(n, seed):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_distinct_rows_match_the_unique_construction_byte_for_byte(n, monkeypatch):
+    built, distinct = [], analysis._distinct_rows
+    monkeypatch.setattr(analysis, "_distinct_rows", lambda rows: built.append(rows) or distinct(rows))
+    for count in (1, 7, 8, 256, 1024, 2048):
+        got = unit_directions(n, count)
+        rows = built.pop()
+        _, first = np.unique(rows + 0.0, axis=0, return_index=True)
+        want = rows[np.sort(first)] + 0.0
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # ties, repeats and signed zeros in every column
+    rows = np.random.default_rng(n).choice([-1.0, -0.0, 0.0, 0.5], (300, n))
+    _, first = np.unique(rows + 0.0, axis=0, return_index=True)
+    assert distinct(rows + 0.0).tobytes() == (rows[np.sort(first)] + 0.0).tobytes()
+
+
 @pytest.mark.parametrize("n", [17, 40])
 def test_sign_diagonals_stop_at_the_direction_limit(n, monkeypatch):
     ndindex = np.ndindex

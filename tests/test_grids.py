@@ -3,7 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hypoel import grids
 from hypoel import (
     BoxDomain,
     DomainError,
@@ -27,6 +30,7 @@ from hypoel import (
 )
 from hypoel.grids import (
     TAIL_FLAG_THRESHOLD,
+    _box_slices,
     _derivative_sweep,
     _tail_fractions,
     cell_frequency,
@@ -326,6 +330,128 @@ def test_shrink_norm_skips_distances_past_the_region():
     om = BoxDomain((0.0,), (1.0,))
     u = GridFunction(GridSpec(om, 256), np.ones(256))
     assert shrink_norm(u, om, 2.0, 1e300) == 0.0
+
+
+def _exhaustive_shrink_norm(u, region, mu, t):
+    return max(d**mu * restricted_l2(u, region, float(d)) for d in delta_grid(t))
+
+
+def _counted_box_sums(monkeypatch):
+    sums, box_l2 = [], grids._box_l2
+    monkeypatch.setattr(grids, "_box_l2", lambda sq, dv: sums.append(sq.size) or box_l2(sq, dv))
+    return sums
+
+
+def _edge_ring(spec, region):
+    """Unit mass on the nodes of the region that lie within 0.01 of its edge, none elsewhere."""
+    vals = np.zeros((spec.resolution,) * spec.dimension)
+    vals[_box_slices(spec, region, 0.0)] = 1.0
+    vals[_box_slices(spec, region, 0.01)] = 0.0
+    return GridFunction(spec, vals)
+
+
+@pytest.mark.parametrize("mu, t", [(0.5, 0.05), (1.0, 0.25), (2.0, 0.4)])
+def test_shrink_norm_prunes_nothing_for_mass_on_the_edge(mu, t, monkeypatch):
+    # only the smallest distances' box reaches the ring: every other box sums to 0, best stays 0 until
+    # the last box, and no distance is passed over
+    om = BoxDomain((0.0, 0.0), (1.0, 1.0))
+    spec = GridSpec(om, 128)
+    u = _edge_ring(spec, om)
+    want = _exhaustive_shrink_norm(u, om, mu, t)
+    boxes = {tuple((s.start, s.stop) for s in _box_slices(spec, om, float(d))) for d in delta_grid(t)}
+    nonempty = [b for b in boxes if all(start < stop for start, stop in b)]
+    sums = _counted_box_sums(monkeypatch)
+    assert shrink_norm(u, om, mu, t) == want
+    # every nonempty box once, and the smallest distance's box once more for the cap
+    assert len(sums) == len(nonempty) + 1
+
+
+def test_shrink_norm_keeps_a_maximum_that_only_the_outer_box_reaches():
+    # a centre spike and 4e-4 of its mass on the nodes that only the smallest distances' box holds: at
+    # mu = 1e-5 the largest of those distances gives the maximum, 1.5e-4 above the value at t, a margin
+    # that a cap 1e-3 below the outer box's norm would prune
+    om = BoxDomain((0.0,), (1.0,))
+    spec, mu, t = GridSpec(om, 256), 1e-5, 0.25
+    deltas = delta_grid(t)
+    outer = _box_slices(spec, om, float(deltas[0]))
+    inner = next(b for b in (_box_slices(spec, om, float(d)) for d in deltas) if b != outer)
+    vals = np.zeros(256)
+    vals[outer] = math.sqrt(4e-4 / (outer[0].stop - outer[0].start - (inner[0].stop - inner[0].start)))
+    vals[inner] = 0.0
+    vals[128] = 1.0
+    u = GridFunction(spec, vals)
+    want = _exhaustive_shrink_norm(u, om, mu, t)
+    d_top = max(d for d in deltas if _box_slices(spec, om, float(d)) == outer)
+    assert want == d_top**mu * restricted_l2(u, om, float(d_top))
+    assert shrink_norm(u, om, mu, t) == want
+
+
+@pytest.mark.parametrize(
+    "spec, region, width, mu, t",
+    [
+        (GridSpec(BoxDomain((0.0,), (1.0,)), 4096), BoxDomain((0.0,), (1.0,)), 0.02, 1.0, 0.25),
+        (GridSpec(BoxDomain((0.0, 0.0), (1.0, 1.0)), 256), BoxDomain((0.0, 0.0), (1.0, 1.0)), 0.05, 0.5, 0.05),
+        (GridSpec(BoxDomain((-0.35,) * 3, (0.35,) * 3), 32), BoxDomain((-0.35,) * 3, (0.35,) * 3), 0.08, 2.0, 0.2),
+    ],
+    ids=["1d", "2d", "3d"],
+)
+def test_shrink_norm_prunes_most_boxes_of_a_narrow_centred_gaussian(spec, region, width, mu, t, monkeypatch):
+    u = gaussian_bump(spec, width)
+    want = _exhaustive_shrink_norm(u, region, mu, t)
+    sums = _counted_box_sums(monkeypatch)
+    assert shrink_norm(u, region, mu, t) == want
+    assert len(sums) <= 5
+
+
+def test_shrink_norm_sums_few_boxes_of_a_centred_gaussian(unit_box, monkeypatch):
+    u = gaussian_bump(GridSpec(unit_box, 256), 0.03)
+    sums = _counted_box_sums(monkeypatch)
+    shrink_norm(u, unit_box, 2.0, 1.0)
+    # a visit of every distance sums 119 distinct boxes here, the empty ones past the region included
+    assert len(sums) <= 10
+
+
+@pytest.mark.parametrize("spec, regions", NORM_CASES, ids=["1d", "2d", "2d-tie", "3d"])
+def test_shrink_norm_past_the_region_is_the_exhaustive_max(spec, regions):
+    # t beyond every region's half-width: the largest distances leave the box empty
+    u = noisy_bump(spec)
+    for region in regions:
+        for mu in (0.5, 1.0, 3.0):
+            assert shrink_norm(u, region, mu, 0.9) == _exhaustive_shrink_norm(u, region, mu, 0.9)
+    ring = _edge_ring(spec, regions[0])
+    assert shrink_norm(ring, regions[0], 2.0, 0.9) == _exhaustive_shrink_norm(ring, regions[0], 2.0, 0.9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from([1, 2, 3]),
+    mu=st.floats(0.05, 8.0),
+    t=st.floats(1e-3, 1.0),
+    zero_share=st.floats(0.0, 1.0),
+    sub_region=st.booleans(),
+)
+def test_shrink_norm_is_the_exhaustive_max_on_random_mass(seed, dim, mu, t, zero_share, sub_region):
+    rng = np.random.default_rng(seed)
+    om = BoxDomain((0.0,) * dim, (1.0,) * dim)
+    spec = GridSpec(om, {1: 256, 2: 32, 3: 16}[dim])
+    region = om
+    if sub_region:
+        lo, hi = np.sort(rng.uniform(-0.25, 1.25, (2, dim)), axis=0)
+        region = BoxDomain(tuple(lo), tuple(hi))
+    shape = (spec.resolution,) * dim
+    # nonnegative mass |u|^2 spread over six decades, with a random share of exact zeros
+    mass = rng.exponential(size=shape) * 10.0 ** rng.uniform(-3, 3, shape) * (rng.random(shape) >= zero_share)
+    u = GridFunction(spec, np.sqrt(mass))
+    assert shrink_norm(u, region, mu, t) == _exhaustive_shrink_norm(u, region, mu, t)
+
+
+@pytest.mark.parametrize(
+    "mu, t", [(1.0, math.inf), (math.inf, 0.2), (math.nan, 0.2), (1.0, math.nan), (1.0, -math.inf)]
+)
+def test_shrink_norm_rejects_a_weight_or_range_that_is_not_finite(spec128, unit_box, mu, t):
+    with pytest.raises(ValueError, match=f"mu={mu}, t={t}"):
+        shrink_norm(gaussian_bump(spec128, 0.1), unit_box, mu, t)
 
 
 def test_shrink_norm_small_t_bound(spec128, unit_box):

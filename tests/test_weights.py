@@ -167,12 +167,13 @@ def test_h_delta_evaluates_each_derivative_once_per_point_and_step(monkeypatch):
     h = StrengthWeight(SymbolPolynomial(2, {(2, 0): 1.0, (1, 1): 0.5, (0, 2): 2.0, (0, 1): 1j, (0, 0): 1.0}))
     derivatives = [dq for _, dq in h.symbol.nonzero_derivatives]
     points = dict.fromkeys(map(id, derivatives), 0)
-    family_calls, evaluate = [], symbols._evaluate
+    family_calls, family_polys, evaluate = [], [], symbols._evaluate
 
     def counted(polys, xi):
         polys = list(polys)
         if polys == h._family:
             family_calls.append(len(xi))
+            family_polys.append(polys)
         for p in polys:
             if id(p) in points:
                 points[id(p)] += len(xi.reshape(-1, 2))
@@ -184,8 +185,34 @@ def test_h_delta_evaluates_each_derivative_once_per_point_and_step(monkeypatch):
     h_delta(h, 0.5, pts)
     # one value-and-gradient evaluation for the starts and one per ascent step
     assert family_calls == [10] * 33
+    # d_k d^alpha Q = d^(alpha + e_k) Q: the 6 nonzero gradient members are derivatives, evaluated once
+    # with them; 6 derivatives and the 6 zero gradient members are 12 polynomials, not 18
+    for polys in family_polys:
+        assert len(polys) == 12 and [p for p in polys if not p.is_zero] == derivatives
     # besides them only the ball samples; nothing is evaluated again, the maximizers' values included
     assert set(points.values()) == {10 * (len(_unit_ball_template(2)) + 33)}
+
+
+@pytest.mark.parametrize(
+    "n, terms",
+    [
+        (2, {(2, 0): 1.0, (1, 1): 0.5, (0, 2): 2.0, (0, 1): 1j, (0, 0): 1.0}),
+        (2, {(6, 0): 0.1, (0, 3): 0.3, (1, 0): 1.0}),  # 5 * (6 * 0.1) != 30 * 0.1: a member that is not shared
+        (3, {(2, 1, 0): -0.7 + 0.2j, (0, 0, 4): 1 / 3, (1, 1, 1): 2.5, (0, 0, 0): -1j}),
+    ],
+)
+def test_strength_gradient_is_that_of_every_member_evaluated_alone(n, terms):
+    h = StrengthWeight(SymbolPolynomial(n, terms))
+    # points past the float range, where a derivative is not finite and the gradient is NaN, included
+    xi = np.concatenate([np.random.default_rng(2).standard_normal((40, n)) * 5.0, np.full((2, n), 1e160)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.zeros(xi.shape)
+        for _, dq in h.symbol.nonzero_derivatives:
+            for k, e in enumerate(np.eye(n, dtype=int)):
+                want[:, k] += np.real(np.conj(dq(xi)) * dq.derive(tuple(e))(xi))
+        want /= np.maximum(h.symbol.strength(xi), 1e-300)[:, None]
+        got = h.gradient(xi)
+    assert np.isnan(got[-1]).all() and got.tobytes() == want.tobytes()
 
 
 def test_every_weight_has_a_gradient():
