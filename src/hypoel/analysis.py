@@ -486,13 +486,19 @@ def equally_strong(
         raise HypoelError("strength comparison requires nonzero symbols")
     cfg = cfg or RayConfig()
     dirs, _, radii = _ray_grid(p.dimension, cfg)
-    return _compare_strengths(_log_strength(p, dirs, radii), _log_strength(q, dirs, radii), dirs, radii, cfg)
+    return _compare_strengths(_log_strength(p, dirs, radii, {}), _log_strength(q, dirs, radii, {}), dirs, radii, cfg)
 
 
-def _log_strength(s: SymbolPolynomial, dirs: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """log Hormander strength of s on the rays, half the logsumexp of 2 log|s^(alpha)|; constants add in one column."""
+def _log_strength(s: SymbolPolynomial, dirs: np.ndarray, radii: np.ndarray, logs: dict) -> np.ndarray:
+    """log Hormander strength of s on the rays, half the logsumexp of 2 log|s^(alpha)|; constants add in one column.
+
+    `logs` maps derivatives to their log|.| on these rays; each distinct one of s it lacks is evaluated once and
+    added.  A family member's rows do not depend on the rest of its family, so the floats are the same either way.
+    """
     derivatives = sorted((ds for _, ds in s.nonzero_derivatives), key=lambda ds: ds.order)
-    squares = (2 * logs for logs in _log_abs_on_rays(derivatives, dirs, radii))
+    fresh = [ds for ds in dict.fromkeys(derivatives) if ds not in logs]
+    logs.update(zip(fresh, _log_abs_on_rays(fresh, dirs, radii) if fresh else ()))
+    squares = (2 * logs[ds] for ds in derivatives)
     return 0.5 * np.broadcast_to(functools.reduce(np.logaddexp, squares), (len(dirs), len(radii)))
 
 
@@ -563,6 +569,10 @@ def check_constant_strength(
     the center-frozen one, compared as `equally_strong` compares them, on one
     ray grid; a frozen symbol that vanishes identically is an immediate
     failure witness.
+
+    Each distinct frozen symbol is compared once, in lattice order, and one equal to the center's reuses the
+    center's strength table.  The center's derivative logs, a (rays, radii) array each, are kept through the
+    loop, so no point evaluates them again.
     """
     cfg = cfg or RayConfig()
     n = p.dimension
@@ -582,11 +592,17 @@ def check_constant_strength(
             return report("not-constant-strength", witness=witness)
     q_center = frozen.pop()[1]
     dirs, _, radii = _ray_grid(n, cfg)
-    log_center = _log_strength(q_center, dirs, radii)
+    center_logs: dict = {}
+    log_center = _log_strength(q_center, dirs, radii, center_logs)
 
     lo, hi = math.inf, -math.inf
+    compared = set()
     for x, qx in frozen:
-        rep = _compare_strengths(_log_strength(qx, dirs, radii), log_center, dirs, radii, cfg)
+        if qx in compared:
+            continue
+        compared.add(qx)
+        log_qx = log_center if qx == q_center else _log_strength(qx, dirs, radii, dict(center_logs))
+        rep = _compare_strengths(log_qx, log_center, dirs, radii, cfg)
         lo = min(lo, rep.ratio_bounds[0])
         hi = max(hi, rep.ratio_bounds[1])
         if rep.verdict != "equally-strong":

@@ -379,6 +379,8 @@ def _write_csv(path, rows: list[tuple]) -> None:
 
 
 def run_verify(args) -> int:
+    if args.csv and args.check in ("p1", "prop31"):
+        raise ParseError(f"--csv does not apply to the {args.check} check: it has no norm sweeps to export")
     doc = _load_config(args.config)
     base = Path(args.config).resolve().parent
     if doc.get("check") and doc["check"] != args.check:
@@ -429,7 +431,7 @@ def run_verify(args) -> int:
         rep = verify_iterate_bound(
             q, d, fixtures, omega, kmax, _config_value(doc, "deltas", _numbers, [0.1]),
             enforce_diameter=_config_value(doc, "enforce_diameter", _boolean, True), ray_cfg=ray_cfg,
-        )  # per-case rows would be enormous; keep the report, no sweeps
+        )
     else:  # th1
         seq = _config_value(doc, "sequence", lambda v: _sequence(v, base))
         lmax = _config_integer(doc, args, "lmax", 6)
@@ -448,7 +450,7 @@ def run_verify(args) -> int:
     if isinstance(results.get("extras"), dict) and "reason" in results["extras"]:
         witnesses.append(results["extras"]["reason"])
     _emit(_report("verify", config, results, witnesses), args.out)
-    if args.csv and csv_rows:
+    if args.csv:
         _write_csv(args.csv, csv_rows)
     return EXIT_OK if rep.verdict == "pass" else EXIT_FAIL
 

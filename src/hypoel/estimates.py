@@ -26,11 +26,12 @@ from .grids import (
     _box_l2,
     _box_slices,
     _derivative_sweep,
-    apply_symbol,
+    _ifftn_on_box,
+    _shrink_sup,
     derivative_norms,
     iterate_norms,
     restricted_l2,
-    shrink_norm,
+    symbol_on_lattice,
 )
 from .sequences import RoumieuSequence, check_basic, fit_inclusion, gevrey, power_sequence
 from .symbols import SymbolPolynomial, VariableOperator, multi_indices_up_to
@@ -225,9 +226,14 @@ def verify_dominated_transfer(
     domination = check_symbol_domination(r, q, cfg)
     mu_exp = d.value * q.order
     cases = []
+    per_grid = {}  # per grid: the multipliers of R and Q, and the shrink norm on the one box it reads
     for idx, u in enumerate(_as_fixture_list(fixtures)):
-        lhs = shrink_norm(apply_symbol(r, u), omega, mu_exp, t)
-        rhs_core = shrink_norm(apply_symbol(q, u), omega, mu_exp, t) + restricted_l2(u, omega, 0.0)
+        if u.spec not in per_grid:
+            per_grid[u.spec] = (symbol_on_lattice(u.spec, r), symbol_on_lattice(u.spec, q),
+                                *_shrink_sup(u.spec, omega, mu_exp, t))
+        mult_r, mult_q, sup, box = per_grid[u.spec]
+        lhs = sup(_ifftn_on_box(mult_r * u.spectrum(), box))
+        rhs_core = sup(_ifftn_on_box(mult_q * u.spectrum(), box)) + restricted_l2(u, omega, 0.0)
         if lhs > 0 and not rhs_core > 0:
             return EstimateReport(
                 verdict="fail",

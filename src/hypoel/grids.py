@@ -255,20 +255,14 @@ def symbol_on_lattice(spec: GridSpec, q: SymbolPolynomial) -> np.ndarray:
     return out
 
 
-def apply_symbol(q: SymbolPolynomial, u: GridFunction) -> GridFunction:
-    """Apply the constant-coefficient operator with symbol q as a Fourier multiplier."""
-    mult = symbol_on_lattice(u.spec, q)
-    return u.with_values(np.fft.ifftn(mult * u.spectrum()))
-
-
 def apply_operator(op: SymbolPolynomial | VariableOperator, u: GridFunction) -> GridFunction:
     """Apply a constant- or variable-coefficient operator to a grid function.
 
-    Variable coefficients are evaluated at the grid nodes; each D^alpha u is
-    computed spectrally and combined pointwise.
+    A symbol acts as a Fourier multiplier.  Variable coefficients are evaluated
+    at the grid nodes; each D^alpha u is computed spectrally and combined pointwise.
     """
     if isinstance(op, SymbolPolynomial):
-        return apply_symbol(op, u)
+        return u.with_values(np.fft.ifftn(symbol_on_lattice(u.spec, op) * u.spectrum()))
     if op.dimension != u.dimension:
         raise DimensionMismatch(f"operator dimension {op.dimension} != grid dimension {u.dimension}")
     spec = u.spec
@@ -366,6 +360,13 @@ def _ifft_to_box(values: np.ndarray, axis: int, keep: slice, mult: np.ndarray | 
     return np.fft.ifft(values, axis=axis)[tuple(index)]
 
 
+def _ifftn_on_box(spectrum: np.ndarray, box: tuple[slice, ...]) -> np.ndarray:
+    """ifftn(spectrum) on a box of nodes, bit for bit: each axis, last to first, inverse-transformed and cut to the box."""
+    for axis in reversed(range(spectrum.ndim)):
+        spectrum = _ifft_to_box(spectrum, axis, box[axis])
+    return spectrum
+
+
 # -- norms ------------------------------------------------------------------------------
 
 
@@ -411,6 +412,35 @@ def delta_grid(t: float) -> np.ndarray:
     return np.unique(np.concatenate([geo, uni]))
 
 
+def _shrink_sup(spec: GridSpec, region: BoxDomain, mu: float, t: float):
+    """shrink_norm on spec's grid as a function of the values on the smallest distance's box, and that box.
+
+    The distances and the bounds of their boxes are found once, for every set of values.
+    """
+    if not (0 < mu < math.inf and 0 < t < math.inf):
+        raise ValueError(f"mu and t must be finite and > 0, got mu={mu}, t={t}")
+    deltas = delta_grid(t)[::-1]
+    bounds = _box_bounds(spec, region, deltas)
+    outer = tuple(slice(int(start[-1]), int(stop[-1])) for start, stop in bounds)
+    nonempty = np.flatnonzero(np.all([stop > start for start, stop in bounds], axis=0))
+
+    def sup(values: np.ndarray) -> float:
+        sq = np.abs(values) ** 2
+        cap = _box_l2(sq, spec.volume_element) * (1 + 1e-12)
+        best, seen = 0.0, None
+        for i in nonempty:
+            box = tuple(slice(int(start[i]) - o.start, int(stop[i]) - o.start) for (start, stop), o in zip(bounds, outer))
+            if best > 0.0 and deltas[i] ** mu * cap <= best:  # until best > 0, d**mu is formed only for mass
+                break
+            if box != seen:
+                seen, norm = box, _box_l2(sq[box], spec.volume_element)
+            if norm > 0.0:
+                best = max(best, deltas[i] ** mu * norm)
+        return best
+
+    return sup, outer
+
+
 def shrink_norm(u: GridFunction, region: BoxDomain, mu: float, t: float) -> float:
     """sup over 0 < delta <= t of delta^mu * ||u||_{L2(region shrunk by delta)}, delta in delta_grid(t).
 
@@ -419,23 +449,8 @@ def shrink_norm(u: GridFunction, region: BoxDomain, mu: float, t: float) -> floa
     delta^mu * cap <= best; delta^mu only falls after that, so the result is the exhaustive maximum
     bit for bit.  An empty box adds nothing, and its delta^mu, never formed, may overflow.
     """
-    if not (0 < mu < math.inf and 0 < t < math.inf):
-        raise ValueError(f"mu and t must be finite and > 0, got mu={mu}, t={t}")
-    deltas = delta_grid(t)[::-1]
-    bounds = _box_bounds(u.spec, region, deltas)
-    outer = tuple(slice(int(start[-1]), int(stop[-1])) for start, stop in bounds)
-    sq = np.abs(u.values[outer]) ** 2
-    cap = _box_l2(sq, u.spec.volume_element) * (1 + 1e-12)
-    best, seen = 0.0, None
-    for i in np.flatnonzero(np.all([stop > start for start, stop in bounds], axis=0)):
-        box = tuple(slice(int(start[i]) - o.start, int(stop[i]) - o.start) for (start, stop), o in zip(bounds, outer))
-        if best > 0.0 and deltas[i] ** mu * cap <= best:  # until best > 0, d**mu is formed only for mass
-            break
-        if box != seen:
-            seen, norm = box, _box_l2(sq[box], u.spec.volume_element)
-        if norm > 0.0:
-            best = max(best, deltas[i] ** mu * norm)
-    return best
+    sup, outer = _shrink_sup(u.spec, region, mu, t)
+    return sup(u.values[outer])
 
 
 def weighted_norm(u: GridFunction, h, p: float = 2.0) -> float:
@@ -476,10 +491,7 @@ class NormSweep:
 
 def _spectral_entry(spectrum: np.ndarray, box: tuple, spec: GridSpec) -> tuple[float, float]:
     """Tail fraction of a spectrum and the norm of its inverse transform on a box of nodes."""
-    values = spectrum
-    for axis in reversed(range(spectrum.ndim)):
-        values = _ifft_to_box(values, axis, box[axis])
-    return spectral_tail_fraction(spectrum), _box_l2(np.abs(values) ** 2, spec.volume_element)
+    return spectral_tail_fraction(spectrum), _box_l2(np.abs(_ifftn_on_box(spectrum, box)) ** 2, spec.volume_element)
 
 
 def iterate_norms(

@@ -458,13 +458,60 @@ def _constant_strength_by_pairs(op, cfg):
 
 @pytest.mark.parametrize("directions", [64, 256])
 def test_constant_strength_compares_each_point_like_equally_strong(drift_operator, directions):
-    x1 = SymbolPolynomial.variable(2, 0)
+    x1, x2 = (SymbolPolynomial.variable(2, j) for j in range(2))
     growing = VariableOperator(2, {(2, 0): x1, (0, 2): 1.0}, BoxDomain((-1.0, -1.0), (1.0, 1.0)))
+    # symmetric in x1, so the lattice's middle column freezes at x1 = 0, as in the bench
+    box = BoxDomain((-0.8, -1.2), (0.8, 0.9))
+    a = 1.3 + 0.6 * x1 * x1 + 0.4 * x2 * x2
+    bounded = VariableOperator(2, {(2, 0): a, (0, 2): 1.7 * a, (1, 0): 0.3 - 0.8 * x2}, box)
+    vanishing = VariableOperator(2, {(2, 0): 1.4 * x1, (0, 2): 0.9 * x1, (1, 0): 1.1}, box)
     cfg = RayConfig(directions=directions)
-    for op in (drift_operator, growing):
+    for op, verdict in ((drift_operator, "constant-strength"), (bounded, "constant-strength"),
+                        (vanishing, "not-constant-strength"), (growing, "not-constant-strength")):
         rep = check_constant_strength(op, cfg)
         assert (rep.verdict, rep.ratio_bounds, rep.witness) == _constant_strength_by_pairs(op, cfg)
-    assert rep.verdict == "not-constant-strength" and rep.witness["ray"] is not None
+        assert rep.verdict == verdict
+    assert rep.witness["ray"] is not None
+
+
+def _counted_strength_work(monkeypatch):
+    """Count the strength tables built and the derivatives evaluated for them."""
+    tables, evaluated = [], []
+    log_strength, log_abs = analysis._log_strength, analysis._log_abs_on_rays
+    monkeypatch.setattr(analysis, "_log_strength", lambda s, *a: tables.append(s) or log_strength(s, *a))
+    monkeypatch.setattr(analysis, "_log_abs_on_rays", lambda f, *a: evaluated.extend(f) or log_abs(f, *a))
+    return tables, evaluated
+
+
+def test_constant_strength_sweeps_each_distinct_frozen_symbol_once(drift_operator, monkeypatch):
+    # 14 points freeze to 5 distinct symbols; with the centre's derivatives shared, 12 of
+    # their 70 derivatives are evaluated
+    tables, evaluated = _counted_strength_work(monkeypatch)
+    assert check_constant_strength(drift_operator).verdict == "constant-strength"
+    assert len(tables) <= 5 and len(set(tables)) == len(tables)
+    assert len(evaluated) <= 13
+
+
+def test_constant_strength_builds_one_table_per_value_of_the_only_variable(monkeypatch):
+    x2 = SymbolPolynomial.variable(2, 1)
+    op = VariableOperator(2, {(2, 0): 1.0, (0, 2): 2.0 + x2, (1, 0): x2}, BoxDomain((-1.0, -1.0), (1.0, 1.0)))
+    tables, _ = _counted_strength_work(monkeypatch)
+    assert check_constant_strength(op).verdict == "constant-strength"
+    values = {float(x[1]) for x in freeze_sample_points(op.domain)}
+    assert len(values) == 5 and len(tables) == len(values)
+
+
+def test_log_strength_ignores_the_sign_of_a_zero_imaginary_part():
+    # equal symbols (0.0 == -0.0) share derivative logs, so each must give the same floats
+    plus = SymbolPolynomial(2, {(2, 0): complex(1.5, 0.0), (0, 2): complex(0.7, 0.0), (0, 1): complex(-2.0, 0.0)})
+    minus = SymbolPolynomial(2, {a: complex(c.real, -0.0) for a, c in plus.terms.items()})
+    assert plus == minus and math.copysign(1.0, next(iter(minus.terms.values())).imag) == -1.0
+    dirs, radii = unit_directions(2, 64), RayConfig().radius_grid()
+    want = analysis._log_strength(plus, dirs, radii, {}).tobytes()
+    assert analysis._log_strength(minus, dirs, radii, {}).tobytes() == want
+    shared: dict = {}
+    analysis._log_strength(plus, dirs, radii, shared)
+    assert analysis._log_strength(minus, dirs, radii, dict(shared)).tobytes() == want
 
 
 def test_points_validation(drift_operator):

@@ -527,6 +527,17 @@ def test_verify_domination_csv_export(tmp_path):
     assert kinds == {"frozen-iterates", "variable-iterates"}
 
 
+@pytest.mark.parametrize("check", ["p1", "prop31"])
+def test_verify_csv_without_norm_sweeps_exits_2_before_reading_the_config(tmp_path, capsys, monkeypatch, check):
+    read_configs = []
+    monkeypatch.setattr(cli, "_load_config", lambda path: read_configs.append(path) or {})
+    out, csv = tmp_path / "r.json", tmp_path / "sweeps.csv"
+    argv = ["verify", "--check", check, "--config", fixture_path(f"verify_{check}.json"), "--csv", str(csv)]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert f"the {check} check: it has no norm sweeps to export" in capsys.readouterr().err
+    assert not read_configs and not out.exists() and not csv.exists()
+
+
 # -- determinism -------------------------------------------------------------------
 
 
@@ -570,7 +581,7 @@ def test_every_packaged_command_runs_twice_in_one_process_alike(tmp_path):
         out, csv, err = tmp_path / "r.json", tmp_path / "r.csv", io.StringIO()
         for path in (out, csv):
             path.unlink(missing_ok=True)
-        flags = ["--csv", str(csv)] if args[0] == "verify" else []
+        flags = ["--csv", str(csv)] if args[0] == "verify" and args[2] in ("th1", "domination") else []
         with contextlib.redirect_stderr(err):
             code = main(args + ["--out", str(out), *flags])
         return code, err.getvalue(), *(p.read_bytes() if p.exists() else None for p in (out, csv))

@@ -11,6 +11,7 @@ from hypoel import (
     RationalExponent,
     SymbolPolynomial,
     VariableOperator,
+    apply_operator,
     derivative_norms,
     fit_roumieu_space,
     fit_roumieu_vector,
@@ -19,6 +20,7 @@ from hypoel import (
     plane_wave,
     restricted_l2,
     sample,
+    shrink_norm,
     verify_dominated_transfer,
     verify_domination,
     verify_growth_chain,
@@ -103,6 +105,37 @@ def test_transfer_two_resolution_stability(laplacian, small_box):
         assert rep.verdict == "pass"
         consts[res] = rep.fitted_constant
     assert abs(consts[128] - consts[64]) <= 0.2 * consts[64]
+
+
+def _transfer_cases(d3: bool):
+    """(q, r, fixtures, omega) of a 1-D or a 3-D transfer, the 3-D one with fixtures on two grids."""
+    if d3:
+        omega = BoxDomain((-0.25,) * 3, (0.25,) * 3)
+        q = SymbolPolynomial(3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0})
+        r = SymbolPolynomial(3, {(1, 0, 0): 1.0, (0, 0, 0): 0.5})
+        us = [gaussian_bump(GridSpec(omega, 32), 0.08), gaussian_bump(GridSpec(omega, 16), 0.1),
+              gaussian_bump(GridSpec(omega, 32), 0.05, center=(0.05, -0.02, 0.0))]
+    else:
+        omega = BoxDomain((-0.35,), (0.35,))
+        q, r = SymbolPolynomial(1, {(2,): 1.0, (0,): 1.0}), SymbolPolynomial(1, {(1,): 1j})
+        us = [gaussian_bump(GridSpec(omega, 256), w) for w in (0.03, 0.1)]
+    return q, r, us, omega
+
+
+@pytest.mark.parametrize("case", ["p1", "1d", "3d"])
+def test_transfer_sides_are_the_shrink_norms_of_the_full_transforms_bit_for_bit(case):
+    if case == "p1":
+        doc, omega, us, sym = _packaged("p1")
+        q, r, t = sym["symbol"], sym["r_symbol"], doc["t"]
+    else:
+        (q, r, us, omega), t = _transfer_cases(case == "3d"), 0.2
+    rep = verify_dominated_transfer(q, r, RationalExponent(1, 1), us, omega, t)
+    mu = float(q.order)
+    # the reference applies each symbol on the whole grid, one multiplier and one ifftn per fixture and side
+    for got, u in zip(rep.cases, us, strict=True):
+        lhs = shrink_norm(apply_operator(r, u), omega, mu, t)
+        rhs_core = shrink_norm(apply_operator(q, u), omega, mu, t) + restricted_l2(u, omega, 0.0)
+        assert lhs > 0 and (got.lhs, got.params["rhs_core"]) == (lhs, rhs_core)
 
 
 def test_transfer_rejects_undominated_symbol(laplacian, small_box):
