@@ -2,8 +2,10 @@
 
 `cases.json` maps a case name to its argv and exit code.  In the argv, `{fixtures}`
 stands for the packaged fixtures directory and `{out}` for the directory the
-outputs go to; a case's outputs are the files `golden/<name>.*`.  To regenerate
-every file after a reviewed change of output, run from the root of the checkout
+outputs go to; a case's outputs are the files `golden/<name>.*`.  Each command runs
+in the fixtures directory, so a report that echoes a relative path in its argv holds
+no path of the checkout.  To regenerate every file after a reviewed change of
+output, run from the root of the checkout
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -11,6 +13,7 @@ every file after a reviewed change of output, run from the root of the checkout
 import contextlib
 import io
 import json
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -27,8 +30,13 @@ def run_case(name: str, out: Path) -> int:
     """Run one case with its outputs written to `out`; its exit code."""
     fixtures = str(resources.files("hypoel") / "fixtures")
     argv = [a.replace("{fixtures}", fixtures).replace("{out}", str(out)) for a in CASES[name]["argv"]]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+    cwd = os.getcwd()
+    os.chdir(fixtures)  # contextlib.chdir needs Python 3.11
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+    finally:
+        os.chdir(cwd)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
