@@ -220,7 +220,8 @@ def verify_dominated_transfer(
     """Shrink-norm transfer: N_dm(R(D)u) <= C' (N_dm(Q(D)u) + ||u||_{L2(omega)}).
 
     Requires the symbol domination |R| <= C (1 + |Q|) on the ray grid, which
-    is the hypothesis under which the transfer holds for a d-hypoelliptic Q.
+    is the hypothesis under which the transfer holds for a d-hypoelliptic Q,
+    and multipliers of R and Q within the float range on each fixture's grid.
     """
     _check_diameter(omega, enforce_diameter)
     domination = check_symbol_domination(r, q, cfg)
@@ -229,8 +230,13 @@ def verify_dominated_transfer(
     per_grid = {}  # per grid: the multipliers of R and Q, and the shrink norm on the one box it reads
     for idx, u in enumerate(_as_fixture_list(fixtures)):
         if u.spec not in per_grid:
-            per_grid[u.spec] = (symbol_on_lattice(u.spec, r), symbol_on_lattice(u.spec, q),
-                                *_shrink_sup(u.spec, omega, mu_exp, t))
+            with np.errstate(over="ignore", invalid="ignore"):
+                mults = symbol_on_lattice(u.spec, r), symbol_on_lattice(u.spec, q)
+            for name, sym, mult in zip("RQ", (r, q), mults):
+                if not np.isfinite(mult).all():
+                    raise PreconditionError("spectral-range", f"the multiplier of {name} = {sym!r} leaves the float "
+                                            f"range on the grid of {u.spec.resolution} nodes per axis over {u.spec.cell}")
+            per_grid[u.spec] = (*mults, *_shrink_sup(u.spec, omega, mu_exp, t))
         mult_r, mult_q, sup, box = per_grid[u.spec]
         lhs = sup(_ifftn_on_box(mult_r * u.spectrum(), box))
         rhs_core = sup(_ifftn_on_box(mult_q * u.spectrum(), box)) + restricted_l2(u, omega, 0.0)
@@ -301,8 +307,8 @@ def verify_iterate_bound(
         raise HypoelError("iterate bound needs a nonzero symbol of order >= 1")
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    if not all(dl > 0 for dl in deltas):
-        raise ValueError(f"every shrink distance must be > 0, got {list(deltas)}")
+    if not deltas or not all(dl > 0 for dl in deltas):
+        raise ValueError(f"the shrink distances must be one or more, each > 0, got {list(deltas)}")
     _check_diameter(omega, enforce_diameter)
     m = q.order
     fixtures = _as_fixture_list(fixtures)
@@ -310,11 +316,11 @@ def verify_iterate_bound(
         for dl in deltas:
             _check_nodes_left(u, omega, dl)
     _consistent_exponent(q, d, ray_cfg)
-    res = fixtures[0].spec.resolution if fixtures else 0
+    res = min(u.spec.resolution for u in fixtures) if fixtures else 0
     if fixtures and kmax * m * d.nu > res // 2:
         raise PreconditionError(
             "spectral-resolution",
-            f"max derivative order {kmax * m * d.nu} exceeds half the resolution {res}",
+            f"max derivative order {kmax * m * d.nu} exceeds half the coarsest fixture resolution {res}",
         )
 
     alphas = multi_indices_up_to(q.dimension, kmax * m * d.nu)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .domains import BoxDomain
 from .errors import DimensionMismatch, DomainError, HypoelError, ParseError
-from .symbols import SymbolPolynomial, VariableOperator, multi_indices_up_to
+from .symbols import SymbolPolynomial, VariableOperator, _evaluate, multi_indices_up_to
 
 #: relative spectral mass in the outer shell above which an entry is unresolved
 TAIL_FLAG_THRESHOLD = 1e-6
@@ -147,15 +147,14 @@ def _bump_profile(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _support_cutoff(spec: GridSpec, support: BoxDomain) -> np.ndarray:
-    mesh = spec.mesh()
-    cut = np.ones((spec.resolution,) * spec.dimension)
-    for j in range(spec.dimension):
-        c = 0.5 * (support.lo[j] + support.hi[j])
-        half = 0.5 * (support.hi[j] - support.lo[j])
-        t = (mesh[j] - c) / half
-        cut = cut * _bump_profile(np.broadcast_to(t, cut.shape) if t.ndim else t)
-    return cut
+def _support_product(spec: GridSpec, support: BoxDomain, profile) -> np.ndarray:
+    """Product over axes of profile(t_j), t_j in [-1, 1] across the support box, each on its axis of the sparse mesh."""
+    if support.dimension != spec.dimension:
+        raise DimensionMismatch(f"support dimension {support.dimension} != grid dimension {spec.dimension}")
+    out = np.ones((spec.resolution,) * spec.dimension)
+    for x, lo, hi in zip(spec.mesh(), support.lo, support.hi):
+        out = out * profile((x - 0.5 * (lo + hi)) / (0.5 * (hi - lo)))
+    return out
 
 
 def gaussian_bump(
@@ -179,7 +178,7 @@ def gaussian_bump(
     mesh = spec.mesh()
     r2 = sum((mesh[j] - center[j]) ** 2 for j in range(spec.dimension))
     core = np.exp(-r2 / (2.0 * width * width))
-    out = GridFunction(spec, core * _support_cutoff(spec, support))
+    out = GridFunction(spec, core * _support_product(spec, support, _bump_profile))
     if normalize:
         norm = out.l2_norm()
         if norm > 0:
@@ -191,15 +190,8 @@ def polynomial_bump(spec: GridSpec, power: int = 8, support: BoxDomain | None = 
     """Product of (1 - t_j^2)^power over omega, extended by zero."""
     if power < 1:
         raise ValueError("power must be >= 1")
-    support = support or spec.omega
-    mesh = spec.mesh()
-    vals = np.ones((spec.resolution,) * spec.dimension)
-    for j in range(spec.dimension):
-        c = 0.5 * (support.lo[j] + support.hi[j])
-        half = 0.5 * (support.hi[j] - support.lo[j])
-        t = np.broadcast_to((mesh[j] - c) / half, vals.shape)
-        vals = vals * np.where(np.abs(t) < 1, (1 - t * t) ** power, 0.0)
-    return GridFunction(spec, vals)
+    profile = lambda t: np.where(np.abs(t) < 1, (1 - t * t) ** power, 0.0)  # noqa: E731
+    return GridFunction(spec, _support_product(spec, support or spec.omega, profile))
 
 
 def modulated_bump(spec: GridSpec, k: Sequence[int], width: float) -> GridFunction:
@@ -236,44 +228,41 @@ def sample(spec: GridSpec, family: str, /, **params) -> GridFunction:
 # -- spectral application --------------------------------------------------------------
 
 
-def _monomial(freq: list[np.ndarray], alpha) -> np.ndarray:
-    """The multiplier xi^alpha of D^alpha on a sparse frequency mesh."""
-    mono = np.ones((1,) * len(freq))
-    for j, a in enumerate(alpha):
-        if a:
-            mono = mono * freq[j] ** a
-    return mono
-
-
 def symbol_on_lattice(spec: GridSpec, q: SymbolPolynomial) -> np.ndarray:
+    """q's multiplier on spec's frequency lattice, as a read-only full-grid view of its broadcast-shape value."""
     if q.dimension != spec.dimension:
         raise DimensionMismatch(f"symbol dimension {q.dimension} != grid dimension {spec.dimension}")
-    freq = spec.frequency_mesh()
-    out = np.zeros((spec.resolution,) * spec.dimension, dtype=complex)
-    for alpha, c in q.terms.items():
-        out += c * _monomial(freq, alpha)
-    return out
+    return np.broadcast_to(next(_evaluate((q,), spec.frequency_mesh())), (spec.resolution,) * spec.dimension)
+
+
+def _operator_step(op: VariableOperator, spec: GridSpec):
+    """u -> P(x, D)u on spec's grid: each D^alpha u computed spectrally and combined pointwise.
+
+    Each term's multiplier xi^alpha and coefficient a_alpha(x) are evaluated once on the sparse meshes and
+    held for the step's life (one sweep) in their monomials' broadcast shape: a constant as one value.
+    """
+    if op.dimension != spec.dimension:
+        raise DimensionMismatch(f"operator dimension {op.dimension} != grid dimension {spec.dimension}")
+    monomials = [SymbolPolynomial(op.dimension, {alpha: 1.0}) for alpha in op.terms]
+    # the real part keeps xi^alpha's bits also past the float range, where 1 * inf has a NaN imaginary part
+    mults = (m.real for m in _evaluate(monomials, spec.frequency_mesh()))
+    terms = list(zip(mults, _evaluate(op.terms.values(), spec.mesh())))
+
+    def step(u: GridFunction) -> GridFunction:
+        out = np.zeros_like(u.values)
+        for mult, coeff in terms:
+            d_alpha_u = np.fft.ifftn(mult * u.spectrum())
+            out = out + coeff * d_alpha_u  # coeff * ifftn(...) would multiply into the temporary, operands swapped
+        return u.with_values(out)
+
+    return step
 
 
 def apply_operator(op: SymbolPolynomial | VariableOperator, u: GridFunction) -> GridFunction:
-    """Apply a constant- or variable-coefficient operator to a grid function.
-
-    A symbol acts as a Fourier multiplier.  Variable coefficients are evaluated
-    at the grid nodes; each D^alpha u is computed spectrally and combined pointwise.
-    """
+    """Apply a constant-coefficient operator as a Fourier multiplier, a variable one as `_operator_step`."""
     if isinstance(op, SymbolPolynomial):
         return u.with_values(np.fft.ifftn(symbol_on_lattice(u.spec, op) * u.spectrum()))
-    if op.dimension != u.dimension:
-        raise DimensionMismatch(f"operator dimension {op.dimension} != grid dimension {u.dimension}")
-    spec = u.spec
-    nodes = np.stack(np.meshgrid(*spec.axes(), indexing="ij"), axis=-1)
-    freq = spec.frequency_mesh()
-    u_hat = u.spectrum()
-    out = np.zeros_like(u.values)
-    for alpha, coeff in op.terms.items():
-        d_alpha_u = np.fft.ifftn(_monomial(freq, alpha) * u_hat)
-        out = out + coeff(nodes) * d_alpha_u
-    return u.with_values(out)
+    return _operator_step(op, u.spec)(u)
 
 
 def _outer_slabs(ndim: int, n: int) -> list[tuple[slice, ...]]:
@@ -433,7 +422,7 @@ def _shrink_sup(spec: GridSpec, region: BoxDomain, mu: float, t: float):
             if best > 0.0 and deltas[i] ** mu * cap <= best:  # until best > 0, d**mu is formed only for mass
                 break
             if box != seen:
-                seen, norm = box, _box_l2(sq[box], spec.volume_element)
+                seen, norm = box, _past_range(_box_l2(sq[box], spec.volume_element))
             if norm > 0.0:
                 best = max(best, deltas[i] ** mu * norm)
         return best
@@ -447,7 +436,8 @@ def shrink_norm(u: GridFunction, region: BoxDomain, mu: float, t: float) -> floa
     Every box lies in the smallest distance's box and |u|^2 >= 0, so no box's float norm tops cap,
     that norm times 1 + 1e-12.  The nonempty boxes are visited from the largest distance down until
     delta^mu * cap <= best; delta^mu only falls after that, so the result is the exhaustive maximum
-    bit for bit.  An empty box adds nothing, and its delta^mu, never formed, may overflow.
+    bit for bit.  An empty box adds nothing, and its delta^mu, never formed, may overflow.  A NaN box
+    norm reads as inf, as in the sweeps, never as an empty box.
     """
     sup, outer = _shrink_sup(u.spec, region, mu, t)
     return sup(u.values[outer])
@@ -536,10 +526,10 @@ def iterate_norms(
                 norms.append(_past_range(norm))
                 flagged.append(_unresolved(fraction, norms[-1:]))
         else:
-            current = u
+            step, current = _operator_step(op, u.spec), u
             for l in labels:
                 if l > 0:
-                    current = apply_operator(op, current)
+                    current = step(current)
                 norms.append(_past_range(restricted_l2(current, region, delta)))
                 flagged.append(_unresolved(spectral_tail_fraction(current.spectrum()), norms[-1:]))
     return NormSweep(labels, norms, flagged)

@@ -233,27 +233,31 @@ def _points(xi, dimension: int) -> np.ndarray:
     return xi
 
 
-def _evaluate(polys, xi: np.ndarray) -> Iterator[np.ndarray]:
-    """Each of polys in turn at the points xi, shape (..., n), every power and monomial computed once for all of them.
+def _evaluate(polys, coords) -> Iterator[np.ndarray]:
+    """Each of polys in turn at coords, every power and monomial computed once for all of them.
 
-    A polynomial is summed term by term from zero in its canonical order and a
-    monomial multiplied out from one in axis order, with xi_j^a taken as
-    ``xi[..., j] ** a`` (which squares at a = 2), so each value is bit-identical
-    to evaluating that polynomial alone.
+    coords are points xi, shape (..., n), with x_j = ``xi[..., j]`` and values of the points' shape, or per-axis
+    arrays such as ``GridSpec.mesh()``, with x_j = ``coords[j]`` and each value in its monomials' broadcast shape.
+    A polynomial is summed term by term from zero in canonical order and a monomial multiplied out from one in
+    axis order, with x_j^a taken as ``x_j ** a`` (which squares at a = 2), so each value has the bits of that
+    polynomial alone at that point, and a mesh the bits of its dense nodes.
     """
+    points = isinstance(coords, np.ndarray)
+    shape = coords.shape[:-1] if points else ()
     powers, monomials = {}, {}
     for p in polys:
-        total = np.zeros(xi.shape[:-1], dtype=complex)
-        for alpha, c in p.terms.items():
+        for alpha in p.terms:
             if alpha not in monomials:
                 mono = None  # 1 * x is x exactly, so the product from one starts at the first factor
                 for j, a in enumerate(alpha):
                     if a:
                         if (j, a) not in powers:
-                            powers[j, a] = xi[..., j] ** a
+                            powers[j, a] = (coords[..., j] if points else coords[j]) ** a
                         mono = powers[j, a] if mono is None else mono * powers[j, a]
-                monomials[alpha] = np.ones(xi.shape[:-1]) if mono is None else mono
-            total = total + c * monomials[alpha]
+                monomials[alpha] = np.ones(shape) if mono is None else mono
+        total = np.zeros(shape if points else np.broadcast_shapes(*(monomials[a].shape for a in p.terms)), complex)[()]
+        for alpha, c in p.terms.items():
+            total += c * monomials[alpha]  # in place; a point's 0-d total is a scalar ([()]), faster to add to
         yield total
 
 

@@ -437,13 +437,31 @@ def run_p1_with_fixture(tmp_path, fixture) -> int:
         ("p1", {"t": float("inf")}, [], ["'t'", "not finite"]),
         ("prop31", {"deltas": [0.05, float("-inf")]}, [], ["'deltas'", "not finite"]),
         ("domination", {"x0": [float("nan"), 0.0]}, [], ["'x0'", "not finite"]),
+        ("prop31", {"deltas": []}, [], ["shrink distances must be one or more", "got []"]),
+        (
+            "p1",
+            {
+                "symbol": {"dimension": 1, "terms": [{"alpha": [120], "re": 1.0}, {"alpha": [0], "re": 1.0}]},
+                "r_symbol": {"dimension": 1, "terms": [{"alpha": [120], "re": 1.0}]},
+                "omega": {"lo": [-0.4], "hi": [0.4]},
+                "resolution": 4096,
+                "fixtures": [{"family": "gaussian_bump", "width": 0.05}],
+            },
+            [],
+            ["spectral-range", "4096 nodes"],
+        ),
+        ("p1", {"fixtures": [{"family": "polynomial_bump", "support": {"lo": [-0.3], "hi": [0.3]}}]}, [],
+         ["support dimension 1 != grid dimension 2"]),
+        ("p1", {"fixtures": [{"family": "gaussian_bump", "width": 0.1, "center": [0.0, 0.0],
+                              "support": {"lo": [-0.3], "hi": [0.3]}}]}, [], ["support dimension 1 != grid dimension 2"]),
     ],
     ids=["sequence-without-s", "deltas-int", "t-null", "x0-null", "amax-str", "unknown-key", "unread-key",
          "kmax-th1", "lmax-p1", "lmax-prop31", "deltas-zero", "lmax-float", "d-inf", "deltas-str", "x0-str",
          "x0-bools", "lmax-huge", "lmax-past-limit", "amax-huge", "kmax-huge", "seed-huge", "resolution-huge",
          "lmax-flag-huge", "delta-str", "delta-str-th1", "delta-bool", "t-str", "s-bool", "s-str",
          "enforce-diameter-str", "enforce-diameter-no", "enforce-diameter-int", "delta-empties-domination",
-         "delta-empties-th1", "deltas-empty-prop31", "s-nan", "s-inf", "t-inf", "deltas-minus-inf", "x0-nan"],
+         "delta-empties-th1", "deltas-empty-prop31", "s-nan", "s-inf", "t-inf", "deltas-minus-inf", "x0-nan",
+         "deltas-none", "multiplier-past-float-range", "support-short-polynomial", "support-short-gaussian"],
 )
 def test_verify_malformed_config_exits_2_naming_the_key(tmp_path, capsys, check, edit, flags, named):
     doc = read(fixture_path(f"verify_{check}.json"))

@@ -160,6 +160,18 @@ def test_transfer_enforces_diameter(laplacian):
     assert rep.verdict == "pass"
 
 
+def test_transfer_rejects_multipliers_past_the_float_range():
+    """xi^120 overflows on a 4096-node grid: every shrink norm would be NaN, and the check read them as 0."""
+    q = SymbolPolynomial(1, {(120,): 1.0, (0,): 1.0})
+    r = SymbolPolynomial(1, {(120,): 1.0})
+    omega = BoxDomain((-0.4,), (0.4,))
+    u = gaussian_bump(GridSpec(omega, 4096), 0.05)
+    with pytest.raises(PreconditionError) as err:
+        verify_dominated_transfer(q, r, RationalExponent(1, 1), [u], omega, 0.25)
+    assert err.value.name == "spectral-range"
+    assert repr(r) in str(err.value) and "4096 nodes" in str(err.value)
+
+
 # -- iterate bound -----------------------------------------------------------------------
 
 
@@ -223,6 +235,22 @@ def test_iterate_bound_rejects_wrong_exponent(heat_symbol, small_box):
     with pytest.raises(PreconditionError) as err:
         verify_iterate_bound(heat_symbol, RationalExponent(1, 1), u, small_box, 2, [0.1])
     assert err.value.name == "exponent-consistency"
+
+
+def test_iterate_bound_rejects_no_shrink_distance(heat_symbol, small_box):
+    u = gaussian_bump(GridSpec(small_box, 64), 0.1)
+    with pytest.raises(ValueError, match=r"shrink distances must be one or more, each > 0, got \[\]"):
+        verify_iterate_bound(heat_symbol, RationalExponent(2, 1), u, small_box, 2, [])
+
+
+@pytest.mark.parametrize("resolutions", [(64, 16), (16, 64)])
+def test_iterate_bound_checks_the_resolution_of_every_fixture(heat_symbol, small_box, resolutions):
+    """Order 10 needs 20 nodes per axis: the 16^2 fixture is rejected wherever it stands in the list."""
+    fixtures = [gaussian_bump(GridSpec(small_box, n), 0.1) for n in resolutions]
+    with pytest.raises(PreconditionError) as err:
+        verify_iterate_bound(heat_symbol, RationalExponent(2, 1), fixtures, small_box, 5, [0.1])
+    assert err.value.name == "spectral-resolution"
+    assert "resolution 16" in str(err.value)
 
 
 # -- growth fits ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypoel import grids
+from hypoel import grids, symbols
 from hypoel import (
     BoxDomain,
     DomainError,
@@ -15,6 +15,7 @@ from hypoel import (
     HypoelError,
     StrengthWeight,
     SymbolPolynomial,
+    VariableOperator,
     apply_operator,
     derivative_norms,
     gaussian_bump,
@@ -191,6 +192,114 @@ def test_variable_operator_application(drift_operator):
     d1 = SymbolPolynomial(2, {(1, 0): 1.0})
     expected = apply_operator(lap, u).values + mesh[0] * apply_operator(d1, u).values
     assert np.max(np.abs(applied.values - expected)) < 1e-10
+
+
+def _dense_value(p, nodes):
+    """p on a dense (..., n) array of nodes, term by term, every power and monomial computed afresh."""
+    out = np.zeros(nodes.shape[:-1], dtype=complex)
+    for alpha, c in p.terms.items():
+        mono = np.ones(nodes.shape[:-1])
+        for j, a in enumerate(alpha):
+            if a:
+                mono = mono * nodes[..., j] ** a
+        out = out + c * mono
+    return out
+
+
+def _monomial_multiplier(freq, alpha):
+    mono = np.ones((1,) * len(freq))
+    for j, a in enumerate(alpha):
+        if a:
+            mono = mono * freq[j] ** a
+    return mono
+
+
+def _random_operator(rng, n):
+    """A variable operator of order <= 3 with complex polynomial coefficients of degree <= 2."""
+    def poly():
+        return SymbolPolynomial(n, {tuple(rng.integers(0, 3, n)): complex(*rng.uniform(-2, 2, 2)) for _ in range(3)})
+    terms = {tuple(rng.integers(0, 3, n)): poly() for _ in range(rng.integers(1, 4))}
+    terms[(0,) * n] = complex(*rng.uniform(-2, 2, 2))
+    return VariableOperator(n, terms, BoxDomain((-1.0,) * n, (1.0,) * n))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_operators_on_the_grid_keep_the_bits_of_dense_evaluation(seed):
+    """Lattice multipliers and variable operators match the per-term loops on dense nodes bit for bit.
+
+    The reference is the application that evaluated each coefficient on the
+    stacked dense nodes and each multiplier term by term.  Complex coefficients
+    guard the operand form: numpy multiplies into a temporary right operand
+    with the operands swapped, which changes the last bit of complex products.
+    """
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 3
+    # grids of 256 KiB or more: numpy reuses a temporary operand only from there on
+    spec = GridSpec(BoxDomain((-1.0,) * n, (1.0,) * n), (16384, 128, 32)[n - 1])
+    op = _random_operator(rng, n)
+    u = GridFunction(spec, rng.standard_normal(spec.resolution**n * 2).view(complex).reshape((spec.resolution,) * n))
+    nodes = np.stack(np.meshgrid(*spec.axes(), indexing="ij"), axis=-1)
+    freq = spec.frequency_mesh()
+    want = np.zeros_like(u.values)
+    for alpha, coeff in op.terms.items():
+        d_alpha_u = np.fft.ifftn(_monomial_multiplier(freq, alpha) * u.spectrum())
+        want = want + _dense_value(coeff, nodes) * d_alpha_u
+    assert apply_operator(op, u).values.tobytes() == want.tobytes()
+    q = op.freeze(np.zeros(n))
+    lattice = np.zeros(u.values.shape, dtype=complex)
+    for alpha, c in q.terms.items():
+        lattice += c * _monomial_multiplier(freq, alpha)
+    assert symbol_on_lattice(spec, q).tobytes() == lattice.tobytes()
+
+
+def test_a_variable_sweep_evaluates_its_coefficients_once(drift_operator, monkeypatch):
+    evaluated, evaluate = [], grids._evaluate
+
+    def counted(polys, coords):
+        polys = list(polys)
+        evaluated.extend(p for p in polys if any(p is c for c in drift_operator.terms.values()))
+        return evaluate(polys, coords)
+
+    # through SymbolPolynomial.__call__ or directly
+    monkeypatch.setattr(symbols, "_evaluate", counted)
+    monkeypatch.setattr(grids, "_evaluate", counted)
+    spec = GridSpec(drift_operator.domain, 32)
+    u = gaussian_bump(spec, 0.15, support=BoxDomain((-0.9, -0.9), (0.9, 0.9)))
+    iterate_norms(drift_operator, u, 3, drift_operator.domain)
+    assert len(evaluated) == len(drift_operator.terms)
+
+
+def _parent_bump_profile(t):
+    out = np.zeros_like(t)
+    inside = np.abs(t) < 1
+    ti = t[inside]
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - ti * ti))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_bumps_on_a_support_box_keep_the_bits_of_dense_evaluation(seed):
+    """gaussian_bump's cutoff and polynomial_bump, computed per axis, match the dense per-node loops bit for bit."""
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 3
+    spec = GridSpec(BoxDomain((-1.0,) * n, (1.0,) * n), (64, 32, 16)[n - 1])
+    lo = rng.uniform(-1.0, 0.0, n)
+    support = BoxDomain(lo, lo + rng.uniform(0.3, 1.0, n))
+    width, power = rng.uniform(0.05, 0.5), int(rng.integers(1, 10))
+    mesh = spec.mesh()
+    cut = np.ones((spec.resolution,) * n)
+    poly = np.ones((spec.resolution,) * n)
+    for j in range(n):
+        c = 0.5 * (support.lo[j] + support.hi[j])
+        half = 0.5 * (support.hi[j] - support.lo[j])
+        t = np.broadcast_to((mesh[j] - c) / half, cut.shape)
+        cut = cut * _parent_bump_profile(t)
+        poly = poly * np.where(np.abs(t) < 1, (1 - t * t) ** power, 0.0)
+    r2 = sum((mesh[j] - support.center[j]) ** 2 for j in range(n))
+    gauss = GridFunction(spec, np.exp(-r2 / (2.0 * width * width)) * cut)
+    gauss = gauss * (1.0 / gauss.l2_norm())
+    assert gaussian_bump(spec, width, support=support).values.tobytes() == gauss.values.tobytes()
+    assert polynomial_bump(spec, power, support).values.tobytes() == GridFunction(spec, poly).values.tobytes()
 
 
 # -- restricted_l2 ---------------------------------------------------------------------
@@ -452,6 +561,15 @@ def test_shrink_norm_is_the_exhaustive_max_on_random_mass(seed, dim, mu, t, zero
 def test_shrink_norm_rejects_a_weight_or_range_that_is_not_finite(spec128, unit_box, mu, t):
     with pytest.raises(ValueError, match=f"mu={mu}, t={t}"):
         shrink_norm(gaussian_bump(spec128, 0.1), unit_box, mu, t)
+
+
+def test_shrink_norm_reads_a_nan_box_norm_as_inf_not_as_an_empty_box():
+    spec = GridSpec(BoxDomain((-0.4, -0.4), (0.4, 0.4)), 64)
+    values = gaussian_bump(spec, 0.1).values.copy()
+    values[32, 32] = np.nan  # the centre, inside every shrunk box
+    u = GridFunction(spec, values)
+    assert math.isnan(restricted_l2(u, spec.omega))
+    assert shrink_norm(u, spec.omega, 1.0, 0.25) == math.inf
 
 
 def test_shrink_norm_small_t_bound(spec128, unit_box):

@@ -15,6 +15,7 @@ from hypoel import (
     VariableOperator,
 )
 from hypoel.domains import BoxDomain
+from hypoel.grids import GridSpec
 from hypoel.symbols import _evaluate, load, multi_indices_up_to, save
 
 from conftest import random_symbol
@@ -421,7 +422,7 @@ def _value_by_terms(p, xi):
 
 @st.composite
 def families(draw):
-    """Points of dimension 1-3 and polynomials over one pool of multi-indices, so they share monomials."""
+    """Points of dimension 1-3, a 16^n grid, and polynomials over one pool of multi-indices, so they share monomials."""
     n = draw(st.integers(1, 3))
     pool = draw(st.lists(st.tuples(*[st.integers(0, 7)] * n), min_size=1, max_size=6, unique=True))
     pool.append((0,) * n)  # a constant term
@@ -432,21 +433,31 @@ def families(draw):
     # full-mantissa points: the squares of short ones are exact however they are taken
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     shape = (draw(st.integers(1, 32)), n)
-    return polys, rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3.0, 6.0, shape)
+    lo = rng.uniform(-100.0, 100.0, n)
+    spec = GridSpec(BoxDomain(lo, lo + 10.0 ** rng.uniform(-2.0, 2.0, n)), 16)
+    return polys, rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3.0, 6.0, shape), spec
 
 
 @settings(max_examples=200, deadline=None)
 @given(families())
 def test_family_evaluation_matches_each_polynomial_alone_bit_for_bit(family):
-    """The evaluator's values have the bits of p(xi) and of the term-by-term sum.
+    """The evaluator's values have the bits of p(xi) and of the term-by-term sum, at points and on a grid.
 
-    The trap: on numpy 2.4.6 (x86-64), ``x ** 2`` squares, while ``np.power``
+    The traps: on numpy 2.4.6 (x86-64), ``x ** 2`` squares, while ``np.power``
     with an array of exponents gives a different last bit at exponent 2 for
     about 3 % of values; exponents 0, 1 and 3-7 matched.  So powers are taken
-    one exponent at a time with ``**``.
+    one exponent at a time with ``**``.  And ``**`` of a numpy scalar differs
+    from that of an array in about 3 % of values at exponents 2-7, so a single
+    point's coordinates are raised as arrays too.  On a grid, the sparse mesh's
+    values have the bits of the dense nodes' own.
     """
-    polys, xi = family
-    got = list(_evaluate(polys, xi))
-    for p, values in zip(polys, got):
-        assert values.view(np.uint64).tolist() == p(xi).view(np.uint64).tolist()
-        assert values.view(np.uint64).tolist() == _value_by_terms(p, xi).view(np.uint64).tolist()
+    polys, xi, spec = family
+    bits = lambda values: np.atleast_1d(values).view(np.uint64).tolist()  # noqa: E731
+    nodes = np.stack(np.meshgrid(*spec.axes(), indexing="ij"), axis=-1)
+    on_points = _evaluate(polys, xi)
+    on_nodes = _evaluate(polys, nodes)
+    for p, values, mesh_values, node_values in zip(polys, on_points, _evaluate(polys, spec.mesh()), on_nodes):
+        assert bits(values) == bits(p(xi)) == bits(_value_by_terms(p, xi))
+        assert [bits(p(point)) for point in xi] == [bits(_value_by_terms(p, point)) for point in xi]
+        on_mesh = np.broadcast_to(mesh_values, nodes.shape[:-1]).copy()
+        assert bits(on_mesh) == bits(node_values) == bits(_value_by_terms(p, nodes))
