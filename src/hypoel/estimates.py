@@ -152,9 +152,11 @@ class GrowthFit:
 
 
 def _as_fixture_list(u) -> list[GridFunction]:
-    if isinstance(u, GridFunction):
-        return [u]
-    return list(u)
+    """One fixture or an iterable of them as a list; an empty one raises ValueError, since it checks nothing."""
+    fixtures = [u] if isinstance(u, GridFunction) else list(u)
+    if not fixtures:
+        raise ValueError("the fixture list is empty")
+    return fixtures
 
 
 def _check_diameter(omega: BoxDomain, enforce: bool) -> None:
@@ -223,12 +225,13 @@ def verify_dominated_transfer(
     is the hypothesis under which the transfer holds for a d-hypoelliptic Q,
     and multipliers of R and Q within the float range on each fixture's grid.
     """
+    fixtures = _as_fixture_list(fixtures)
     _check_diameter(omega, enforce_diameter)
     domination = check_symbol_domination(r, q, cfg)
     mu_exp = d.value * q.order
     cases = []
     per_grid = {}  # per grid: the multipliers of R and Q, and the shrink norm on the one box it reads
-    for idx, u in enumerate(_as_fixture_list(fixtures)):
+    for idx, u in enumerate(fixtures):
         if u.spec not in per_grid:
             with np.errstate(over="ignore", invalid="ignore"):
                 mults = symbol_on_lattice(u.spec, r), symbol_on_lattice(u.spec, q)
@@ -316,8 +319,8 @@ def verify_iterate_bound(
         for dl in deltas:
             _check_nodes_left(u, omega, dl)
     _consistent_exponent(q, d, ray_cfg)
-    res = min(u.spec.resolution for u in fixtures) if fixtures else 0
-    if fixtures and kmax * m * d.nu > res // 2:
+    res = min(u.spec.resolution for u in fixtures)
+    if kmax * m * d.nu > res // 2:
         raise PreconditionError(
             "spectral-resolution",
             f"max derivative order {kmax * m * d.nu} exceeds half the coarsest fixture resolution {res}",

@@ -24,6 +24,10 @@ from .symbols import SymbolPolynomial, VariableOperator, _evaluate, multi_indice
 
 #: relative spectral mass in the outer shell above which an entry is unresolved
 TAIL_FLAG_THRESHOLD = 1e-6
+#: relative slack of a derivative sweep's Plancherel cap, far above the rounding of the contraction and the FFT
+CAP_SLACK = 1e-6
+#: a cap is formed only where the sweep's squared sums stay between 1 / CAP_RANGE and CAP_RANGE
+CAP_RANGE = 1e250
 
 
 @dataclass(frozen=True)
@@ -278,21 +282,23 @@ def _outer_slabs(ndim: int, n: int) -> list[tuple[slice, ...]]:
     return [head + (outer,) for j in range(ndim) for head in itertools.product(inner, repeat=j)]
 
 
-def _tail_fractions(spectrum: np.ndarray, top: int) -> np.ndarray:
-    """Outer-shell norm fraction of xi^alpha * spectrum for every alpha with entries <= top.
+def _tail_fractions(spectrum: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Outer-shell norm fraction of xi^alpha * spectrum for every alpha with entries <= top, and the log totals.
 
-    The table is indexed by alpha.  S = |spectrum|^2 is scaled by a power of
-    two to a peak in [1/4, 1), and xi^alpha by the scale-free weights
+    Both tables are indexed by alpha.  S = |spectrum|^2 is scaled by a power
+    of two to a peak in [1/4, 1), and xi^alpha by the scale-free weights
     (|xi_j| / max|xi_j|)^(2 a_j) = (2|k_j| / n)^(2 a_j), so nothing
-    overflows; a spectrum that is not finite gives NaN.  The totals and the
-    outer-shell sums of all alphas come from one contraction per disjoint slab.
+    overflows.  The totals and the outer-shell sums of all alphas come from
+    one contraction per disjoint slab.  A spectrum that is not finite gives
+    NaN fractions; a log total (of sum |spectrum|^2 times the weights) is +inf
+    there and where the scaled total, whose terms may underflow, is <= 1 / CAP_RANGE.
     """
     sq = np.abs(spectrum)
     peak = float(sq.max())
     if not math.isfinite(peak):
-        return np.full((top + 1,) * sq.ndim, math.nan)
-    if peak > 0.0:
-        np.ldexp(sq, -math.frexp(peak)[1], out=sq)
+        return np.full((top + 1,) * sq.ndim, math.nan), np.full((top + 1,) * sq.ndim, math.inf)
+    exponent = math.frexp(peak)[1]  # 0 for a zero spectrum
+    np.ldexp(sq, -exponent, out=sq)
     np.square(sq, out=sq)
     ratio = 2.0 * np.abs(np.fft.fftfreq(sq.shape[0]))
     weights = (ratio * ratio)[:, None] ** np.arange(top + 1)
@@ -305,7 +311,8 @@ def _tail_fractions(spectrum: np.ndarray, top: int) -> np.ndarray:
 
     total = contract(())
     outer = sum(contract(box) for box in _outer_slabs(sq.ndim, sq.shape[0]))
-    return np.sqrt(np.divide(outer, total, out=np.zeros_like(total), where=total > 0.0))
+    log_totals = np.log(total, out=np.full_like(total, math.inf), where=total > 1 / CAP_RANGE) + exponent * math.log(4)
+    return np.sqrt(np.divide(outer, total, out=np.zeros_like(total), where=total > 0.0)), log_totals
 
 
 def spectral_tail_fraction(spectrum: np.ndarray) -> float:
@@ -315,7 +322,7 @@ def spectral_tail_fraction(spectrum: np.ndarray) -> float:
     indicator compared against TAIL_FLAG_THRESHOLD (NaN for a spectrum that
     is not finite).
     """
-    return float(_tail_fractions(spectrum, 0)[(0,) * spectrum.ndim])
+    return float(_tail_fractions(spectrum, 0)[0][(0,) * spectrum.ndim])
 
 
 def _unresolved(fraction: float, norms) -> bool:
@@ -535,16 +542,47 @@ def iterate_norms(
     return NormSweep(labels, norms, flagged)
 
 
-def _derivative_sweep(u: GridFunction, alphas: list, region: BoxDomain, deltas: Sequence[float]) -> dict:
+def _plancherel_caps(u: GridFunction, alphas: list, log_totals: np.ndarray, nodes: int) -> np.ndarray:
+    """Per alpha, a bound on the norm of D^alpha u on a box of `nodes` nodes, found without an FFT (inf: no bound).
+
+    By Plancherel the squared cell norm, vol N^-n prod_k max|xi_k|^(2 a_k) exp(log_totals[alpha]), bounds the box's;
+    |D^alpha u| <= N^-n sum |xi^alpha u_hat| at every node bounds it by sqrt(nodes vol) times that sum, exactly on a
+    plane wave.  The cap is the smaller bound times 1 + CAP_SLACK; inf where a multiplier max|xi_k|^a_k, the square
+    of sum |u_hat| prod_k max(1, max|xi_k|)^a_k, or the squared cell norm leaves the range CAP_RANGE keeps.
+    """
+    a = np.array(alphas).reshape(len(alphas), u.dimension)
+    logs = a * np.log([np.abs(f).max() for f in u.spec.frequencies()])
+    log_vol, bound = math.log(u.spec.volume_element), math.log(CAP_RANGE)
+    log_n = u.dimension * math.log(u.spec.resolution)
+    log_sq = log_totals[tuple(a.T)] + 2 * logs.sum(axis=1) - log_n
+    mag = np.abs(u.spectrum())
+    mass = float(mag.sum())
+    log_sum = 2 * (np.log(mass) + np.maximum(logs, 0.0).sum(axis=1)) + max(log_vol, 0.0)
+    inside = (logs.max(axis=1, initial=0.0) < bound) & (log_sum < bound) & (np.abs(log_sq + min(log_vol, 0.0)) < bound)
+    # sum |u_hat| (|xi| / max|xi|)^alpha / mass for every alpha, contracted per axis as in _tail_fractions
+    table = mag / mass
+    weights = (2.0 * np.abs(np.fft.fftfreq(u.spec.resolution)))[:, None] ** np.arange(a.max(initial=0) + 1)
+    for _ in range(u.dimension):
+        table = np.einsum("i...,ia->...a", table, weights)
+    log_sup = np.log(table[tuple(a.T)]) + np.log(mass) + logs.sum(axis=1) - log_n
+    log_cap = np.minimum(0.5 * (log_sq + log_vol), log_sup + 0.5 * np.log(nodes * u.spec.volume_element))
+    return np.where(inside, np.exp(log_cap) * (1 + CAP_SLACK), math.inf)
+
+
+def _derivative_sweep(u: GridFunction, alphas: list, region: BoxDomain, deltas: Sequence[float], capped: bool = False) -> dict:
     """Flag and restricted norms of D^alpha u for each alpha, computed on the region's box only.
 
     Returns {alpha: (flagged, norms)}, one norm per shrink distance in deltas.
     D^alpha u is formed on the box of the smallest distance, one axis at a
     time, last axis first as ifftn orders them: multiply by xi_k^alpha_k,
-    inverse-transform axis k, keep the box's range on it.  The alphas are
-    visited in the order of their reversed multi-indices, so alphas that share
-    trailing exponents share those partial transforms; one partial array is
-    kept per axis.
+    inverse-transform axis k, keep the box's range on it.  Alphas that share
+    alpha[k:], k >= 1, share that partial (one is kept per axis) and are
+    visited together, so each partial is formed once: groups by their largest
+    `_plancherel_caps` cap and alphas by their own, descending (uncapped, by
+    reversed entries).  Capped, an alpha whose cap is at most the best
+    smallest-over-deltas norm so far for its order is skipped, with norms ()
+    and its flag from its tail fraction: its norms are at most its cap, so
+    each order's maxima and flags are exact.
     """
     n = u.dimension
     box = _box_slices(u.spec, region, min(deltas, default=0.0))
@@ -557,10 +595,20 @@ def _derivative_sweep(u: GridFunction, alphas: list, region: BoxDomain, deltas: 
     freq = u.spec.frequencies()
     u_hat = u.spectrum()
     partial: list[tuple | None] = [None] * n
-    out = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        fractions = _tail_fractions(u_hat, max((max(a) for a in alphas), default=0))
-        for alpha in sorted(alphas, key=lambda a: a[::-1]):
+    out, best = {}, {}
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fractions, log_totals = _tail_fractions(u_hat, max((max(a) for a in alphas), default=0))
+        nodes = math.prod(s.stop - s.start for s in box)
+        caps = dict(zip(alphas, _plancherel_caps(u, alphas, log_totals, nodes) if capped else itertools.repeat(math.inf)))
+        top = {}  # per shared suffix alpha[k:], k >= 1, the largest cap of its alphas
+        for alpha, k in itertools.product(alphas, range(1, n)):
+            top[alpha[k:]] = max(top.get(alpha[k:], -math.inf), caps[alpha])
+        suffixes_first = lambda a: (*((-top[a[k:]], a[k:]) for k in reversed(range(1, n))), -caps[a], a[0])
+        for alpha in sorted(alphas, key=suffixes_first):
+            order = sum(alpha)
+            if caps[alpha] <= best.get(order, -math.inf):
+                out[alpha] = (_unresolved(float(fractions[alpha]), ()), ())
+                continue
             for k in reversed(range(n)):
                 if partial[k] is None or partial[k][0] != alpha[k:]:
                     base = u_hat if k == n - 1 else partial[k + 1][1]
@@ -569,21 +617,23 @@ def _derivative_sweep(u: GridFunction, alphas: list, region: BoxDomain, deltas: 
             sq = np.abs(partial[0][1]) ** 2
             norms = tuple(_past_range(_box_l2(sq[sub], u.spec.volume_element)) for sub in subs)
             out[alpha] = (_unresolved(float(fractions[alpha]), norms), norms)
+            if capped:
+                best[order] = max(best.get(order, -math.inf), min(norms))
     return {alpha: out[alpha] for alpha in alphas}
 
 
 def derivative_norms(
     u: GridFunction, amax: int, region: BoxDomain, delta: float = 0.0
 ) -> NormSweep:
-    """For each total order a, the max over |alpha| = a of the restricted norm of D^alpha u."""
+    """For each order a, the max over |alpha| = a of the restricted norm of D^alpha u and any flag (capped, exact)."""
     if amax < 0:
         raise ValueError("amax must be >= 0")
     labels = list(range(amax + 1))
     norms = [0.0] * len(labels)
     flagged = [False] * len(labels)
-    sweep = _derivative_sweep(u, multi_indices_up_to(u.dimension, amax), region, [delta])
-    for alpha, (flag, (norm,)) in sweep.items():
+    sweep = _derivative_sweep(u, multi_indices_up_to(u.dimension, amax), region, [delta], capped=True)
+    for alpha, (flag, found) in sweep.items():
         a = sum(alpha)
         flagged[a] = flagged[a] or flag
-        norms[a] = max(norms[a], norm)
+        norms[a] = max((norms[a], *found))
     return NormSweep(labels, norms, flagged)

@@ -317,7 +317,9 @@ class VariableOperator:
             raise DimensionMismatch(f"point has shape {x.shape}, expected ({self.dimension},)")
         if not self.domain.contains(x):
             raise DomainError(f"freeze point {tuple(x)} lies outside the closure of {self.domain}")
-        return SymbolPolynomial(self.dimension, {a: coeff(x) for a, coeff in self.terms.items()})
+        # one family evaluation: each coefficient keeps the bits of its own evaluation at x
+        coeffs = _evaluate(self.terms.values(), x)
+        return SymbolPolynomial(self.dimension, {a: complex(c) for a, c in zip(self.terms, coeffs)})
 
     def to_dict(self) -> dict:
         return {

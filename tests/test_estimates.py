@@ -229,6 +229,16 @@ def test_iterate_bound_and_derivative_norms_share_one_sweep():
             assert lhs == sweep.norms[a]
 
 
+def test_iterate_bound_rejects_an_empty_fixture_list(heat_symbol, small_box):
+    with pytest.raises(ValueError, match="fixture list is empty"):
+        verify_iterate_bound(heat_symbol, RationalExponent(2, 1), [], small_box, 2, [0.1])
+
+
+def test_dominated_transfer_rejects_an_empty_fixture_list(laplacian, small_box):
+    with pytest.raises(ValueError, match="fixture list is empty"):
+        verify_dominated_transfer(laplacian, laplacian, RationalExponent(1, 1), [], small_box, 0.25)
+
+
 def test_iterate_bound_rejects_wrong_exponent(heat_symbol, small_box):
     spec = GridSpec(small_box, 64)
     u = gaussian_bump(spec, 0.1)

@@ -30,9 +30,11 @@ from hypoel import (
     zero_function,
 )
 from hypoel.grids import (
+    CAP_SLACK,
     TAIL_FLAG_THRESHOLD,
     _box_slices,
     _derivative_sweep,
+    _plancherel_caps,
     _tail_fractions,
     cell_frequency,
     delta_grid,
@@ -796,7 +798,7 @@ def test_derivative_sweep_matches_the_per_alpha_ifftn_loop(u, amax):
     deltas = [0.0, 0.05, 0.2, 1.0]
     want = per_alpha_sweep(u, alphas, region, deltas)
     got = _derivative_sweep(u, alphas, region, deltas)
-    fractions = _tail_fractions(u.spectrum(), amax)
+    fractions, _ = _tail_fractions(u.spectrum(), amax)
     assert list(got) == alphas
     for alpha in alphas:
         frac, norms = want[alpha]
@@ -812,6 +814,164 @@ def test_derivative_sweep_matches_the_per_alpha_ifftn_loop(u, amax):
         entries = [got[alpha] for alpha in alphas if sum(alpha) == a]
         assert sweep.flagged[a] == any(flag for flag, _ in entries)
         assert sweep.norms[a] == max(norms[1] for _, norms in entries)
+
+
+def exhaustive_derivative_norms(u, amax, region, delta):
+    """Per order, the max norm and any flag over every alpha of the uncapped sweep."""
+    norms, flagged = [0.0] * (amax + 1), [False] * (amax + 1)
+    for alpha, (flag, (norm,)) in _derivative_sweep(u, multi_indices_up_to(u.dimension, amax), region, [delta]).items():
+        a = sum(alpha)
+        norms[a], flagged[a] = max(norms[a], norm), flagged[a] or flag
+    return norms, flagged
+
+
+def capped_fixtures():
+    cases = []
+    for n, res, amax, k in ((1, 256, 10, (5,)), (2, 128, 6, (3, -2)), (3, 32, 4, (1, 2, -1))):
+        spec = GridSpec(BoxDomain((-0.35,) * n, (0.35,) * n), res)
+        noise = np.random.default_rng(n).standard_normal((2,) + (res,) * n)
+        cases += [
+            # a plane wave: most alphas skipped
+            pytest.param(plane_wave(spec, k), amax, spec.omega, 0.05, id=f"plane-wave-{n}d"),
+            # isotropic: the top alphas of each order tie
+            pytest.param(gaussian_bump(spec, 0.08), amax, spec.omega, 0.05, id=f"gaussian-{n}d"),
+            # white noise: caps close together, few skipped
+            pytest.param(GridFunction(spec, noise[0] + 1j * noise[1]), amax, spec.omega, 0.0, id=f"white-noise-{n}d"),
+        ]
+    aniso = GridSpec(BoxDomain((-0.35, -0.1), (0.35, 0.1)), 128, BoxDomain((-0.5, -0.3), (0.5, 0.3)))
+    cases.append(pytest.param(gaussian_bump(aniso, 0.05), 8, aniso.omega, 0.02, id="anisotropic-cell"))
+    spec = GridSpec(BoxDomain((-0.35,) * 2, (0.35,) * 2), 128)
+    nan_node = np.array(gaussian_bump(spec, 0.08).values)
+    nan_node[3, 4] = math.nan
+    cases.append(pytest.param(GridFunction(spec, nan_node), 4, spec.omega, 0.05, id="nan-node"))
+    # |u|^2 overflows at every order
+    cases.append(pytest.param(gaussian_bump(spec, 0.08) * 1e200, 6, spec.omega, 0.05, id="amplitude-1e200"))
+    # max|xi_k|^a_k alone overflows from a_k = 59 on; caps are formed from order 35 on, where every a_k < 48
+    tiny = GridSpec(BoxDomain((-1e-4,) * 2, (1e-4,) * 2), 16)
+    with np.errstate(under="ignore"):
+        cases.append(pytest.param(gaussian_bump(tiny, 3e-5) * 1e-300, 64, tiny.omega, 1e-5, id="amplitude-1e-300"))
+    return cases
+
+
+@pytest.mark.parametrize("u, amax, region, delta", capped_fixtures())
+def test_derivative_norms_equal_the_exhaustive_sweep_bit_for_bit(u, amax, region, delta):
+    sweep = derivative_norms(u, amax, region, delta)
+    norms, flagged = exhaustive_derivative_norms(u, amax, region, delta)
+    assert [v.hex() for v in sweep.norms] == [v.hex() for v in norms]
+    assert sweep.flagged == flagged
+
+
+def test_derivative_norms_equal_the_exhaustive_sweep_on_random_fixtures():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(1, 4))
+        half = rng.uniform(0.05, 0.45, n)
+        omega = BoxDomain(tuple(-half), tuple(half))
+        spec = GridSpec(omega, (128, 64, 16)[n - 1], omega.scaled(float(rng.uniform(1.1, 2.0))))
+        k = tuple(int(v) for v in rng.integers(-4, 5, n))
+        u = modulated_bump(spec, k, float(rng.uniform(0.05, 0.3) * half.min()))
+        amax, delta = int(rng.integers(0, (16, 7, 5)[n - 1])), float(rng.uniform(0.0, 0.5) * half.min())
+        sweep = derivative_norms(u, amax, omega, delta)
+        norms, flagged = exhaustive_derivative_norms(u, amax, omega, delta)
+        assert [v.hex() for v in sweep.norms] == [v.hex() for v in norms] and sweep.flagged == flagged
+
+
+def caps_of(u, amax, nodes=None):
+    """Caps of every alpha up to amax on a box of `nodes` nodes, by default the whole cell."""
+    alphas = multi_indices_up_to(u.dimension, amax)
+    nodes = u.spec.resolution ** u.dimension if nodes is None else nodes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return dict(zip(alphas, _plancherel_caps(u, alphas, _tail_fractions(u.spectrum(), amax)[1], nodes)))
+
+
+@pytest.mark.parametrize("u, amax", sweep_fixtures())
+def test_plancherel_caps_bound_every_box_norm_and_match_the_cell_norm(u, amax):
+    caps = caps_of(u, amax)
+    # the largest box: the sup bound over its nodes is a cap of every box inside it
+    nodes = math.prod(s.stop - s.start for s in grids._box_slices(u.spec, u.spec.omega, 0.0))
+    box_caps = caps_of(u, amax, nodes)
+    sweep = _derivative_sweep(u, list(caps), u.spec.omega, [0.0, 0.05, 0.2])
+    freq = u.spec.frequency_mesh()
+    for alpha, cap in caps.items():
+        assert all(norm <= box_caps[alpha] <= cap for norm in sweep[alpha][1])
+        mono = np.ones((1,) * u.dimension)
+        for j, a in enumerate(alpha):
+            mono = mono * freq[j] ** a
+        cell = math.sqrt(float(np.sum(np.abs(np.fft.ifftn(mono * u.spectrum())) ** 2)) * u.spec.volume_element)
+        # on the whole cell the sup bound is never below the Plancherel norm
+        assert abs(cap / (1 + CAP_SLACK) - cell) <= 1e-9 * cell
+
+
+def test_sup_bound_caps_a_plane_wave_at_its_box_norm():
+    # a 3-D plane wave: the Plancherel cap is 2.47 times the box norm, the sup bound that norm
+    spec = GridSpec(BoxDomain((-0.28,) * 3, (0.28,) * 3), 32)
+    u = plane_wave(spec, (3, -3, 4))
+    box = grids._box_slices(spec, spec.omega, 0.05)
+    caps = caps_of(u, 3, math.prod(s.stop - s.start for s in box))
+    sweep = _derivative_sweep(u, list(caps), spec.omega, [0.05])
+    for alpha, cap in caps.items():
+        (norm,) = sweep[alpha][1]
+        assert norm <= cap <= norm * (1 + 2 * CAP_SLACK)
+
+
+def test_plancherel_caps_are_inf_where_the_sweep_may_leave_the_float_range():
+    spec = GridSpec(BoxDomain((-0.35,) * 2, (0.35,) * 2), 64)
+    u = gaussian_bump(spec, 0.08)
+    assert all(math.isfinite(cap) for cap in caps_of(u, 6).values())
+    # sum |u_hat| squared past 1e250; the spectrum not finite; every total at most 1e-250 but alpha = 0's
+    assert all(math.isinf(cap) for cap in caps_of(u * 1e200, 6).values())
+    nan_node = np.array(u.values)
+    nan_node[3, 4] = math.nan
+    assert all(math.isinf(cap) for cap in caps_of(GridFunction(spec, nan_node), 6).values())
+    assert all(math.isinf(cap) for cap in caps_of(zero_function(spec), 6).values())
+    constant = caps_of(u.with_values(np.ones((64, 64))), 6)
+    assert math.isfinite(constant.pop((0, 0))) and all(math.isinf(cap) for cap in constant.values())
+    # a total at most 1e-250, whose terms may be lost to underflow, has a +inf log
+    spectrum = np.zeros(16)
+    spectrum[:2] = 1.0, 1e-130
+    assert np.isfinite(_tail_fractions(spectrum, 2)[1]).tolist() == [True, False, False]
+    # on a 1e-300 field the squared cell norm is below 1e-250 up to order 34, and max|xi_k|^a_k alone
+    # is past 1e250 from a_k = 48 on
+    tiny = GridSpec(BoxDomain((-1e-4,) * 2, (1e-4,) * 2), 16)
+    with np.errstate(under="ignore"):
+        caps = caps_of(gaussian_bump(tiny, 3e-5) * 1e-300, 64)
+    finite = {alpha for alpha, cap in caps.items() if math.isfinite(cap)}
+    assert finite and all(35 <= sum(alpha) and max(alpha) < 48 for alpha in finite)
+    assert {a for a in caps if 40 <= sum(a) <= 64 and max(a) < 48} <= finite
+
+
+def test_capped_sweep_transforms_few_plane_wave_multi_indices(monkeypatch):
+    # the bench's 256^2 plane wave: of the 28 multi-indices up to order 6, about one per order is transformed
+    spec = GridSpec(BoxDomain((-0.35,) * 2, (0.35,) * 2), 256)
+    u = plane_wave(spec, (5, -2))
+    transforms = []
+    ifft_to_box = grids._ifft_to_box
+    monkeypatch.setattr(grids, "_ifft_to_box", lambda *args: transforms.append(args[1]) or ifft_to_box(*args))
+    sweep = derivative_norms(u, 6, spec.omega, 0.05)
+    monkeypatch.undo()
+    assert len(transforms) <= 8
+    assert (sweep.norms, sweep.flagged) == exhaustive_derivative_norms(u, 6, spec.omega, 0.05)
+    # a skipped alpha has no norms and the flag of its tail fraction
+    capped = _derivative_sweep(u, multi_indices_up_to(2, 6), spec.omega, [0.05], capped=True)
+    assert sum(1 for _, norms in capped.values() if norms) <= 8
+    fractions, _ = _tail_fractions(u.spectrum(), 6)
+    assert all(flag == (fractions[alpha] > TAIL_FLAG_THRESHOLD) for alpha, (flag, _) in capped.items())
+
+
+@pytest.mark.parametrize("k, most", [((3, -3, 4), 12), ((3, 4, 3), 9), ((2, -2, 2), 34)])
+def test_capped_sweep_forms_each_partial_transform_at_most_once(monkeypatch, k, most):
+    # 3-D plane waves on 32^3 up to order 3: 20 alphas, 10 suffixes alpha[1:], 4 suffixes alpha[2:].
+    # With one top |k_j| only alpha = a e_j is transformed; when all |k_j| tie, every alpha is, once.
+    spec = GridSpec(BoxDomain((-0.28,) * 3, (0.28,) * 3), 32)
+    u = plane_wave(spec, k)
+    axes = []
+    ifft_to_box = grids._ifft_to_box
+    monkeypatch.setattr(grids, "_ifft_to_box", lambda *args: axes.append(args[1]) or ifft_to_box(*args))
+    sweep = derivative_norms(u, 3, spec.omega, 0.05)
+    monkeypatch.undo()
+    assert len(axes) <= most
+    assert all(axes.count(j) <= bound for j, bound in enumerate((20, 10, 4)))
+    assert (sweep.norms, sweep.flagged) == exhaustive_derivative_norms(u, 3, spec.omega, 0.05)
 
 
 @pytest.mark.parametrize("n, res", [(1, 256), (2, 128), (3, 32)])

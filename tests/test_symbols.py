@@ -249,6 +249,20 @@ def test_freeze_commutes_with_evaluation(drift_operator):
     assert complex(frozen(xi)) == pytest.approx(direct, rel=1e-12)
 
 
+def test_freeze_coefficients_bit_identical_to_one_evaluation_each():
+    # freeze evaluates the coefficients as one family; each keeps the bytes of its own __call__
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        dim = int(rng.integers(1, 4))
+        alphas = [alpha for alpha in multi_indices_up_to(dim, 2) if rng.random() < 0.6] or [(0,) * dim]
+        op = VariableOperator(dim, {alpha: random_symbol(rng, dim, 4) for alpha in alphas}, box(*[(-2, 2)] * dim))
+        x = rng.uniform(-2, 2, dim)
+        frozen = op.freeze(x).terms
+        want = {alpha: coeff(x) for alpha, coeff in op.terms.items()}
+        assert list(frozen) == [alpha for alpha, c in want.items() if c != 0]
+        assert all(np.complex128(frozen[a]).tobytes() == np.complex128(want[a]).tobytes() for a in frozen)
+
+
 # -- serialization ---------------------------------------------------------------------
 
 
