@@ -11,14 +11,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, HypoelError, PreconditionError
-from .fitting import ascend, least_squares_slope
+from .fitting import ascend, signed_axes, tail_slope
 from .symbols import MultiIndex, SymbolPolynomial, VariableOperator, _evaluate
 
 #: per-ray tail slopes above this count as divergence
@@ -87,8 +87,7 @@ def unit_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
     if n >= 4:
         pts = np.random.default_rng(seed).standard_normal((count, n))
         norms = np.linalg.norm(pts, axis=1)
-        axes = np.repeat(np.eye(n), 2, axis=0) * np.tile([1.0, -1.0], n)[:, None]  # e_0, -e_0, e_1, ...
-        rows = np.concatenate([pts[norms > 1e-12] / norms[norms > 1e-12, None], axes, signs / math.sqrt(n)])
+        rows = np.concatenate([pts[norms > 1e-12] / norms[norms > 1e-12, None], signed_axes(n), signs / math.sqrt(n)])
     else:
         pts = np.zeros((0, n))
         if n == 2:
@@ -159,7 +158,7 @@ class RaySample:
     slope: float
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "beta": list(self.beta), "direction": [float(v) for v in self.direction]}
+        return {**vars(self), "beta": list(self.beta), "direction": [float(v) for v in self.direction]}
 
 
 @dataclass
@@ -175,7 +174,7 @@ class HypoReport:
 
     def to_dict(self) -> dict:
         d_snapped = list(self.d_snapped) if self.d_snapped else None
-        return {**asdict(self), "d_snapped": d_snapped, "witness": self.witness.to_dict() if self.witness else None}
+        return {**vars(self), "d_snapped": d_snapped, "witness": self.witness.to_dict() if self.witness else None}
 
 
 @dataclass
@@ -187,7 +186,7 @@ class StrengthReport:
     config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "ratio_bounds": list(self.ratio_bounds) if self.ratio_bounds else None}
+        return {**vars(self), "ratio_bounds": list(self.ratio_bounds) if self.ratio_bounds else None}
 
 
 def snap_rational(value: float) -> tuple[int, int] | None:
@@ -287,17 +286,7 @@ def _sweep(table: _RayTable, derivatives, d: float = math.inf):
     log_r = np.log(table.radii)
     for beta, log_abs in derivatives:
         logs = sum(beta) / d * log_r + log_abs - table.log_denom
-        yield beta, logs, logs.max(axis=1), _tail_slopes(table.radii, logs)
-
-
-def _tail_slopes(radii: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """Per-ray slopes of log ratios against log radius over the last half of the radii.
-
-    A zero ratio in that half, a log of -inf, gives a NaN slope.
-    """
-    half = len(radii) // 2
-    with np.errstate(invalid="ignore"):
-        return least_squares_slope(np.log(radii[half:]), logs[..., half:])
+        yield beta, logs, logs.max(axis=1), tail_slope(log_r, logs, 2)
 
 
 def _first_max(values: np.ndarray, mask: np.ndarray | bool = True, current: float = -math.inf) -> int | None:
@@ -505,7 +494,7 @@ def _log_strength(s: SymbolPolynomial, dirs: np.ndarray, radii: np.ndarray, logs
 def _compare_strengths(log_p, log_q, dirs, radii, cfg: RayConfig) -> StrengthReport:
     """The strength verdict from the logs of both strengths on the same rays."""
     log_t = log_p - log_q
-    slopes = _tail_slopes(radii, log_t)
+    slopes = tail_slope(np.log(radii), log_t, 2)
     fwd, bwd = _first_max(slopes), _first_max(-slopes)
     fwd_bounded = fwd is None or slopes[fwd] <= SLOPE_TOL
     bwd_bounded = bwd is None or -slopes[bwd] <= SLOPE_TOL
@@ -533,7 +522,7 @@ def check_symbol_domination(
     dirs, _, radii = _ray_grid(q.dimension, cfg or RayConfig())
     log_r, log_q = _log_abs_on_rays([r, q], dirs, radii)
     logs = np.broadcast_to(log_r - np.logaddexp(0.0, log_q), (len(dirs), len(radii)))
-    slopes = _tail_slopes(radii, logs)
+    slopes = tail_slope(np.log(radii), logs, 2)
     peaks = _exp(logs.max(axis=1))
     worst = _first_max(slopes, ~(peaks < 1e-250))
     worst_slope = -math.inf if worst is None else float(slopes[worst])

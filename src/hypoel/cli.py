@@ -161,22 +161,14 @@ def run_analyze(args) -> int:
 # -- seq-check -------------------------------------------------------------------
 
 
-def _sequence_from_args(args) -> tuple[RoumieuSequence, dict]:
-    if args.gevrey is not None:
-        if args.gevrey < 1:
-            raise HypoelError(f"Gevrey order must be >= 1, got {args.gevrey}")
-        return gevrey(args.gevrey), {"kind": "gevrey", "s": args.gevrey}
-    seq = load_table(args.table)
-    return seq, {"kind": "table", "path": str(args.table)}
-
-
 def run_seq_check(args) -> int:
     if args.pmax > _INTEGER_LIMITS["pmax"]:
         raise ParseError(f"--pmax is {args.pmax}, above its limit {_INTEGER_LIMITS['pmax']}")
     for flag, value in (("--gevrey", args.gevrey), ("--inclusion-gevrey", args.inclusion_gevrey)):
         if value is not None and not math.isfinite(value):
             raise ParseError(f"{flag} {value!r} is not a finite number")
-    seq, desc = _sequence_from_args(args)
+    desc = {"kind": "gevrey", "s": args.gevrey} if args.gevrey is not None else {"kind": "table", "path": args.table}
+    seq = _sequence(desc, Path())
     report = check_basic(seq, args.pmax)
     try:
         frac = Fraction(args.power_m)

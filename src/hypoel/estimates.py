@@ -19,7 +19,7 @@ import numpy as np
 from .analysis import RayConfig, check_constant_strength, check_symbol_domination, estimate_d
 from .domains import BoxDomain
 from .errors import HypoelError, PreconditionError
-from .fitting import least_squares_slope
+from .fitting import least_squares_slope, tail_slope
 from .grids import (
     GridFunction,
     NormSweep,
@@ -89,13 +89,7 @@ class EstimateCase:
     flagged: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "flagged": self.flagged,
-        }
+        return vars(self).copy()
 
 
 @dataclass
@@ -106,13 +100,7 @@ class EstimateReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "fitted_constant": self.fitted_constant,
-            "cases": [c.to_dict() for c in self.cases],
-            "num_flagged": sum(c.flagged for c in self.cases),
-            "extras": self.extras,
-        }
+        return {**vars(self), "cases": [c.to_dict() for c in self.cases], "num_flagged": sum(c.flagged for c in self.cases)}
 
 
 @dataclass
@@ -127,28 +115,12 @@ class GrowthFit:
 
     def residual_tail_slope(self) -> float:
         """Least-squares slope of the residuals over the last third of usable indices."""
-        pts = [
-            (l, r)
-            for l, r, f in zip(self.labels, self.log_residuals, self.flagged)
-            if r is not None and not f
-        ]
-        if len(pts) < 2:
-            return 0.0
-        start = max(0, len(pts) - max(2, math.ceil(len(pts) / 3)))
-        labels, residuals = zip(*pts[start:])
-        return least_squares_slope(labels, residuals)
+        pts = [(l, r) for l, r, f in zip(self.labels, self.log_residuals, self.flagged) if r is not None and not f]
+        labels, residuals = zip(*pts) if pts else ((), ())
+        return tail_slope(labels, residuals, 3)
 
     def to_dict(self) -> dict:
-        return {
-            "constant": self.constant,
-            "labels": self.labels,
-            "norms": self.norms,
-            "log_residuals": self.log_residuals,
-            "slope": self.slope,
-            "flagged": self.flagged,
-            "target": self.target,
-            "residual_tail_slope": self.residual_tail_slope(),
-        }
+        return {**vars(self), "residual_tail_slope": self.residual_tail_slope()}
 
 
 def _as_fixture_list(u) -> list[GridFunction]:
@@ -442,12 +414,7 @@ class GrowthChainReport:
     preconditions: dict
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "vector_fit": self.vector_fit.to_dict(),
-            "space_fit": self.space_fit.to_dict(),
-            "preconditions": self.preconditions,
-        }
+        return {**vars(self), "vector_fit": self.vector_fit.to_dict(), "space_fit": self.space_fit.to_dict()}
 
 
 def verify_growth_chain(
@@ -478,8 +445,8 @@ def verify_growth_chain(
     if not inclusion.holds:
         raise PreconditionError(
             "factorial-inclusion",
-            f"(p!)^{d.value} is not included in the sequence "
-            f"(log-ratio tail slope {inclusion.tail_slope:.3f} > 0)",
+            f"(p!)^{d.value} is not included in the sequence, even up to a factor L^p "
+            f"(the increments of the log-ratio grow at rate {inclusion.tail_slope:.3f} in log p)",
         )
     preconditions = {
         "sequence_conditions": basics.to_dict(),

@@ -1,4 +1,4 @@
-"""The least-squares slope behind every tail-slope verdict, and the local search behind every maximizer."""
+"""The one least-squares tail slope behind every growth verdict, the signed axis points, and the one local search."""
 
 from __future__ import annotations
 
@@ -20,6 +20,24 @@ def least_squares_slope(x, y) -> float | np.ndarray:
     yc = y - y.mean(axis=-1, keepdims=True)
     slope = (yc[..., None, :] @ xm[:, None])[..., 0, 0] / denom if denom else np.zeros(y.shape[:-1])
     return float(slope) if slope.ndim == 0 else slope
+
+
+def tail_slope(x, y, share: int) -> float | np.ndarray:
+    """`least_squares_slope` over the last ceil(len/share) points, and never fewer than two; 0.0 with fewer than two.
+
+    A NaN or infinite y in that window gives a NaN slope, without a warning.
+    """
+    n = len(x)
+    if n < 2:
+        return 0.0
+    start = n - max(-(-n // share), 2)
+    with np.errstate(invalid="ignore"):
+        return least_squares_slope(np.asarray(x, dtype=float)[start:], np.asarray(y, dtype=float)[..., start:])
+
+
+def signed_axes(n: int) -> np.ndarray:
+    """The rows e_0, -e_0, e_1, -e_1, ... of dimension n, with no -0.0 entry."""
+    return np.repeat(np.eye(n), 2, axis=0) * np.tile([1.0, -1.0], n)[:, None] + 0.0
 
 
 def ascend(score, gradient, project, start: np.ndarray, step: float, steps: int):

@@ -15,13 +15,17 @@ from typing import Sequence
 import numpy as np
 
 from .errors import HypoelError, ParseError
-from .fitting import least_squares_slope
+from .fitting import tail_slope
 
 #: slope tolerance separating "bounded on range" from "divergent" in tail fits
 SLOPE_TOL = 1e-3
 
 #: absolute log-domain tolerance for the exact condition checks
 LOG_TOL = 1e-9
+
+#: largest |log M_p| a check accepts: the checks add, double and difference logs, and
+#: fit slopes to them, which must stay finite; (p!)^(1e300) passes up to p = 1000
+LOG_LIMIT = 1e304
 
 
 def log_factorial(p: int) -> float:
@@ -148,7 +152,7 @@ class ConditionCheck:
     first_failure: tuple | None = None
 
     def to_dict(self) -> dict:
-        return {"passed": self.passed, "first_failure": self.first_failure}
+        return vars(self).copy()
 
 
 @dataclass
@@ -185,20 +189,21 @@ class SequenceConditionReport:
 
     def to_dict(self) -> dict:
         return {
-            "pmax": self.pmax,
+            **vars(self),
             "h1": self.h1.to_dict(),
             "root_monotone": self.root_monotone.to_dict(),
             "h3_left": self.h3_left.to_dict(),
-            "h3_right_h": self.h3_right_h,
-            "h4_b": self.h4_b,
             "inclusion": self.inclusion.to_dict() if self.inclusion else None,
         }
 
 
-def _require_range(m: RoumieuSequence, pmax: int) -> None:
-    cap = m.max_index()
-    if cap is not None and cap < pmax:
-        raise HypoelError(f"sequence defined only up to p={cap}, need pmax={pmax}")
+def _logs(m: RoumieuSequence, pmax: int) -> np.ndarray:
+    """log M_0, ..., log M_pmax; raises past a table's end, and at the first log M_p not finite or past LOG_LIMIT."""
+    logs = np.array([m.log_m(p) for p in range(pmax + 1)])
+    bad = np.flatnonzero(~(np.abs(logs) <= LOG_LIMIT))
+    if bad.size:
+        raise HypoelError(f"log M_p at p={bad[0]} is {float(logs[bad[0]])}, past the checks' limit {LOG_LIMIT:g}")
+    return logs
 
 
 def check_basic(m: RoumieuSequence, pmax: int = 60) -> SequenceConditionReport:
@@ -210,8 +215,7 @@ def check_basic(m: RoumieuSequence, pmax: int = 60) -> SequenceConditionReport:
     """
     if pmax < 4:
         raise ValueError("pmax must be >= 4")
-    _require_range(m, pmax)
-    logs = np.array([m.log_m(p) for p in range(pmax + 1)])
+    logs = _logs(m, pmax)
     report = SequenceConditionReport(pmax=pmax)
 
     if abs(logs[0]) > LOG_TOL:
@@ -235,9 +239,7 @@ def check_basic(m: RoumieuSequence, pmax: int = 60) -> SequenceConditionReport:
     if failed.any():
         row, col = np.unravel_index(np.argmax(failed), failed.shape)
         report.h3_left = ConditionCheck(False, (int(row) + 1, int(col)))
-    # fmax passes over the NaN of an infinite table value, inf - inf, as the loop's max did
-    with np.errstate(invalid="ignore"):
-        worst_h = np.fmax.reduce((logs[p] - logs[k] - logs[j]) / p, axis=None, initial=0.0, where=inside)
+    worst_h = np.max((logs[p] - logs[k] - logs[j]) / p, initial=0.0, where=inside)
     report.h3_right_h = _exp(worst_h)
     return report
 
@@ -267,30 +269,21 @@ def fit_power_bound(m: RoumieuSequence, mu: int, nu: int, pmax: int = 60) -> flo
     return _exp(worst)
 
 
-def _tail_slope(values: Sequence[float]) -> float:
-    """Least-squares slope against the index over the last half of the points (at least two)."""
-    n = len(values)
-    if n < 2:
-        return 0.0
-    start = min(n // 2, n - 2)
-    return least_squares_slope(np.arange(start, n, dtype=float), np.asarray(values, dtype=float)[start:])
-
-
 def fit_inclusion(m: RoumieuSequence, n: RoumieuSequence, pmax: int = 60) -> InclusionFit:
     """Fit constants (L, C) with M_p <= C L^p N_p, or report divergence.
 
-    The verdict uses the tail slope of log(M_p/N_p) against p: bounded growth
-    rates at most SLOPE_TOL count as holding.
+    The classes ignore geometric factors a^p, so the inclusion holds when r_p = log(M_p/N_p) grows at most
+    linearly: when the increments r_p - r_(p-1), fitted against log p over their last half, have slope at most
+    SLOPE_TOL.  log L is then the largest increment there (at least 0), and C the smallest constant on the range.
     """
-    _require_range(m, pmax)
-    _require_range(n, pmax)
-    r = [m.log_m(p) - n.log_m(p) for p in range(pmax + 1)]
-    slope = _tail_slope(r)
+    r = _logs(m, pmax) - _logs(n, pmax)
+    increments = np.diff(r)
+    slope = tail_slope(np.log(np.arange(1, pmax + 1)), increments, 2)
     if slope > SLOPE_TOL:
         witness = max(range(1, pmax + 1), key=lambda p: r[p] / p)
         return InclusionFit(holds=False, tail_slope=slope, witness_p=witness)
-    log_l = max(slope, 0.0)
-    log_c = max(r[p] - p * log_l for p in range(pmax + 1))
+    log_l = float(increments[-max(-(-pmax // 2), 2) :].max(initial=0.0))
+    log_c = float(np.max(r - np.arange(pmax + 1) * log_l))
     return InclusionFit(holds=True, big_l=_exp(log_l), c=_exp(log_c), tail_slope=slope)
 
 
@@ -298,14 +291,14 @@ def check_gevrey_domination(
     m: RoumieuSequence, ls: Sequence[float], pmax: int = 200
 ) -> list[dict]:
     """For each L, the smallest C with p! <= C L^p M_p on the range, or divergence."""
-    _require_range(m, pmax)
+    logs = _logs(m, pmax)
     out = []
     for big_l in ls:
         big_l = float(big_l)
         if big_l <= 0:
             raise ValueError(f"L must be > 0, got {big_l}")
-        g = [log_factorial(p) - p * math.log(big_l) - m.log_m(p) for p in range(pmax + 1)]
-        slope = _tail_slope(g)
+        g = [log_factorial(p) - p * math.log(big_l) - logs[p] for p in range(pmax + 1)]
+        slope = tail_slope(np.arange(pmax + 1), g, 2)
         if slope > SLOPE_TOL:
             out.append({"L": big_l, "holds": False, "tail_slope": slope})
         else:

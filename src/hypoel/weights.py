@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, HypoelError, PreconditionError
-from .fitting import ascend
+from .fitting import ascend, signed_axes
 from .symbols import SymbolPolynomial, _evaluate, _points, _root_sum_squares
 
 #: C candidates for the temperate fit
@@ -151,16 +151,10 @@ class PairSampleConfig:
 
 
 def _structured_points(n: int, radius: float) -> np.ndarray:
-    pts = [np.zeros(n)]
+    pts = [np.zeros((1, n))]
     for scale in (radius * 1e-2, radius * 1e-1, radius):
-        for j in range(n):
-            for sign in (1.0, -1.0):
-                e = np.zeros(n)
-                e[j] = sign * scale
-                pts.append(e)
-        if n > 1:
-            pts.append(np.full(n, scale / math.sqrt(n)))
-    return np.array(pts)
+        pts += [signed_axes(n) * scale, np.full((int(n > 1), n), scale / math.sqrt(n))]
+    return np.concatenate(pts)
 
 
 def sample_pairs(n: int, cfg: PairSampleConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -248,19 +242,14 @@ def fit_temperate(h: WeightFunction, cfg: PairSampleConfig | None = None) -> Tem
 
 def _unit_ball_template(n: int) -> np.ndarray:
     """The center, the 2n axis points and 2(256 - n) seeded sign-symmetric points in the closed unit ball."""
-    pts = [np.zeros(n)]
-    for j in range(n):
-        for sign in (1.0, -1.0):
-            e = np.zeros(n)
-            e[j] = sign
-            pts.append(e)
+    pts = np.concatenate([np.zeros((1, n)), signed_axes(n)])
     rng = np.random.default_rng(0)
     half = max(0, (512 - len(pts) + 1) // 2)
     dirs = rng.standard_normal((half, n))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-12)
     radii = rng.random((half, 1)) ** (1.0 / n)
     cloud = dirs * radii
-    return np.concatenate([np.array(pts), cloud, -cloud])
+    return np.concatenate([pts, cloud, -cloud])
 
 
 def _ball_maximizers(h: WeightFunction, delta: float, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

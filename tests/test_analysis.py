@@ -22,6 +22,7 @@ from hypoel import (
 )
 from hypoel import analysis, cli
 from hypoel.analysis import EPS_BOOST, SLOPE_TOL, check_symbol_domination, freeze_sample_points, unit_directions
+from hypoel.fitting import tail_slope
 from hypoel.symbols import multi_indices_up_to
 
 from conftest import random_symbol
@@ -617,7 +618,7 @@ def test_homogeneous_parts_match_pointwise_evaluation(seed, monkeypatch):
             ratios = radii ** (sum(beta) / d) * np.abs(q.derive(beta)(xi)) / (1.0 + np.abs(q(xi)))
             active = ~(ratios.max(axis=1) < 1e-250)
             assert np.allclose(np.exp(logs), ratios, rtol=1e-12, atol=0.0)
-            want = analysis._tail_slopes(radii, np.log(np.maximum(ratios[active], 1e-300)))
+            want = tail_slope(np.log(radii), np.log(np.maximum(ratios[active], 1e-300)), 2)
             assert np.allclose(slopes[active], want, rtol=0.0, atol=1e-12)
 
     got = [estimate_d(q, cfg), check_hypoelliptic(q, 1.0, cfg), check_hypoelliptic(q, 2.0, cfg)]
@@ -694,7 +695,7 @@ def _sweep_by_reevaluation(q):
         for beta, _ in derivatives:
             log_abs = analysis._log_abs_on_rays([q.derive(beta)], table.dirs, table.radii)[0]
             logs = sum(beta) / d * log_r + log_abs - log_denom
-            yield beta, logs, logs.max(axis=1), analysis._tail_slopes(table.radii, logs)
+            yield beta, logs, logs.max(axis=1), tail_slope(log_r, logs, 2)
 
     return sweep
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -178,8 +179,42 @@ def test_seq_check_inclusion_option(tmp_path):
     assert inc["holds"] and inc["L"] == 1.0 and inc["C"] == 1.0
 
 
-def test_seq_check_invalid_order_exits_2(tmp_path):
+def test_seq_check_invalid_order_exits_2(tmp_path, capsys):
     assert run(["seq-check", "--gevrey", "0.5", "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == "error: Gevrey order must be >= 1, got 0.5\n"
+
+
+def test_seq_check_missing_table_is_named_as_a_path(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["seq-check", "--table", "./x.txt", "--out", "r.json"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read sequence table x.txt: ")
+
+
+@pytest.mark.parametrize(
+    "flags, p",
+    [
+        (["--gevrey", "1e307", "--pmax", "60", "--inclusion-gevrey", "2"], 2),  # past the limit from p = 2, inf from 12
+        (["--table", "inf_row.txt", "--pmax", "6"], 5),
+    ],
+)
+def test_seq_check_logs_not_finite_or_past_the_limit_exit_2_naming_p(tmp_path, capsys, monkeypatch, flags, p):
+    monkeypatch.chdir(tmp_path)
+    Path("inf_row.txt").write_text("0 1\n1 1\n2 2\n3 6\n4 24\n5 1e400\n6 720\n")
+    assert run(["seq-check", *flags, "--out", "r.json"]) == 2
+    assert not Path("r.json").exists()
+    assert f"at p={p} " in capsys.readouterr().err
+
+
+def test_verify_th1_on_a_factorial_sequence_over_2_to_the_p_passes_its_precondition(tmp_path):
+    # p!/2^p defines the same Roumieu class as p!, so the factorial-inclusion precondition holds with L = 2
+    (tmp_path / "half.txt").write_text("".join(f"{p} {math.factorial(p) / 2.0**p!r}\n" for p in range(61)))
+    config = read(fixture_path("verify_th1.json"))
+    config.update(symbol=fixture_path("laplacian.json"), sequence={"kind": "table", "path": "half.txt"})
+    (tmp_path / "th1.json").write_text(json.dumps(config))
+    out = tmp_path / "report.json"
+    assert run(["verify", "--check", "th1", "--config", str(tmp_path / "th1.json"), "--out", str(out)]) != 2
+    inclusion = read(out)["results"]["preconditions"]["factorial_inclusion"]
+    assert inclusion["holds"] and abs(inclusion["L"] - 2.0) < 1e-9
 
 
 def test_seq_check_rejects_pmax_past_the_limit_before_any_log_m(tmp_path, capsys, monkeypatch):

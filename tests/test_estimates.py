@@ -44,6 +44,14 @@ def wide_box():
     return BoxDomain((-0.7, -0.7), (0.7, 0.7))
 
 
+def test_estimate_case_dict_is_a_copy():
+    case = estimates.EstimateCase({"k": 1}, 1.0, 2.0, 1.0)
+    row = case.to_dict()
+    assert row == {"params": {"k": 1}, "lhs": 1.0, "rhs": 2.0, "margin": 1.0, "flagged": False}
+    row["flagged"] = True
+    assert case.flagged is False
+
+
 # -- RationalExponent ---------------------------------------------------------------
 
 

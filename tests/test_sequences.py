@@ -1,4 +1,5 @@
 import math
+import warnings
 from importlib.resources import files
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypoel import (
     load_table,
     power_sequence,
 )
-from hypoel.sequences import TableSequence, log_factorial
+from hypoel.sequences import ConditionCheck, RoumieuSequence, TableSequence, log_factorial
 
 
 def test_gevrey_values_order_one():
@@ -94,8 +95,7 @@ def _random_table(seed, size):
     "m, pmax",
     [(gevrey(s), 200) for s in (1, 1.7, 2, 3.3)]
     + [(load_table(files("hypoel") / "fixtures" / "factorial_table.txt"), 20)]
-    + [(_random_table(seed, 60), 60) for seed in range(5)]
-    + [(TableSequence([1.0, 1.0, 2.0, 6.0, 24.0, math.inf, 720.0]), 6)],  # "1e400" in a table file
+    + [(_random_table(seed, 60), 60) for seed in range(5)],
 )
 def test_stability_table_matches_the_pair_loop_bit_for_bit(m, pmax):
     rep = check_basic(m, pmax)
@@ -177,6 +177,99 @@ def test_inclusion_monotone_in_power():
     # if M in N holds and N_p >= 1, then M in N^d holds for d >= 1
     for d in (1.0, 1.5, 2.0):
         assert fit_inclusion(gevrey(1), power_sequence(gevrey(2), d)).holds
+
+
+ORDERS = (1.0, 1.01, 1.5, 2.0)
+
+
+@pytest.mark.parametrize("s", ORDERS)
+@pytest.mark.parametrize("t", ORDERS)
+def test_gevrey_inclusion_holds_exactly_when_s_at_most_t(s, t):
+    fit = fit_inclusion(gevrey(s), gevrey(t), 60)
+    assert fit.holds == (s <= t)
+    assert fit.tail_slope == pytest.approx(s - t, abs=1e-9)  # the increments (s - t) log p
+    if fit.holds:
+        assert fit.big_l == 1.0 and fit.c == 1.0
+
+
+def _factorials_times(a):
+    return TableSequence([a**p * math.factorial(p) for p in range(61)])
+
+
+def test_inclusion_holds_up_to_a_geometric_factor():
+    fit = fit_inclusion(_factorials_times(3.0), gevrey(1), 60)
+    assert fit.holds and abs(fit.big_l - 3.0) < 1e-9 and abs(fit.c - 1.0) < 1e-9
+    fit = fit_inclusion(gevrey(1), _factorials_times(0.5), 60)
+    assert fit.holds and abs(fit.big_l - 2.0) < 1e-9 and abs(fit.c - 1.0) < 1e-9
+
+
+class _Geometric(RoumieuSequence):
+    """a^p M_p."""
+
+    def __init__(self, base, a):
+        self.base, self.log_a = base, math.log(a)
+
+    def log_m(self, p):
+        return self.base.log_m(p) + p * self.log_a
+
+
+# (M, N, whether the largest tail increment of log(M_p/N_p) is log L itself, not below the floor L >= 1)
+GEOMETRIC_PAIRS = [
+    (gevrey(1), gevrey(1), True),
+    (gevrey(1.5), gevrey(1.5), True),
+    (_factorials_times(3.0), gevrey(1), True),
+    (gevrey(1), _factorials_times(0.5), True),
+    (gevrey(1), gevrey(2), False),
+    (gevrey(2), gevrey(1), False),
+    (gevrey(1.01), gevrey(1), False),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GEOMETRIC_PAIRS), st.floats(0.1, 10.0), st.floats(0.1, 10.0))
+def test_inclusion_verdict_ignores_geometric_factors(pair, a, b):
+    m, n, tight = pair
+    fit = fit_inclusion(m, n, 60)
+    scaled = fit_inclusion(_Geometric(m, a), _Geometric(n, b), 60)
+    assert scaled.holds == fit.holds
+    if tight:
+        assert scaled.big_l == pytest.approx(max(1.0, fit.big_l * a / b), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "m, p",
+    [
+        (TableSequence([1.0, 1.0, 2.0, 6.0, 24.0, math.inf, 720.0]), 5),  # "1e400" in a table file
+        (power_sequence(gevrey(2), 1e308), 2),  # log M_2 = 1.4e308 is finite, twice it is not
+        (gevrey(1e307), 2),
+    ],
+)
+def test_logs_not_finite_or_past_the_limit_are_rejected_naming_p(m, p):
+    checks = [
+        lambda: check_basic(m, 6),
+        lambda: fit_inclusion(m, gevrey(1), 6),
+        lambda: fit_inclusion(gevrey(1), m, 6),
+        lambda: check_gevrey_domination(m, [1.0], 6),
+    ]
+    for check in checks:
+        with pytest.raises(HypoelError, match=f"at p={p} "):
+            check()
+
+
+def test_log_limit_admits_the_order_1e300_to_p_1000_without_a_warning():
+    m = gevrey(1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_basic(m, 1000).h3_right_h == math.inf
+        assert not fit_inclusion(m, gevrey(1), 1000).holds
+        assert fit_inclusion(gevrey(1), m, 1000).holds
+        assert check_gevrey_domination(m, [1.0], 1000)[0]["holds"]
+
+
+def test_condition_check_dict_is_a_copy():
+    check = ConditionCheck(False, (3, 1))
+    check.to_dict()["passed"] = True
+    assert check.passed is False
 
 
 # -- power_sequence -------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,28 @@ def test_every_weight_has_a_gradient():
     assert ConstantWeight(3, 2.0).gradient(np.ones((4, 3))).tolist() == np.zeros((4, 3)).tolist()
     with pytest.raises(NotImplementedError):
         ExpNorm(2).gradient(np.ones((1, 2)))
+
+
+def _axes_by_loop(n, scale):
+    """e_0, -e_0, e_1, ... times scale, one point at a time, as the samples were first built."""
+    pts = []
+    for j in range(n):
+        for sign in (1.0, -1.0):
+            e = np.zeros(n)
+            e[j] = sign * scale
+            pts.append(e)
+    return pts
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_structured_samples_match_their_loops_bit_for_bit(n):
+    radius = 20.0
+    loop = [np.zeros(n)]
+    for scale in (radius * 1e-2, radius * 1e-1, radius):
+        loop += _axes_by_loop(n, scale) + ([np.full(n, scale / math.sqrt(n))] if n > 1 else [])
+    assert weights._structured_points(n, radius).tobytes() == np.array(loop).tobytes()
+    ball = np.array([np.zeros(n), *_axes_by_loop(n, 1.0)])
+    assert _unit_ball_template(n)[: 2 * n + 1].tobytes() == ball.tobytes()
 
 
 def test_pair_sample_sets_only_its_seed():
