@@ -164,16 +164,18 @@ def run_analyze(args) -> int:
 def run_seq_check(args) -> int:
     if args.pmax > _INTEGER_LIMITS["pmax"]:
         raise ParseError(f"--pmax is {args.pmax}, above its limit {_INTEGER_LIMITS['pmax']}")
+    try:
+        frac = Fraction(args.power_m)
+    except ZeroDivisionError:
+        raise ParseError(f"--power-m {args.power_m!r} has a zero denominator") from None
+    if frac > _POWER_M_LIMIT:
+        raise ParseError(f"--power-m is {args.power_m}, above its limit {_POWER_M_LIMIT}")
     for flag, value in (("--gevrey", args.gevrey), ("--inclusion-gevrey", args.inclusion_gevrey)):
         if value is not None and not math.isfinite(value):
             raise ParseError(f"{flag} {value!r} is not a finite number")
     desc = {"kind": "gevrey", "s": args.gevrey} if args.gevrey is not None else {"kind": "table", "path": args.table}
     seq = _sequence(desc, Path())
     report = check_basic(seq, args.pmax)
-    try:
-        frac = Fraction(args.power_m)
-    except ZeroDivisionError:
-        raise ParseError(f"--power-m {args.power_m!r} has a zero denominator") from None
     try:
         report.h4_b = fit_power_bound(seq, frac.numerator, frac.denominator, args.pmax)
     except HypoelError:
@@ -291,6 +293,9 @@ def _integer(value) -> int:
 #: where their norms leave the floating-point range, and a seq-check depth whose
 #: (pmax+1)^2 tables stay a few megabytes; a grid has at most 2^24 nodes in all
 _INTEGER_LIMITS = {"seed": 2**63 - 1, "resolution": 2**12, "kmax": 100, "lmax": 100, "amax": 100, "pmax": 1000}
+
+#: the largest seq-check --power-m: M_(p m) up to p = pmax stays within lgamma's and float's range
+_POWER_M_LIMIT = 1000
 
 
 def _config_integer(doc: dict, args, key: str, default: int) -> int:
@@ -435,13 +440,7 @@ def run_verify(args) -> int:
         )
         csv_rows = _sweep_rows("iterates", rep.vector_fit) + _sweep_rows("derivatives", rep.space_fit)
 
-    results = rep.to_dict()
-    config = dict(doc)
-    config.update(effective)
-    witnesses = []
-    if isinstance(results.get("extras"), dict) and "reason" in results["extras"]:
-        witnesses.append(results["extras"]["reason"])
-    _emit(_report("verify", config, results, witnesses), args.out)
+    _emit(_report("verify", {**doc, **effective}, rep.to_dict(), []), args.out)
     if args.csv:
         _write_csv(args.csv, csv_rows)
     return EXIT_OK if rep.verdict == "pass" else EXIT_FAIL

@@ -209,8 +209,8 @@ def sample(spec: GridSpec, family: str, /, **params) -> GridFunction:
     """Build a named fixture: zero, plane_wave, gaussian_bump, polynomial_bump, modulated_bump.
 
     A `support` box may be given as a `{"lo": ..., "hi": ...}` dict.  Missing,
-    unknown or malformed parameters raise ParseError, which shows the family
-    and the parameters given.
+    unknown or malformed parameters, and samples that are not all finite, raise
+    ParseError, which shows the family and the parameters given.
     """
     builders = {
         "zero": zero_function,
@@ -224,9 +224,14 @@ def sample(spec: GridSpec, family: str, /, **params) -> GridFunction:
     try:
         if isinstance(params.get("support"), dict):
             params["support"] = BoxDomain.from_dict(params["support"])
-        return builders[family](spec, **params)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            u = builders[family](spec, **params)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"fixture family {family!r} with {params}: {exc}") from None
+    if not np.isfinite(u.values).all():
+        bad = f"{np.count_nonzero(~np.isfinite(u.values))} of {u.values.size} samples are not finite"
+        raise ParseError(f"fixture family {family!r} with {params}: {bad}")
+    return u
 
 
 # -- spectral application --------------------------------------------------------------

@@ -197,12 +197,12 @@ class SequenceConditionReport:
         }
 
 
-def _logs(m: RoumieuSequence, pmax: int) -> np.ndarray:
-    """log M_0, ..., log M_pmax; raises past a table's end, and at the first log M_p not finite or past LOG_LIMIT."""
-    logs = np.array([m.log_m(p) for p in range(pmax + 1)])
+def _logs(m: RoumieuSequence, ps: Sequence[int]) -> np.ndarray:
+    """log M_p for each p of ps; raises past a table's end, and at the first log M_p not finite or past LOG_LIMIT."""
+    logs = np.array([m.log_m(p) for p in ps])
     bad = np.flatnonzero(~(np.abs(logs) <= LOG_LIMIT))
     if bad.size:
-        raise HypoelError(f"log M_p at p={bad[0]} is {float(logs[bad[0]])}, past the checks' limit {LOG_LIMIT:g}")
+        raise HypoelError(f"log M_p at p={ps[bad[0]]} is {float(logs[bad[0]])}, past the checks' limit {LOG_LIMIT:g}")
     return logs
 
 
@@ -215,7 +215,7 @@ def check_basic(m: RoumieuSequence, pmax: int = 60) -> SequenceConditionReport:
     """
     if pmax < 4:
         raise ValueError("pmax must be >= 4")
-    logs = _logs(m, pmax)
+    logs = _logs(m, range(pmax + 1))
     report = SequenceConditionReport(pmax=pmax)
 
     if abs(logs[0]) > LOG_TOL:
@@ -247,7 +247,7 @@ def check_basic(m: RoumieuSequence, pmax: int = 60) -> SequenceConditionReport:
 def fit_power_bound(m: RoumieuSequence, mu: int, nu: int, pmax: int = 60) -> float:
     """Smallest B with M_{pm} <= B^p (M_p)^m over tested p, for rational m = mu/nu.
 
-    Only p that are multiples of nu are tested, so pm is always an integer.
+    Only p that are multiples of nu are tested, so pm is always an integer; both logs are read by `_logs`.
     """
     frac = Fraction(mu, nu)
     if frac < 1:
@@ -261,12 +261,8 @@ def fit_power_bound(m: RoumieuSequence, mu: int, nu: int, pmax: int = 60) -> flo
         tested = [p for p in tested if p * mu // nu <= cap]
         if not tested:
             raise HypoelError("sequence table too short for any tested p")
-    ratio = float(frac)
-    worst = -math.inf
-    for p in tested:
-        pm = p * mu // nu
-        worst = max(worst, (m.log_m(pm) - ratio * m.log_m(p)) / p)
-    return _exp(worst)
+    worst = (_logs(m, [p * mu // nu for p in tested]) - float(frac) * _logs(m, tested)) / tested
+    return _exp(float(worst.max()))
 
 
 def fit_inclusion(m: RoumieuSequence, n: RoumieuSequence, pmax: int = 60) -> InclusionFit:
@@ -276,7 +272,7 @@ def fit_inclusion(m: RoumieuSequence, n: RoumieuSequence, pmax: int = 60) -> Inc
     linearly: when the increments r_p - r_(p-1), fitted against log p over their last half, have slope at most
     SLOPE_TOL.  log L is then the largest increment there (at least 0), and C the smallest constant on the range.
     """
-    r = _logs(m, pmax) - _logs(n, pmax)
+    r = _logs(m, range(pmax + 1)) - _logs(n, range(pmax + 1))
     increments = np.diff(r)
     slope = tail_slope(np.log(np.arange(1, pmax + 1)), increments, 2)
     if slope > SLOPE_TOL:
@@ -291,7 +287,7 @@ def check_gevrey_domination(
     m: RoumieuSequence, ls: Sequence[float], pmax: int = 200
 ) -> list[dict]:
     """For each L, the smallest C with p! <= C L^p M_p on the range, or divergence."""
-    logs = _logs(m, pmax)
+    logs = _logs(m, range(pmax + 1))
     out = []
     for big_l in ls:
         big_l = float(big_l)

@@ -17,6 +17,7 @@ from hypoel import analysis, cli
 from hypoel.analysis import RayConfig
 from hypoel.cli import main
 from hypoel.errors import ParseError
+from hypoel.sequences import GevreySequence
 
 FIXTURES = resources.files("hypoel") / "fixtures"
 
@@ -205,6 +206,33 @@ def test_seq_check_logs_not_finite_or_past_the_limit_exit_2_naming_p(tmp_path, c
     assert f"at p={p} " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d", ["3 / 2", "2/ 1", "-2/-1", "+3/+2"])
+def test_verify_reads_d_with_the_grammar_of_analyze_d(tmp_path, capsys, d):
+    config = read(fixture_path("verify_p1.json"))
+    config.update(symbol=fixture_path("laplacian.json"), r_symbol=fixture_path("first_order.json"), d=d)
+    (tmp_path / "p1.json").write_text(json.dumps(config))
+    assert run(["verify", "--check", "p1", "--config", str(tmp_path / "p1.json"), "--out", str(tmp_path / "r.json")]) == 2
+    assert "bad value under 'd'" in capsys.readouterr().err
+    analyze = ["analyze", "--symbol", fixture_path("laplacian.json"), "--rays", "16", f"--d={d}"]
+    assert run([*analyze, "--out", str(tmp_path / "a.json")]) == 2
+
+
+@pytest.mark.parametrize("check", ["p1", "prop31"])
+@pytest.mark.parametrize("fixture, bad", [({"family": "gaussian_bump", "width": 1e-200}, 1),
+                                          ({"family": "plane_wave", "k": [1e308, 0]}, 4096)])
+def test_verify_rejects_a_fixture_whose_samples_are_not_all_finite(tmp_path, capsys, check, fixture, bad):
+    # these passed prop31 with every case flagged, and failed p1 on a NaN right side; a RuntimeWarning is an error here
+    config = {"symbol": fixture_path("laplacian.json"), "omega": {"lo": [-0.3, -0.3], "hi": [0.3, 0.3]},
+              "resolution": 64, "d": "1", "fixture": fixture}
+    config.update({"p1": {"r_symbol": fixture_path("first_order.json")}, "prop31": {"kmax": 2, "deltas": [0.1]}}[check])
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    out = tmp_path / "r.json"
+    assert run(["verify", "--check", check, "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"fixture family {fixture['family']!r}" in err and f": {bad} of 4096 samples are not finite" in err
+
+
 def test_verify_th1_on_a_factorial_sequence_over_2_to_the_p_passes_its_precondition(tmp_path):
     # p!/2^p defines the same Roumieu class as p!, so the factorial-inclusion precondition holds with L = 2
     (tmp_path / "half.txt").write_text("".join(f"{p} {math.factorial(p) / 2.0**p!r}\n" for p in range(61)))
@@ -215,6 +243,27 @@ def test_verify_th1_on_a_factorial_sequence_over_2_to_the_p_passes_its_precondit
     assert run(["verify", "--check", "th1", "--config", str(tmp_path / "th1.json"), "--out", str(out)]) != 2
     inclusion = read(out)["results"]["preconditions"]["factorial_inclusion"]
     assert inclusion["holds"] and abs(inclusion["L"] - 2.0) < 1e-9
+
+
+#: --power-m values past the limit: 1e306 and 1e307 overflowed lgamma of p*m, 1e400 the float of m
+PAST_POWER_M_LIMIT = ["1e306", "1e307", "1e400", "1001"]
+
+
+@pytest.mark.parametrize("power_m", PAST_POWER_M_LIMIT)
+def test_seq_check_rejects_power_m_past_the_limit_before_any_log_m(tmp_path, capsys, monkeypatch, power_m):
+    monkeypatch.setattr(GevreySequence, "log_m", lambda *a: pytest.fail("a log was read"))
+    out = tmp_path / "r.json"
+    assert run(["seq-check", "--gevrey", "1.5", "--pmax", "60", "--power-m", power_m, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"--power-m is {power_m}, above its limit 1000" in capsys.readouterr().err
+
+
+def test_seq_check_power_bound_over_a_nan_log_reads_null(tmp_path, monkeypatch):
+    # like a table too short to fit: the NaN at p = 100 = 2 * 50 is named, not dropped by max()
+    monkeypatch.chdir(tmp_path)
+    Path("nan.txt").write_text("".join(f"{p} {math.nan if p == 100 else float(math.factorial(p))!r}\n" for p in range(171)))
+    assert run(["seq-check", "--table", "nan.txt", "--out", "r.json"]) == 0
+    assert read("r.json")["results"]["h4_b"] is None
 
 
 def test_seq_check_rejects_pmax_past_the_limit_before_any_log_m(tmp_path, capsys, monkeypatch):
@@ -268,7 +317,8 @@ def test_seq_check_rejects_a_zero_denominator(tmp_path, capsys):
 @given(
     order=st.floats(1.0, 1e300),
     pmax=st.integers(0, 200),
-    power_m=st.tuples(st.integers(-3, 400), st.integers(0, 80)).map(lambda f: f"{f[0]}/{f[1]}"),
+    power_m=st.tuples(st.integers(-3, 400), st.integers(0, 80)).map(lambda f: f"{f[0]}/{f[1]}")
+    | st.sampled_from(PAST_POWER_M_LIMIT),
     inclusion=st.none() | st.floats(0.5, 1e300),
 )
 def test_seq_check_fuzzed_flags_exit_cleanly(order, pmax, power_m, inclusion):
@@ -277,7 +327,8 @@ def test_seq_check_fuzzed_flags_exit_cleanly(order, pmax, power_m, inclusion):
     if inclusion is not None:
         argv.append(f"--inclusion-gevrey={inclusion!r}")
     with tempfile.TemporaryDirectory() as tmp:
-        assert _quiet_main(argv + ["--out", str(Path(tmp) / "r.json")]) in (0, 1, 2)
+        code = _quiet_main(argv + ["--out", str(Path(tmp) / "r.json")])
+        assert code == 2 if power_m in PAST_POWER_M_LIMIT else code in (0, 1, 2)
 
 
 # -- strength -------------------------------------------------------------------
@@ -884,6 +935,10 @@ VERIFY_CONFIGS = {
     for check in ("domination", "p1", "prop31", "th1")
 }
 
+#: fixtures whose samples are not all finite on every packaged config's grid: 2 w^2 underflows, so the
+#: centre node is 0/0, and a frequency past the float range makes every phase NaN
+NON_FINITE_FIXTURES = [{"family": "gaussian_bump", "width": 1e-200}, {"family": "plane_wave", "k": [1e308, 0]}]
+
 #: numbers for one key of a verify config, or for the entries of a list under it;
 #: integers stay small so a run stays short
 NUMBERS = [-1, 0, 1, 2, 3, 0.0, -0.05, 1e-9, 0.05, 0.3, 1e300, float("nan"), float("inf")]
@@ -894,7 +949,7 @@ CONFIG_VALUES = NUMBERS + [
     "x", "1/2", "0/1", "1/0", "-1", None, True, False, "false", "no", [], ["x"],
     {}, {"lo": [-0.3, -0.3], "hi": [0.3, 0.3]}, {"lo": [0.3, 0.3], "hi": [-0.3, -0.3]},
     {"family": "gaussian_bump", "width": 0.1}, {"kind": "gevrey", "s": 0.5}, {"kind": "table", "path": "none.txt"},
-    {"kind": "gevrey", "s": "2"}, {"kind": "gevrey", "s": True},
+    {"kind": "gevrey", "s": "2"}, {"kind": "gevrey", "s": True}, *NON_FINITE_FIXTURES,
 ]
 
 
@@ -924,6 +979,8 @@ def verify_configs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(config=verify_configs())
+@example(config=("th1", {**VERIFY_CONFIGS["th1"], "resolution": 16, "fixture": NON_FINITE_FIXTURES[0]}))
+@example(config=("domination", {**VERIFY_CONFIGS["domination"], "resolution": 32, "fixture": NON_FINITE_FIXTURES[1]}))
 def test_verify_fuzzed_configs_exit_cleanly(config):
     check, doc = config
     with tempfile.TemporaryDirectory() as tmp:
@@ -931,4 +988,5 @@ def test_verify_fuzzed_configs_exit_cleanly(config):
         path.write_text(json.dumps(doc))
         argv = ["verify", "--check", check, "--config", str(path), "--out", str(Path(tmp) / "r.json")]
         code = _quiet_main(argv)
-        assert code == 2 if any(_mistyped(k, v) for k, v in doc.items()) else code in (0, 1, 2)
+        flawed = any(_mistyped(k, v) or v in NON_FINITE_FIXTURES for k, v in doc.items())
+        assert code == 2 if flawed else code in (0, 1, 2)

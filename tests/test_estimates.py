@@ -1,7 +1,11 @@
+import copy
 import json
 import math
+import pickle
+from fractions import Fraction
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from hypoel import (
@@ -68,9 +72,27 @@ def test_rational_exponent_gamma():
 
 
 def test_rational_exponent_parse():
-    assert RationalExponent.parse("3/2") == RationalExponent(3, 2)
+    for text in ("3/2", " 3/2 ", "1.5", 1.5):
+        assert RationalExponent.parse(text) == RationalExponent(3, 2)
     assert RationalExponent.parse("2") == RationalExponent(2, 1)
-    assert RationalExponent.parse(1.5) == RationalExponent(3, 2)
+    assert type(RationalExponent.parse("2")) is RationalExponent
+
+
+@pytest.mark.parametrize("text", ["3 / 2", "2/ 1", "-2/-1", "+3/+2"])
+def test_rational_exponent_parse_reads_strings_as_fraction_does(text):
+    # the grammar of analyze --d
+    with pytest.raises(ValueError):
+        Fraction(text)
+    with pytest.raises(ValueError):
+        RationalExponent.parse(text)
+
+
+@pytest.mark.parametrize("mu, nu", [(1, 1), (3, 2), (7, 3), (10**20 + 1, 10**20)])
+def test_rational_exponent_value_is_the_integer_quotient_and_copies_keep_the_type(mu, nu):
+    d = RationalExponent(mu, nu)
+    assert d.value.hex() == (mu / nu).hex()
+    for twin in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+        assert type(twin) is RationalExponent and (twin.mu, twin.nu) == (mu, nu)
 
 
 def test_rational_exponent_below_one_rejected():
@@ -166,6 +188,19 @@ def test_transfer_enforces_diameter(laplacian):
         laplacian, laplacian, RationalExponent(1, 1), u, big, 0.25, enforce_diameter=False
     )
     assert rep.verdict == "pass"
+
+
+def test_transfer_fails_a_nan_right_side_through_the_one_fit(laplacian):
+    """A NaN node inside omega gives a NaN right side under an infinite left: A is infinite, reported as 1e300."""
+    omega = BoxDomain((-0.3, -0.3), (0.3, 0.3))
+    u = gaussian_bump(GridSpec(omega, 64), 0.05)
+    values = u.values.copy()
+    values[32, 32] = np.nan
+    r = SymbolPolynomial(2, {(1, 0): 1.0})
+    with np.errstate(invalid="ignore"):
+        rep = verify_dominated_transfer(laplacian, r, RationalExponent(1, 1), [u, u.with_values(values)], omega, 0.25)
+    assert (rep.verdict, rep.fitted_constant, len(rep.cases)) == ("fail", 1e300, 2)
+    assert sorted(rep.extras) == ["domination", "mu_exponent", "t"]
 
 
 def test_transfer_rejects_multipliers_past_the_float_range():

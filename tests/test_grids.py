@@ -13,6 +13,7 @@ from hypoel import (
     GridFunction,
     GridSpec,
     HypoelError,
+    ParseError,
     StrengthWeight,
     SymbolPolynomial,
     VariableOperator,
@@ -735,6 +736,16 @@ def test_sample_reads_a_support_box_dict(spec128):
     assert np.array_equal(u.values, gaussian_bump(spec128, 0.1, support=box).values)
     wave = sample(spec128, "modulated_bump", k=[2, 1], width=0.15)
     assert np.array_equal(wave.values, modulated_bump(spec128, (2, 1), 0.15).values)
+
+
+@pytest.mark.parametrize(
+    "family, params, bad",
+    [("gaussian_bump", {"width": 1e-200}, 1), ("plane_wave", {"k": [1e308, 0]}, 128 * 128)],
+)
+def test_sample_rejects_samples_that_are_not_all_finite(spec128, family, params, bad):
+    # 2 w^2 underflows to 0, so the centre node is 0/0; a frequency past the float range makes every phase NaN
+    with pytest.raises(ParseError, match=f"{family!r} .*: {bad} of {128 * 128} samples are not finite"):
+        sample(spec128, family, **params)
 
 
 # -- box-pruned sweeps against the full-grid loops ---------------------------------------

@@ -18,7 +18,7 @@ from hypoel import (
     load_table,
     power_sequence,
 )
-from hypoel.sequences import ConditionCheck, RoumieuSequence, TableSequence, log_factorial
+from hypoel.sequences import ConditionCheck, GevreySequence, RoumieuSequence, TableSequence, log_factorial
 
 
 def test_gevrey_values_order_one():
@@ -152,6 +152,33 @@ def test_power_bound_rejects_m_below_one():
         fit_power_bound(gevrey(1), 1, 2, 60)
 
 
+def _factorial_table_with_nan_at(p_nan: int) -> TableSequence:
+    return TableSequence([math.nan if p == p_nan else float(math.factorial(p)) for p in range(171)])
+
+
+def test_power_bound_names_a_nan_log_it_reads():
+    # p = 100 is read as p*m for p = 50; max() over the ratios would drop its NaN and fit the clean table's B
+    with pytest.raises(HypoelError, match="at p=100 is nan"):
+        fit_power_bound(_factorial_table_with_nan_at(100), 2, 1, 60)
+
+
+class _CountingGevrey(GevreySequence):
+    def __init__(self, s: float):
+        super().__init__(s)
+        self.reads = 0
+
+    def log_m(self, p: int) -> float:
+        self.reads += 1
+        return super().log_m(p)
+
+
+def test_power_bound_reads_two_logs_per_tested_p():
+    # the fit of seq-check --power-m 1000 --pmax 1000: log M_p and log M_(1000 p), not every index up to 10^6
+    m = _CountingGevrey(1.0)
+    fit_power_bound(m, 1000, 1, 1000)
+    assert m.reads == 2000
+
+
 # -- fit_inclusion -------------------------------------------------------------------
 
 
@@ -237,20 +264,24 @@ def test_inclusion_verdict_ignores_geometric_factors(pair, a, b):
 
 
 @pytest.mark.parametrize(
-    "m, p",
+    "m, p, power_bound_reads_p",
     [
-        (TableSequence([1.0, 1.0, 2.0, 6.0, 24.0, math.inf, 720.0]), 5),  # "1e400" in a table file
-        (power_sequence(gevrey(2), 1e308), 2),  # log M_2 = 1.4e308 is finite, twice it is not
-        (gevrey(1e307), 2),
+        # "1e400" in a table file; M_(2p) <= B^p (M_p)^2 over p <= 3 reads p = 1, 2, 3, 4, 6
+        pytest.param(TableSequence([1.0, 1.0, 2.0, 6.0, 24.0, math.inf, 720.0]), 5, False, id="m0-5"),
+        # log M_2 = 1.4e308 is finite, twice it is not
+        pytest.param(power_sequence(gevrey(2), 1e308), 2, True, id="m1-2"),
+        pytest.param(gevrey(1e307), 2, True, id="m2-2"),
     ],
 )
-def test_logs_not_finite_or_past_the_limit_are_rejected_naming_p(m, p):
+def test_logs_not_finite_or_past_the_limit_are_rejected_naming_p(m, p, power_bound_reads_p):
     checks = [
         lambda: check_basic(m, 6),
         lambda: fit_inclusion(m, gevrey(1), 6),
         lambda: fit_inclusion(gevrey(1), m, 6),
         lambda: check_gevrey_domination(m, [1.0], 6),
     ]
+    if power_bound_reads_p:
+        checks.append(lambda: fit_power_bound(m, 2, 1, 6))
     for check in checks:
         with pytest.raises(HypoelError, match=f"at p={p} "):
             check()
