@@ -153,8 +153,12 @@ def _close(cases, powers, default: float = 0.0) -> tuple[float, str]:
 
     Each case's right side becomes min(A**k, 1e300) times its unscaled one (an
     infinite one stays inf) and its margin rhs - lhs.  The verdict fails on an
-    infinite A or on an unflagged margin below the relative tolerance.
+    infinite A or on an unflagged margin below the relative tolerance.  A case
+    whose sides are both infinite, or whose left side is NaN, compares nothing:
+    it is flagged, so it neither sets A nor fails the verdict.
     """
+    for case in cases:
+        case.flagged = case.flagged or case.lhs == case.rhs == math.inf or math.isnan(case.lhs)
     fitted = _fit(cases, powers, default)
     verdict = "fail" if math.isinf(fitted) else "pass"
     for case, k in zip(cases, powers):

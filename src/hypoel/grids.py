@@ -98,7 +98,7 @@ class GridFunction:
     def spectrum(self) -> np.ndarray:
         """Cached forward FFT of the samples (unnormalized numpy convention)."""
         if self._spectrum is None:
-            spectrum = np.fft.fftn(self.values)
+            spectrum = np.fft.fftn(self.values, out=np.empty_like(self.values))
             spectrum.flags.writeable = False
             self._spectrum = spectrum
         return self._spectrum
@@ -260,7 +260,8 @@ def _operator_step(op: VariableOperator, spec: GridSpec):
     def step(u: GridFunction) -> GridFunction:
         out = np.zeros_like(u.values)
         for mult, coeff in terms:
-            d_alpha_u = np.fft.ifftn(mult * u.spectrum())
+            d_alpha_u = mult * u.spectrum()
+            np.fft.ifftn(d_alpha_u, out=d_alpha_u)
             out = out + coeff * d_alpha_u  # coeff * ifftn(...) would multiply into the temporary, operands swapped
         return u.with_values(out)
 
@@ -270,7 +271,8 @@ def _operator_step(op: VariableOperator, spec: GridSpec):
 def apply_operator(op: SymbolPolynomial | VariableOperator, u: GridFunction) -> GridFunction:
     """Apply a constant-coefficient operator as a Fourier multiplier, a variable one as `_operator_step`."""
     if isinstance(op, SymbolPolynomial):
-        return u.with_values(np.fft.ifftn(symbol_on_lattice(u.spec, op) * u.spectrum()))
+        product = symbol_on_lattice(u.spec, op) * u.spectrum()
+        return u.with_values(np.fft.ifftn(product, out=product))
     return _operator_step(op, u.spec)(u)
 
 
@@ -340,13 +342,17 @@ def _past_range(norm: float) -> float:
     return math.inf if math.isnan(norm) else norm
 
 
-def _ifft_to_box(values: np.ndarray, axis: int, keep: slice, mult: np.ndarray | None = None) -> np.ndarray:
+def _ifft_to_box(
+    values: np.ndarray, axis: int, keep: slice, mult: np.ndarray | None = None, owned: bool = False
+) -> np.ndarray:
     """One step of an inverse transform restricted to a box of nodes.
 
     Multiplies by `mult` along `axis` (when given), inverse-transforms that
     axis and keeps the index range `keep` on it.  Applied without multipliers
     to the axes last to first, as ifftn orders them, it gives the box of
-    ifftn's result bit for bit.
+    ifftn's result bit for bit.  The transform runs in place on the product,
+    or on a contiguous copy of `values` (itself when contiguous) when the
+    caller `owned` them; otherwise `values` is not written.
     """
     if mult is not None:
         shape = [1] * values.ndim
@@ -355,16 +361,19 @@ def _ifft_to_box(values: np.ndarray, axis: int, keep: slice, mult: np.ndarray | 
         if not np.isfinite(mult).all():
             # 0 * a multiplier past the float range is NaN; an exact zero stays zero
             product[values == 0] = 0
-        values = product
+        values, owned = product, True
+    elif owned:
+        values = np.ascontiguousarray(values)
     index = [slice(None)] * values.ndim
     index[axis] = keep
-    return np.fft.ifft(values, axis=axis)[tuple(index)]
+    return np.fft.ifft(values, axis=axis, out=values if owned else None)[tuple(index)]
 
 
 def _ifftn_on_box(spectrum: np.ndarray, box: tuple[slice, ...]) -> np.ndarray:
     """ifftn(spectrum) on a box of nodes, bit for bit: each axis, last to first, inverse-transformed and cut to the box."""
     for axis in reversed(range(spectrum.ndim)):
-        spectrum = _ifft_to_box(spectrum, axis, box[axis])
+        # the first pass writes a new array, which the later ones transform in place
+        spectrum = _ifft_to_box(spectrum, axis, box[axis], owned=axis < spectrum.ndim - 1)
     return spectrum
 
 
@@ -521,15 +530,16 @@ def iterate_norms(
             box = _box_slices(u.spec, region, delta)
             mult = symbol_on_lattice(u.spec, op)
             u_hat = u.spectrum()
-            powered = np.ones_like(mult)
-            spec_l = np.empty_like(mult)
-            zeros = None
+            spec_l, zeros = u_hat, None  # l = 0 transforms u_hat itself, read-only and never redone
             for l in labels:
-                if l > 0:
+                if l == 1:
+                    powered, spec_l = np.array(mult), np.empty_like(mult)
+                elif l > 1:
                     powered *= mult
-                np.multiply(powered, u_hat, out=spec_l)
+                if l > 0:
+                    np.multiply(powered, u_hat, out=spec_l)
                 fraction, norm = _spectral_entry(spec_l, box, u.spec)
-                if not math.isfinite(norm):
+                if l > 0 and not math.isfinite(norm):
                     # 0 * a power past the float range is NaN: redo with u_hat's exact zeros kept at zero
                     zeros = u_hat == 0 if zeros is None else zeros
                     if zeros.any():

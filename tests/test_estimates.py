@@ -125,6 +125,35 @@ def test_transfer_zero_fixture_passes(laplacian, small_box):
     assert all(c.margin == 0.0 for c in rep.cases)
 
 
+def test_transfer_flags_a_case_with_no_finite_comparison_in_either_fixture_order(laplacian):
+    # a NaN node outside omega makes both sides of its case inf; inf / inf is NaN, which Python's max
+    # dropped unless it came first (then A read nan, with a RuntimeWarning, an error under this suite)
+    spec = GridSpec(BoxDomain((-0.3, -0.3), (0.3, 0.3)), 64)
+    good = gaussian_bump(spec, 0.1)
+    values = good.values.copy()
+    values[3, 5] = np.nan
+    bad = good.with_values(values)
+    r = SymbolPolynomial(2, {(1, 0): 1.0})
+    reports = [verify_dominated_transfer(laplacian, r, RationalExponent(1, 1), fx, spec.omega, 0.25)
+               for fx in ([good, bad], [bad, good])]
+    for rep, flags in zip(reports, ([False, True], [True, False])):
+        assert rep.verdict == "pass" and rep.fitted_constant == 0.023852466213396026
+        assert [c.flagged for c in rep.cases] == flags
+    (fine, nan_case), (nan_case_b, fine_b) = (rep.cases for rep in reports)
+    assert nan_case.lhs == nan_case.rhs == math.inf and nan_case_b.lhs == nan_case_b.rhs == math.inf
+    assert (fine.lhs, fine.rhs, fine.margin) == (fine_b.lhs, fine_b.rhs, fine_b.margin)
+    # a NaN left side is flagged in either position, and a case flagged already stays flagged
+    for nan_first in (True, False):
+        cases = [estimates.EstimateCase({}, math.nan, 1.0, 0.0), estimates.EstimateCase({}, 2.0, 1.0, 0.0, True),
+                 estimates.EstimateCase({}, 1.0, 2.0, 0.0), estimates.EstimateCase({}, math.nan, 0.0, 0.0)]
+        cases = cases if nan_first else cases[::-1]
+        assert estimates._close(cases, [1] * 4) == (0.5, "pass")
+        assert [c.flagged for c in cases] == ([True, True, False, True] if nan_first else [True, False, True, True])
+    # a NaN right side under a nonzero left still makes A infinite, as a vanishing one does
+    cases = [estimates.EstimateCase({}, 1.0, 2.0, 0.0), estimates.EstimateCase({}, 1.0, math.nan, 0.0)]
+    assert estimates._close(cases, [1, 1]) == (1e300, "fail") and not any(c.flagged for c in cases)
+
+
 def test_transfer_two_resolution_stability(laplacian, small_box):
     r = SymbolPolynomial(2, {(1, 0): 1.0})
     consts = {}

@@ -1002,6 +1002,79 @@ def test_iterate_norms_bit_identical_to_full_grid_transforms(n, res, delta):
             assert sweep.flagged[l] == (masked_tail_fraction(spec_l) > TAIL_FLAG_THRESHOLD)
 
 
+def _ones_based_iterate_norms(q, u, lmax, region, delta):
+    """Norms and flags of q^l u from a power that starts at ones and one full-grid ifftn per l, redone with u_hat's
+    exact zeros kept at zero where the norm is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mult, u_hat = symbol_on_lattice(u.spec, q), u.spectrum()
+    powered, norms, flagged = np.ones_like(mult), [], []
+    for l in range(lmax + 1):
+        if l > 0:
+            powered = powered * mult
+        spec_l = powered * u_hat
+        norm = restricted_l2(u.with_values(np.fft.ifftn(spec_l)), region, delta)
+        if not math.isfinite(norm):
+            spec_l[u_hat == 0] = 0
+            norm = restricted_l2(u.with_values(np.fft.ifftn(spec_l)), region, delta)
+        norms.append(math.inf if math.isnan(norm) else norm)
+        flagged.append(not (spectral_tail_fraction(spec_l) <= TAIL_FLAG_THRESHOLD and math.isfinite(norms[-1])))
+    return norms, flagged
+
+
+def test_iterate_norms_in_place_passes_keep_the_bits_of_the_ones_based_sweep():
+    # a modulated bump on the bench's largest 2-D grid; and 1e306 xi_2^2 + 1, past the float range wherever
+    # xi_2 != 0, where the spectrum of a fixture constant along x_2 is exactly zero: the NaN redo path runs
+    # from l = 1 on and keeps the norms finite
+    spec = GridSpec(BoxDomain((-0.3, -0.3), (0.3, 0.3)), 1024)
+    heat = SymbolPolynomial(2, {(2, 0): 1.0, (0, 1): 1j})
+    steep = SymbolPolynomial(2, {(0, 2): 1e306, (0, 0): 1.0})
+    flat = GridFunction(spec, np.broadcast_to(gaussian_bump(spec, 0.1).values[:, 512:513], (1024, 1024)))
+    assert (flat.spectrum()[:, 1:] == 0).all()
+    for q, u, lmax in ((heat, modulated_bump(spec, (3, 5), 0.08), 3), (steep, flat, 2)):
+        before = u.spectrum().copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = iterate_norms(q, u, lmax, spec.omega, 0.05)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert (sweep.norms, sweep.flagged) == _ones_based_iterate_norms(q, u, lmax, spec.omega, 0.05)
+        assert np.array_equal(u.spectrum(), before)
+    assert all(math.isfinite(v) for v in sweep.norms) and sweep.norms[1] == sweep.norms[0]
+
+
+@pytest.mark.parametrize("u", [
+    pytest.param(gaussian_bump(GridSpec(BoxDomain((-0.3,), (0.3,)), 256), 0.05), id="1d-256"),
+    pytest.param(modulated_bump(GridSpec(BoxDomain((-0.3,) * 2, (0.3,) * 2), 1024), (3, 5), 0.08), id="2d-1024"),
+    pytest.param(plane_wave(GridSpec(BoxDomain((-0.3,) * 3, (0.3,) * 3), 64), (1, 2, 3)), id="3d-64"),
+])
+def test_in_place_spectral_passes_keep_the_bits_of_the_allocating_calls(u):
+    """The forward spectrum, box transforms and operator applications equal numpy's allocating calls, bit for bit.
+
+    Each pass writes into an array the function made; the samples, the spectrum and a box transform's input are
+    never written.
+    """
+    spectrum = u.spectrum()
+    assert np.array_equal(spectrum, np.fft.fftn(u.values)) and not spectrum.flags.writeable
+    kept = spectrum.copy()
+    for delta in (0.0, 0.05, 0.4):  # 0.4 empties the box
+        box = _box_slices(u.spec, u.spec.omega, delta)
+        for s in (spectrum, spectrum * spectrum):
+            before = s.copy()
+            assert np.array_equal(grids._ifftn_on_box(s, box), np.fft.ifftn(s)[box])
+            assert np.array_equal(s, before)
+    n = u.dimension
+    heat = SymbolPolynomial(n, {(2,) + (0,) * (n - 1): 1.0, (0,) * (n - 1) + (1,): 1j})
+    want = np.fft.ifftn(symbol_on_lattice(u.spec, heat) * spectrum)
+    assert np.array_equal(apply_operator(heat, u).values, want)
+    x1 = SymbolPolynomial.variable(n, 0)
+    op = VariableOperator(n, {(2,) + (0,) * (n - 1): 1.0, (0,) * n: x1}, u.spec.cell)
+    freq, nodes = u.spec.frequency_mesh(), np.stack(np.meshgrid(*u.spec.axes(), indexing="ij"), axis=-1)
+    want = np.zeros_like(u.values)
+    for alpha, coeff in op.terms.items():
+        want = want + _dense_value(coeff, nodes) * np.fft.ifftn(_monomial_multiplier(freq, alpha) * spectrum)
+    assert np.array_equal(apply_operator(op, u).values, want)
+    assert np.array_equal(u.spectrum(), kept)
+
+
 def test_spectral_tail_fraction_matches_the_masked_sum():
     rng = np.random.default_rng(7)
     spectra = []

@@ -9,6 +9,10 @@ reports that echo a path hash alike in every checkout.  To compare two
 versions, run the same file in a checkout of each and diff the outputs:
 
     python3 tools/op_hashes.py --seeds 1 2 3 4 5 6 7 8 > hashes.txt
+
+``--workloads`` runs only the named workloads (all of them by default), e.g.
+``--workloads spectral-chain cli-batch`` for a change that only the grid
+engine's callers can see.
 """
 
 from __future__ import annotations
@@ -34,15 +38,17 @@ def digest(call) -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1])
-    args = parser.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     os.chdir(ROOT)  # the bench's relative fixture paths and the work directory
     import workloads
 
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1])
+    parser.add_argument("--workloads", nargs="+", choices=workloads.WORKLOADS, default=workloads.WORKLOADS)
+    args = parser.parse_args(argv)
+
     try:
-        for workload in workloads.WORKLOADS:
+        for workload in (w for w in workloads.WORKLOADS if w in args.workloads):
             for seed in args.seeds:
                 for op in workloads.build(workload, seed, WORK / workload):
                     print(workload, seed, op.name, digest(op.call), flush=True)
