@@ -8,7 +8,6 @@ report the exact maximum over the tested range plus a tail slope, so
 
 from hypoel import (
     check_basic,
-    check_gevrey_domination,
     fit_inclusion,
     fit_power_bound,
     gevrey,
@@ -38,11 +37,8 @@ print(f"(p!)^2 inside p! : holds={bwd.holds} (tail slope {bwd.tail_slope:.3f})")
 ps = power_sequence(gevrey(1.5), 2.0)
 print(f"\n(gevrey(1.5))^2 log M_10 = {ps.log_m(10):.6f} = gevrey(3) log M_10 = {gevrey(3).log_m(10):.6f}")
 
-# Factorial domination p! <= C L^p M_p, checked per L.  For M = p! itself
-# the claim fails for L < 1, which the tail slope detects.
-print("\nfactorial domination against (p!)^2:")
-for entry in check_gevrey_domination(gevrey(2), [0.1, 1.0], pmax=200):
-    print("  ", entry)
-print("factorial domination against p! (fails below L = 1):")
-for entry in check_gevrey_domination(gevrey(1), [0.5, 1.0], pmax=200):
-    print("  ", entry)
+# Factorial domination p! <= C L^p M_p is the inclusion of p! in M_p.  The
+# classes ignore geometric factors, so the fitted L is at least 1: for
+# M = p! itself that is L = 1, with C = 1.
+own = fit_inclusion(gevrey(1), gevrey(1), pmax=200)
+print(f"\np! inside p! : holds={own.holds} with L={own.big_l}, C={own.c}")

@@ -64,7 +64,6 @@ from .sequences import (
     RoumieuSequence,
     SequenceConditionReport,
     check_basic,
-    check_gevrey_domination,
     fit_inclusion,
     fit_power_bound,
     gevrey,
@@ -73,7 +72,6 @@ from .sequences import (
 )
 from .symbols import SymbolPolynomial, VariableOperator
 from .weights import (
-    ConstantWeight,
     OnePlusNorm,
     PairSampleConfig,
     PowerWeight,

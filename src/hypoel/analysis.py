@@ -36,6 +36,9 @@ AMBIGUOUS_RAY_FRACTION = 0.05
 #: slopes, or logs of ratios, within this of the largest tie for a witness; the first wins
 TIE_TOL = 1e-12
 
+#: a ray whose largest ratio is below this has vanished: it sets no worst slope, witness or typical base peak
+VANISHED_PEAK = 1e-250
+
 #: most directions a ray table may have; each is one row of it
 MAX_DIRECTIONS = 2**16
 
@@ -320,7 +323,7 @@ def _refined_guard(peaks: np.ndarray, base: np.ndarray) -> float:
     finite radius window shows transition plateaus of bounded ratios; only
     ratios well above the base grid's typical per-ray peak count as evidence.
     """
-    base_maxima = peaks[base & (peaks > 1e-250)]
+    base_maxima = peaks[base & (peaks > VANISHED_PEAK)]
     if not len(base_maxima):
         return 0.0
     return REFINED_GUARD_FACTOR * float(np.median(base_maxima))
@@ -375,7 +378,7 @@ def _check_rays(table: _RayTable, d: float) -> HypoReport:
             best_sample = RaySample(beta, table.dirs[i], float(table.radii[j]), float(_exp(logs[i, j])), 0.0)
         if sum(beta) == 0:
             continue
-        active = ~(peaks < 1e-250)
+        active = ~(peaks < VANISHED_PEAK)
         counted = active & table.base
         total_rays += int(np.count_nonzero(counted))
         per_beta += _worst_slope(beta, slopes, table.dirs, counted)
@@ -436,7 +439,7 @@ def _estimate(q: SymbolPolynomial, cfg: RayConfig) -> tuple[HypoReport, _RayTabl
 
     for beta, logs, top, slopes in _sweep(table, table.derivatives[1:]):
         peaks = _exp(top)
-        active = ~(peaks < 1e-250)
+        active = ~(peaks < VANISHED_PEAK)
         per_beta += _worst_slope(beta, slopes, table.dirs, active & table.base)
         decaying = active & (slopes < -SLOPE_TOL)
         # refined rays mix plateau and decay within the window and would
@@ -524,7 +527,7 @@ def check_symbol_domination(
     logs = np.broadcast_to(log_r - np.logaddexp(0.0, log_q), (len(dirs), len(radii)))
     slopes = tail_slope(np.log(radii), logs, 2)
     peaks = _exp(logs.max(axis=1))
-    worst = _first_max(slopes, ~(peaks < 1e-250))
+    worst = _first_max(slopes, ~(peaks < VANISHED_PEAK))
     worst_slope = -math.inf if worst is None else float(slopes[worst])
     if worst_slope > SLOPE_TOL:
         raise PreconditionError(

@@ -281,22 +281,3 @@ def fit_inclusion(m: RoumieuSequence, n: RoumieuSequence, pmax: int = 60) -> Inc
     log_l = float(increments[-max(-(-pmax // 2), 2) :].max(initial=0.0))
     log_c = float(np.max(r - np.arange(pmax + 1) * log_l))
     return InclusionFit(holds=True, big_l=_exp(log_l), c=_exp(log_c), tail_slope=slope)
-
-
-def check_gevrey_domination(
-    m: RoumieuSequence, ls: Sequence[float], pmax: int = 200
-) -> list[dict]:
-    """For each L, the smallest C with p! <= C L^p M_p on the range, or divergence."""
-    logs = _logs(m, range(pmax + 1))
-    out = []
-    for big_l in ls:
-        big_l = float(big_l)
-        if big_l <= 0:
-            raise ValueError(f"L must be > 0, got {big_l}")
-        g = [log_factorial(p) - p * math.log(big_l) - logs[p] for p in range(pmax + 1)]
-        slope = tail_slope(np.arange(pmax + 1), g, 2)
-        if slope > SLOPE_TOL:
-            out.append({"L": big_l, "holds": False, "tail_slope": slope})
-        else:
-            out.append({"L": big_l, "holds": True, "C": _exp(max(g)), "tail_slope": slope})
-    return out

@@ -361,9 +361,3 @@ def load(path) -> SymbolPolynomial | VariableOperator:
     if "coefficients" in doc:
         return VariableOperator.from_dict(doc)
     return SymbolPolynomial.from_dict(doc)
-
-
-def save(obj: SymbolPolynomial | VariableOperator, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -42,22 +42,6 @@ class WeightFunction:
         return self(xi), self.gradient(xi)
 
 
-class ConstantWeight(WeightFunction):
-    def __init__(self, dimension: int, value: float):
-        if value <= 0:
-            raise ValueError("constant weight must be positive")
-        self.dimension = dimension
-        self.value = float(value)
-        self.degree = 0.0
-
-    def __call__(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        return np.full(xi.shape[:-1], self.value)
-
-    def gradient(self, xi):
-        return np.zeros(np.shape(xi))
-
-
 class OnePlusNorm(WeightFunction):
     def __init__(self, dimension: int):
         self.dimension = dimension
@@ -202,11 +186,6 @@ def _residuals(h: WeightFunction, xi: np.ndarray, eta: np.ndarray):
     log_h = np.log(h(xi))
     eta_norm = np.linalg.norm(eta, axis=-1)
     return lambda c, n_exp: log_h_shift - n_exp * np.log1p(c * eta_norm) - log_h
-
-
-def temperate_residual(h: WeightFunction, c: float, n_exp: float, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """log h(xi+eta) - N log(1 + C|eta|) - log h(xi) on the given pairs."""
-    return _residuals(h, xi, eta)(c, n_exp)
 
 
 def fit_temperate(h: WeightFunction, cfg: PairSampleConfig | None = None) -> TemperateFit:

@@ -1,0 +1,40 @@
+"""Every name the package exports is used by the program itself, not by its own tests alone."""
+
+import re
+import types
+from pathlib import Path
+
+import hypoel
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: exported names that only tests reach, each kept for the reason given
+TEST_ONLY = {
+    "apply_operator": "the reference that the in-place spectral pass tests compare against",
+    "weighted_norm": "the acceptance tests assert the weighted norm of the packaged fixture",
+}
+
+
+def _program_lines():
+    """Each line of the package, bench, demo and tool sources, less __init__.py and test files."""
+    for folder in ("src/hypoel", "bench", "demos", "tools"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            if path.name != "__init__.py" and not path.name.startswith("test_"):
+                yield from path.read_text(encoding="utf-8").splitlines()
+
+
+def _used(name: str, lines: list[str]) -> bool:
+    """Whether some line names it other than the one that defines it."""
+    word = re.compile(rf"\b{name}\b")
+    definition = re.compile(rf"^(?:class|def)\s+{name}\b|^{name}\s*[:=]")
+    return any(word.search(line) and not definition.match(line) for line in lines)
+
+
+def test_every_export_has_a_use_outside_the_tests():
+    lines = list(_program_lines())
+    names = [n for n in hypoel.__all__ if not isinstance(getattr(hypoel, n), types.ModuleType)]
+    assert set(TEST_ONLY) <= set(names)
+    unused = sorted(n for n in names if not _used(n, lines) and n not in TEST_ONLY)
+    assert unused == [], f"exported but reached only by tests: {unused}"
+    gained = sorted(n for n in TEST_ONLY if _used(n, lines))
+    assert gained == [], f"listed as test-only but used by the program: {gained}"

@@ -990,3 +990,47 @@ def test_verify_fuzzed_configs_exit_cleanly(config):
         code = _quiet_main(argv)
         flawed = any(_mistyped(k, v) or v in NON_FINITE_FIXTURES for k, v in doc.items())
         assert code == 2 if flawed else code in (0, 1, 2)
+
+
+def _verify_th1(doc):
+    """For a tmp_path, the argv of `verify --check th1` on doc, written there as its config."""
+    def argv(tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        return ["verify", "--check", "th1", "--config", str(path)]
+    return argv
+
+
+TH1 = VERIFY_CONFIGS["th1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(lambda t: ["analyze", "--symbol", fixture_path("drift_operator.json")],
+                     "holds a variable operator; `analyze` expects a symbol", id="analyze-operator"),
+        pytest.param(lambda t: ["strength", "--variable", fixture_path("laplacian.json")],
+                     "laplacian.json does not hold a variable operator", id="strength-variable-symbol"),
+        pytest.param(lambda t: ["strength", "--p", fixture_path("drift_operator.json"), "--q", fixture_path("laplacian.json")],
+                     "`strength --p/--q` expects constant-coefficient symbols", id="strength-p-operator"),
+        pytest.param(_verify_th1([TH1]), "cfg.json must be a JSON object", id="config-list"),
+        pytest.param(_verify_th1({**TH1, "symbol": fixture_path("drift_operator.json")}),
+                     "'symbol' must be a SymbolPolynomial", id="th1-symbol-operator"),
+        pytest.param(_verify_th1({**TH1, "sequence": "gevrey"}), "config needs a 'sequence' object", id="th1-sequence-string"),
+        pytest.param(_verify_th1({**TH1, "sequence": {"kind": "beta"}}), "unknown sequence kind 'beta'", id="th1-sequence-kind"),
+        pytest.param(_verify_th1({k: v for k, v in TH1.items() if k != "fixture"}),
+                     "config needs 'fixture' or 'fixtures'", id="no-fixture"),
+        pytest.param(lambda t: ["strength", "--p", fixture_path("laplacian.json")],
+                     "strength needs either --variable or both --p and --q", id="strength-p-alone"),
+    ],
+)
+def test_rejected_inputs_exit_2_naming_the_reason(tmp_path, capsys, argv, message):
+    out = tmp_path / "r.json"
+    try:
+        code = run(argv(tmp_path) + ["--out", str(out)])
+    except SystemExit as exc:  # the argparse error
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err
+    assert not out.exists()

@@ -11,7 +11,6 @@ from hypoel import (
     HypoelError,
     ParseError,
     check_basic,
-    check_gevrey_domination,
     fit_inclusion,
     fit_power_bound,
     gevrey,
@@ -278,7 +277,6 @@ def test_logs_not_finite_or_past_the_limit_are_rejected_naming_p(m, p, power_bou
         lambda: check_basic(m, 6),
         lambda: fit_inclusion(m, gevrey(1), 6),
         lambda: fit_inclusion(gevrey(1), m, 6),
-        lambda: check_gevrey_domination(m, [1.0], 6),
     ]
     if power_bound_reads_p:
         checks.append(lambda: fit_power_bound(m, 2, 1, 6))
@@ -294,7 +292,6 @@ def test_log_limit_admits_the_order_1e300_to_p_1000_without_a_warning():
         assert check_basic(m, 1000).h3_right_h == math.inf
         assert not fit_inclusion(m, gevrey(1), 1000).holds
         assert fit_inclusion(gevrey(1), m, 1000).holds
-        assert check_gevrey_domination(m, [1.0], 1000)[0]["holds"]
 
 
 def test_condition_check_dict_is_a_copy():
@@ -339,32 +336,12 @@ def test_power_rejects_nonpositive():
         power_sequence(gevrey(1), 0.0)
 
 
-# -- gevrey domination ------------------------------------------------------------------
-
-
-def test_domination_strict_sequence_small_l():
-    out = check_gevrey_domination(gevrey(2), [0.1], 200)
-    assert out[0]["holds"] and math.isfinite(out[0]["C"])
-
-
-def test_domination_factorial_small_l_diverges():
-    out = check_gevrey_domination(gevrey(1), [0.5], 200)
-    assert not out[0]["holds"]
-
-
-def test_domination_factorial_unit_l():
-    out = check_gevrey_domination(gevrey(1), [1.0], 200)
-    assert out[0]["holds"] and out[0]["C"] == pytest.approx(1.0)
-
-
 def test_fitted_constants_past_the_float_range_read_inf():
     # each fitted log constant here is past log(DBL_MAX) ~ 709.8; its exp is inf, not an OverflowError
     assert fit_power_bound(gevrey(1000), 2, 1, 60) == math.inf
     assert check_basic(gevrey(1e300), 60).h3_right_h == math.inf
-    # M_p = p! 1e-310 from p = 1 on: p!/M_p and M_p-inclusion constants of about e^713.8
+    # M_p = p! 1e-310 from p = 1 on: the inclusion constant of p! in M, max p!/M_p, is about e^713.8
     tiny = TableSequence([1.0] + [math.factorial(p) * 1e-310 for p in range(1, 21)])
-    (dom,) = check_gevrey_domination(tiny, [1.0], 20)
-    assert dom["holds"] and dom["C"] == math.inf
     inc = fit_inclusion(gevrey(1), tiny, 20)
     assert inc.holds and inc.c == math.inf and math.isfinite(inc.big_l)
 
@@ -386,8 +363,7 @@ def test_log_domain_handles_large_pmax():
     m = gevrey(5)
     rep = check_basic(m, 500)
     assert rep.h1.passed and math.isfinite(rep.h3_right_h)
-    out = check_gevrey_domination(m, [0.01], 500)
-    assert out[0]["holds"]
+    assert fit_inclusion(gevrey(1), m, 500).holds
 
 
 # -- table loading ------------------------------------------------------------------------

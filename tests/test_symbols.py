@@ -16,7 +16,7 @@ from hypoel import (
 )
 from hypoel.domains import BoxDomain
 from hypoel.grids import GridSpec
-from hypoel.symbols import _evaluate, load, multi_indices_up_to, save
+from hypoel.symbols import _evaluate, load, multi_indices_up_to
 
 from conftest import random_symbol
 
@@ -266,23 +266,29 @@ def test_freeze_coefficients_bit_identical_to_one_evaluation_each():
 # -- serialization ---------------------------------------------------------------------
 
 
+def _write(obj, path) -> str:
+    """obj's canonical JSON document, written to path; the text is returned."""
+    text = json.dumps(obj.to_dict(), indent=2, sort_keys=True)
+    path.write_text(text)
+    return text
+
+
 def test_symbol_round_trip(tmp_path, heat_symbol):
     path = tmp_path / "heat.json"
-    save(heat_symbol, path)
+    text = _write(heat_symbol, path)
     assert load(path) == heat_symbol
     # serialize(parse(.)) is the identity on the canonical file
-    text = path.read_text()
-    save(load(path), path)
-    assert path.read_text() == text
+    assert _write(load(path), path) == text
 
 
 def test_operator_round_trip(tmp_path, drift_operator):
     path = tmp_path / "op.json"
-    save(drift_operator, path)
+    text = _write(drift_operator, path)
     loaded = load(path)
     assert isinstance(loaded, VariableOperator)
     assert loaded.terms == drift_operator.terms
     assert loaded.domain == drift_operator.domain
+    assert _write(loaded, path) == text
 
 
 def test_malformed_document_rejected(tmp_path):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hypoel import (
-    ConstantWeight,
     OnePlusNorm,
     PairSampleConfig,
     PowerWeight,
@@ -16,7 +15,12 @@ from hypoel import (
     verify_ball_sup_sandwich,
 )
 from hypoel import symbols, weights
-from hypoel.weights import C_GRID, FIT_RESIDUAL_TOL, WeightFunction, _unit_ball_template, sample_pairs, temperate_residual
+from hypoel.weights import C_GRID, FIT_RESIDUAL_TOL, WeightFunction, _residuals, _unit_ball_template, sample_pairs
+
+
+def constant_weight(n, c):
+    """The degree-0 weight h = c: the strength function of the constant symbol c."""
+    return StrengthWeight(SymbolPolynomial.constant(n, c))
 
 
 @pytest.fixture
@@ -33,7 +37,7 @@ def strength_weight(laplacian):
 
 
 def test_constant_weight_fit():
-    fit = fit_temperate(ConstantWeight(2, 1.0))
+    fit = fit_temperate(constant_weight(2, 1.0))
     assert fit.success
     assert fit.n_exp == 0.0
     assert fit.c == 0.0
@@ -61,7 +65,7 @@ def test_power_weight_satisfies_scaled_constants(one_plus_norm):
     xi, eta = sample_pairs(2, PairSampleConfig())
     for j in (2, 3):
         powered = PowerWeight(one_plus_norm, j)
-        res = temperate_residual(powered, base_fit.c, j * base_fit.n_exp, xi, eta)
+        res = _residuals(powered, xi, eta)(base_fit.c, j * base_fit.n_exp)
         assert float(res.max()) <= 1e-9
         assert fit_temperate(powered).success
 
@@ -100,7 +104,7 @@ def _fit_by_reevaluation(h, cfg=None):
 
 
 def test_fit_matches_the_per_candidate_reevaluation_bit_for_bit(laplacian):
-    cases = [ConstantWeight(2, 2.0), OnePlusNorm(1), OnePlusNorm(3), StrengthWeight(laplacian),
+    cases = [constant_weight(2, 2.0), OnePlusNorm(1), OnePlusNorm(3), StrengthWeight(laplacian),
              PowerWeight(StrengthWeight(SymbolPolynomial(1, {(3,): 1.0, (1,): 2.0})), 2), ExpNorm(2)]
     for h in cases:
         for cfg in (PairSampleConfig(), PairSampleConfig(seed=5)):
@@ -144,7 +148,7 @@ def test_h_delta_matches_its_first_loop_bit_for_bit(n):
         StrengthWeight(SymbolPolynomial(n, {(2,) + (0,) * (n - 1): 1.0, (0,) * (n - 1) + (1,): 1j})),
         StrengthWeight(SymbolPolynomial(n, {(1,) * n: 2.0, (0,) * n: -1.5, (3,) + (0,) * (n - 1): 0.5})),
     ]
-    cases = [OnePlusNorm(n), ConstantWeight(n, 2.5), *strengths, PowerWeight(strengths[0], 3)]
+    cases = [OnePlusNorm(n), constant_weight(n, 2.5), *strengths, PowerWeight(strengths[0], 3)]
     pts = rng.standard_normal((30, n)) * 4.0
     for h in cases:
         for delta in (0.1, 0.7, 2.0):
@@ -218,7 +222,7 @@ def test_strength_gradient_is_that_of_every_member_evaluated_alone(n, terms):
 
 
 def test_every_weight_has_a_gradient():
-    assert ConstantWeight(3, 2.0).gradient(np.ones((4, 3))).tolist() == np.zeros((4, 3)).tolist()
+    assert constant_weight(3, 2.0).gradient(np.ones((4, 3))).tolist() == np.zeros((4, 3)).tolist()
     with pytest.raises(NotImplementedError):
         ExpNorm(2).gradient(np.ones((1, 2)))
 
@@ -253,7 +257,7 @@ def test_pair_sample_sets_only_its_seed():
 
 
 def test_ball_sup_of_constant():
-    w = ConstantWeight(2, 3.5)
+    w = constant_weight(2, 3.5)
     for delta in (0.1, 1.0, 7.0):
         assert h_delta(w, delta, np.zeros(2)) == pytest.approx(3.5, rel=1e-15)
 
@@ -289,7 +293,7 @@ def test_ball_sup_never_below_center(strength_weight):
 
 def test_ball_sup_monotone_in_delta(one_plus_norm, strength_weight):
     pts = np.array([[0.0, 0.0], [1.0, 2.0], [-3.0, 0.5]])
-    for w in (ConstantWeight(2, 2.0), one_plus_norm, strength_weight):
+    for w in (constant_weight(2, 2.0), one_plus_norm, strength_weight):
         prev = None
         for delta in (0.1, 0.5, 1.0, 2.0):
             cur = h_delta(w, delta, pts)
@@ -307,7 +311,7 @@ def test_ball_sup_rejects_bad_delta(one_plus_norm):
 
 
 def test_sandwich_constant_weight_exact():
-    rep = verify_ball_sup_sandwich(ConstantWeight(2, 2.0), delta=0.5, j=3)
+    rep = verify_ball_sup_sandwich(constant_weight(2, 2.0), delta=0.5, j=3)
     assert rep.passed
     assert rep.sandwich_lower_margin == pytest.approx(0.0, abs=1e-12)
     assert rep.power_identity_residual == pytest.approx(0.0, abs=1e-12)
