@@ -58,6 +58,8 @@ class RayConfig:
             raise ValueError(f"at most 1023 radii, got {self.radii}: the radius 2^1024 overflows a float")
         if self.directions > MAX_DIRECTIONS:
             raise ValueError(f"at most {MAX_DIRECTIONS} directions, got {self.directions}: a ray table has one row per direction")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def validate_for_dimension(self, n: int) -> None:
         if self.directions < 2 * n:
@@ -65,16 +67,6 @@ class RayConfig:
 
     def radius_grid(self) -> np.ndarray:
         return 2.0 ** np.arange(self.radii + 1)
-
-    def to_dict(self) -> dict:
-        return {
-            "directions": self.directions,
-            "r0": 1.0,
-            "rho": 2.0,
-            "radii": self.radii,
-            "include_characteristic_search": True,
-            "seed": self.seed,
-        }
 
 
 def unit_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
@@ -172,8 +164,6 @@ class HypoReport:
     fitted_c: float | None = None
     witness: RaySample | None = None
     per_beta_slopes: list[dict] = field(default_factory=list)
-    slope_threshold: float = SLOPE_TOL
-    config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         d_snapped = list(self.d_snapped) if self.d_snapped else None
@@ -185,8 +175,6 @@ class StrengthReport:
     verdict: str
     ratio_bounds: tuple[float, float] | None = None
     witness: dict | None = None
-    seed: int = 0
-    config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {**vars(self), "ratio_bounds": list(self.ratio_bounds) if self.ratio_bounds else None}
@@ -267,7 +255,6 @@ def _exp(logs):
 class _RayTable:
     """The rays of one symbol, sampled and evaluated once for every sweep over them."""
 
-    cfg: RayConfig
     dirs: np.ndarray
     base: np.ndarray  # True on the base directions, which precede the refined ones
     radii: np.ndarray
@@ -281,7 +268,7 @@ def _ray_table(q: SymbolPolynomial, cfg: RayConfig) -> _RayTable:
     betas, family = zip(*q.nonzero_derivatives)
     derivatives = tuple(zip(betas, _log_abs_on_rays(family, dirs, radii)))
     log_denom = np.logaddexp(0.0, derivatives[0][1])
-    return _RayTable(cfg, dirs, np.arange(len(dirs)) < num_base, radii, log_denom, derivatives)
+    return _RayTable(dirs, np.arange(len(dirs)) < num_base, radii, log_denom, derivatives)
 
 
 def _sweep(table: _RayTable, derivatives, d: float = math.inf):
@@ -394,8 +381,7 @@ def _check_rays(table: _RayTable, d: float) -> HypoReport:
         verdict, best_sample = "violated", worst_violation
     elif total_rays and ambiguous / total_rays > AMBIGUOUS_RAY_FRACTION:
         verdict = "inconclusive"
-    config = table.cfg.to_dict()
-    return HypoReport(verdict, fitted_c=fitted_c, witness=best_sample, per_beta_slopes=per_beta, config=config)
+    return HypoReport(verdict, fitted_c=fitted_c, witness=best_sample, per_beta_slopes=per_beta)
 
 
 def check_hypoelliptic(q: SymbolPolynomial, d: float, cfg: RayConfig | None = None) -> HypoReport:
@@ -451,17 +437,15 @@ def _estimate(q: SymbolPolynomial, cfg: RayConfig) -> tuple[HypoReport, _RayTabl
         diverging = active & ~decaying & (slopes + EPS_BOOST > SLOPE_TOL)
         violation, _ = _steepest(violation, table, beta, logs, peaks, slopes, diverging)
 
-    config = table.cfg.to_dict()
     if violation is None and candidates:
         d_est = max(d_best, 1.0)
         check = _check_rays(table, d_est)
         if check.verdict != "violated":
             snapped = snap_rational(d_est)
-            rep = HypoReport(check.verdict, d_est, snapped, check.fitted_c, check.witness, per_beta, config=config)
-            return rep, table
+            return HypoReport(check.verdict, d_est, snapped, check.fitted_c, check.witness, per_beta), table
         violation = check.witness
     verdict = "inconclusive" if violation is None else "violated"
-    return HypoReport(verdict, witness=violation, per_beta_slopes=per_beta, config=config), table
+    return HypoReport(verdict, witness=violation, per_beta_slopes=per_beta), table
 
 
 def equally_strong(
@@ -478,7 +462,7 @@ def equally_strong(
         raise HypoelError("strength comparison requires nonzero symbols")
     cfg = cfg or RayConfig()
     dirs, _, radii = _ray_grid(p.dimension, cfg)
-    return _compare_strengths(_log_strength(p, dirs, radii, {}), _log_strength(q, dirs, radii, {}), dirs, radii, cfg)
+    return _compare_strengths(_log_strength(p, dirs, radii, {}), _log_strength(q, dirs, radii, {}), dirs, radii)
 
 
 def _log_strength(s: SymbolPolynomial, dirs: np.ndarray, radii: np.ndarray, logs: dict) -> np.ndarray:
@@ -494,7 +478,7 @@ def _log_strength(s: SymbolPolynomial, dirs: np.ndarray, radii: np.ndarray, logs
     return 0.5 * np.broadcast_to(functools.reduce(np.logaddexp, squares), (len(dirs), len(radii)))
 
 
-def _compare_strengths(log_p, log_q, dirs, radii, cfg: RayConfig) -> StrengthReport:
+def _compare_strengths(log_p, log_q, dirs, radii) -> StrengthReport:
     """The strength verdict from the logs of both strengths on the same rays."""
     log_t = log_p - log_q
     slopes = tail_slope(np.log(radii), log_t, 2)
@@ -503,7 +487,7 @@ def _compare_strengths(log_p, log_q, dirs, radii, cfg: RayConfig) -> StrengthRep
     bwd_bounded = bwd is None or -slopes[bwd] <= SLOPE_TOL
     bounds = (float(_exp(log_t.min())), float(_exp(log_t.max())))
     if fwd_bounded and bwd_bounded:
-        return StrengthReport("equally-strong", bounds, None, cfg.seed, cfg.to_dict())
+        return StrengthReport("equally-strong", bounds)
     # the witness ray of the unbounded ratio, P/Q or Q/P
     i, sign = (bwd, -1.0) if fwd_bounded else (fwd, 1.0)
     witness = {
@@ -513,7 +497,7 @@ def _compare_strengths(log_p, log_q, dirs, radii, cfg: RayConfig) -> StrengthRep
         "slope": float(sign * slopes[i]),
     }
     verdict = "P-weaker" if fwd_bounded else "Q-weaker" if bwd_bounded else "incomparable"
-    return StrengthReport(verdict, bounds, witness, cfg.seed, cfg.to_dict())
+    return StrengthReport(verdict, bounds, witness)
 
 
 def check_symbol_domination(
@@ -573,15 +557,12 @@ def check_constant_strength(
     if points is not None and points > 2**12:
         raise ValueError(f"at most 4096 freeze points, got {points}: each is a ray sweep of its own")
     per_axis = 3 if points is None else max(2, math.ceil(points ** (1.0 / n)))
-    def report(verdict, ratio_bounds=None, witness=None):
-        return StrengthReport(verdict, ratio_bounds, witness, seed=cfg.seed, config=cfg.to_dict())
-
     xs = [*freeze_sample_points(p.domain, per_axis), np.array(p.domain.center)]
     frozen = [(x, p.freeze(x)) for x in xs]
     for x, qx in frozen:
         if qx.is_zero:
             witness = {"x": [float(v) for v in x], "reason": "frozen symbol is identically zero"}
-            return report("not-constant-strength", witness=witness)
+            return StrengthReport("not-constant-strength", witness=witness)
     q_center = frozen.pop()[1]
     dirs, _, radii = _ray_grid(n, cfg)
     center_logs: dict = {}
@@ -594,10 +575,10 @@ def check_constant_strength(
             continue
         compared.add(qx)
         log_qx = log_center if qx == q_center else _log_strength(qx, dirs, radii, dict(center_logs))
-        rep = _compare_strengths(log_qx, log_center, dirs, radii, cfg)
+        rep = _compare_strengths(log_qx, log_center, dirs, radii)
         lo = min(lo, rep.ratio_bounds[0])
         hi = max(hi, rep.ratio_bounds[1])
         if rep.verdict != "equally-strong":
             witness = {"x": [float(v) for v in x], "pair_verdict": rep.verdict, "ray": rep.witness}
-            return report("not-constant-strength", (lo, hi), witness)
-    return report("constant-strength", (lo, hi))
+            return StrengthReport("not-constant-strength", (lo, hi), witness)
+    return StrengthReport("constant-strength", (lo, hi))

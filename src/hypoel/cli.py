@@ -9,6 +9,7 @@ failed numerically, 2 = malformed input or a rejected precondition.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -38,7 +39,7 @@ from .sequences import (
 )
 from .symbols import SymbolPolynomial, VariableOperator, load as load_symbol
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -110,14 +111,8 @@ def _emit(report: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _report(command: str, config: dict, results: dict, witnesses: list) -> dict:
-    return {
-        "report-version": REPORT_VERSION,
-        "command": command,
-        "config": config,
-        "results": results,
-        "witnesses": witnesses,
-    }
+def _report(command: str, config: dict, results: dict) -> dict:
+    return {"report-version": REPORT_VERSION, "command": command, "config": config, "results": results}
 
 
 def _ray_config(args) -> RayConfig:
@@ -147,14 +142,8 @@ def run_analyze(args) -> int:
     if args.d is not None:
         # check_hypoelliptic(q, d, cfg), on the rays the estimate has already evaluated
         results["check_at_d"] = _check_rays(table, _exponent_flag(args.d)).to_dict()
-    witnesses = [est.witness.to_dict()] if est.witness else []
-    config = {
-        "symbol": q.to_dict(),
-        "seed": args.seed,
-        "rays": cfg.to_dict(),
-        "d": args.d,
-    }
-    _emit(_report("analyze", config, results, witnesses), args.out)
+    config = {"symbol": q.to_dict(), "rays": dataclasses.asdict(cfg), "d": args.d}
+    _emit(_report("analyze", config, results), args.out)
     return EXIT_OK
 
 
@@ -182,20 +171,8 @@ def run_seq_check(args) -> int:
         report.h4_b = None
     if args.inclusion_gevrey is not None:
         report.inclusion = fit_inclusion(seq, gevrey(args.inclusion_gevrey), args.pmax)
-    results = report.to_dict()
-    config = {
-        "sequence": desc,
-        "pmax": args.pmax,
-        "power_m": str(frac),
-        "inclusion_gevrey": args.inclusion_gevrey,
-        "seed": args.seed,
-    }
-    witnesses = []
-    for name in ("h1", "root_monotone", "h3_left"):
-        entry = results[name]
-        if not entry["passed"]:
-            witnesses.append({"condition": name, "first_failure": entry["first_failure"]})
-    _emit(_report("seq-check", config, results, witnesses), args.out)
+    config = {"sequence": desc, "pmax": args.pmax, "power_m": str(frac), "inclusion_gevrey": args.inclusion_gevrey}
+    _emit(_report("seq-check", config, report.to_dict()), args.out)
     return EXIT_OK
 
 
@@ -209,16 +186,15 @@ def run_strength(args) -> int:
         if not isinstance(op, VariableOperator):
             raise ParseError(f"{args.variable} does not hold a variable operator")
         rep = check_constant_strength(op, cfg, args.points)
-        config = {"operator": op.to_dict(), "seed": args.seed, "rays": cfg.to_dict()}
+        config = {"operator": op.to_dict()}
     else:
         p = load_symbol(args.p)
         q = load_symbol(args.q)
         if not isinstance(p, SymbolPolynomial) or not isinstance(q, SymbolPolynomial):
             raise ParseError("`strength --p/--q` expects constant-coefficient symbols")
         rep = equally_strong(p, q, cfg)
-        config = {"p": p.to_dict(), "q": q.to_dict(), "seed": args.seed, "rays": cfg.to_dict()}
-    witnesses = [rep.witness] if rep.witness else []
-    _emit(_report("strength", config, rep.to_dict(), witnesses), args.out)
+        config = {"p": p.to_dict(), "q": q.to_dict()}
+    _emit(_report("strength", {**config, "rays": dataclasses.asdict(cfg)}, rep.to_dict()), args.out)
     return EXIT_OK
 
 
@@ -440,7 +416,7 @@ def run_verify(args) -> int:
         )
         csv_rows = _sweep_rows("iterates", rep.vector_fit) + _sweep_rows("derivatives", rep.space_fit)
 
-    _emit(_report("verify", {**doc, **effective}, rep.to_dict(), []), args.out)
+    _emit(_report("verify", {**doc, **effective}, rep.to_dict()), args.out)
     if args.csv:
         _write_csv(args.csv, csv_rows)
     return EXIT_OK if rep.verdict == "pass" else EXIT_FAIL
@@ -472,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument("--pmax", type=int, default=60)
     p_seq.add_argument("--power-m", default="2", help="rational m for the power bound fit")
     p_seq.add_argument("--inclusion-gevrey", type=float, default=None, help="fit inclusion into gevrey(S)")
-    p_seq.add_argument("--seed", type=int, default=0)
     p_seq.add_argument("--out", default=None)
 
     p_str = sub.add_parser("strength", help="compare operator strength")

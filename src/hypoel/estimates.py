@@ -208,7 +208,7 @@ def verify_dominated_transfer(
         mult_r, mult_q, sup, box = per_grid[u.spec]
         lhs = sup(_ifftn_on_box(mult_r * u.spectrum(), box))
         rhs_core = sup(_ifftn_on_box(mult_q * u.spectrum(), box)) + restricted_l2(u, omega, 0.0)
-        params = {"fixture": idx, "mu_exponent": mu_exp, "t": t, "rhs_core": rhs_core}
+        params = {"fixture": idx, "rhs_core": rhs_core}
         cases.append(EstimateCase(params, lhs, rhs_core, 0.0))
     fitted, verdict = _close(cases, [1] * len(cases))
     return EstimateReport(
@@ -316,14 +316,7 @@ def verify_iterate_bound(
         verdict=verdict,
         fitted_constant=fitted_proof,
         cases=cases,
-        extras={
-            "fitted_constant_proof_variant": fitted_proof,
-            "fitted_constant_statement_variant": fitted_statement,
-            "dm": dm,
-            "gamma": gamma,
-            "kmax": kmax,
-            "deltas": list(deltas),
-        },
+        extras={"fitted_constant_statement_variant": fitted_statement, "dm": dm, "gamma": gamma, "deltas": list(deltas)},
     )
 
 
@@ -506,5 +499,5 @@ def verify_domination(
         verdict=verdict,
         fitted_constant=fitted,
         cases=cases,
-        extras={"lmax": lmax, "delta": delta},
+        extras={"delta": delta},
     )

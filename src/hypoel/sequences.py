@@ -175,7 +175,6 @@ class InclusionFit:
 
 @dataclass
 class SequenceConditionReport:
-    pmax: int
     h1: ConditionCheck = field(default_factory=lambda: ConditionCheck(True))
     root_monotone: ConditionCheck = field(default_factory=lambda: ConditionCheck(True))
     h3_left: ConditionCheck = field(default_factory=lambda: ConditionCheck(True))
@@ -216,7 +215,7 @@ def check_basic(m: RoumieuSequence, pmax: int = 60) -> SequenceConditionReport:
     if pmax < 4:
         raise ValueError("pmax must be >= 4")
     logs = _logs(m, range(pmax + 1))
-    report = SequenceConditionReport(pmax=pmax)
+    report = SequenceConditionReport()
 
     if abs(logs[0]) > LOG_TOL:
         report.h1 = ConditionCheck(False, (0,))

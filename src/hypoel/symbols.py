@@ -61,10 +61,6 @@ class SymbolPolynomial:
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def zero(dimension: int) -> "SymbolPolynomial":
-        return SymbolPolynomial(dimension, {})
-
-    @staticmethod
     def constant(dimension: int, value: complex) -> "SymbolPolynomial":
         return SymbolPolynomial(dimension, {(0,) * dimension: value})
 

@@ -9,7 +9,7 @@ N and a geometric C ladder are enough.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,14 +125,6 @@ class PairSampleConfig:
     pairs = 2000
     seed: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "xi_radius": self.xi_radius,
-            "eta_radius": self.eta_radius,
-            "pairs": self.pairs,
-            "seed": self.seed,
-        }
-
 
 def _structured_points(n: int, radius: float) -> np.ndarray:
     pts = [np.zeros((1, n))]
@@ -167,17 +159,6 @@ class TemperateFit:
     n_exp: float | None = None
     residual: float = math.inf
     worst_pair: dict | None = None
-    config: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "success": self.success,
-            "C": self.c,
-            "N": self.n_exp,
-            "residual": self.residual,
-            "worst_pair": self.worst_pair,
-            "config": self.config,
-        }
 
 
 def _residuals(h: WeightFunction, xi: np.ndarray, eta: np.ndarray):
@@ -208,12 +189,8 @@ def fit_temperate(h: WeightFunction, cfg: PairSampleConfig | None = None) -> Tem
                 i = int(res.argmax())
                 worst = (peak, {"xi": xi[i].tolist(), "eta": eta[i].tolist(), "residual": peak})
             if peak <= FIT_RESIDUAL_TOL:
-                return TemperateFit(
-                    success=True, c=float(c), n_exp=float(n_exp), residual=peak, config=cfg.to_dict()
-                )
-    return TemperateFit(
-        success=False, residual=worst[0], worst_pair=worst[1], config=cfg.to_dict()
-    )
+                return TemperateFit(success=True, c=float(c), n_exp=float(n_exp), residual=peak)
+    return TemperateFit(success=False, residual=worst[0], worst_pair=worst[1])
 
 
 # -- ball supremum ---------------------------------------------------------------

@@ -208,7 +208,7 @@ def test_criterion_6_iterate_bound():
         for case in rep.cases:
             if not case.flagged:
                 assert case.margin >= -1e-9 * max(case.rhs, 1.0)
-        constants[res] = rep.extras["fitted_constant_proof_variant"]
+        constants[res] = rep.fitted_constant
     assert abs(constants[128] - constants[64]) <= 0.3 * constants[64]
     crit.finish()
 
@@ -282,7 +282,8 @@ def test_criterion_9_cli_contract(tmp_path, capsys):
         assert cli_main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes(), f"{name} reports differ between runs"
         report = json.loads(out1.read_text())
-        assert report["report-version"] == 1
+        assert report["report-version"] == 2
+        assert set(report) == {"report-version", "command", "config", "results"}
 
     bad = tmp_path / "malformed.json"
     bad.write_text("{ not json")

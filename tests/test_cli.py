@@ -18,6 +18,7 @@ from hypoel.analysis import RayConfig
 from hypoel.cli import main
 from hypoel.errors import ParseError
 from hypoel.sequences import GevreySequence
+from hypoel.symbols import SymbolPolynomial
 
 FIXTURES = resources.files("hypoel") / "fixtures"
 
@@ -42,9 +43,9 @@ def test_analyze_laplacian(tmp_path):
     code = run(["analyze", "--symbol", fixture_path("laplacian.json"), "--out", str(out)])
     assert code == 0
     report = read(out)
-    assert report["report-version"] == 1
+    assert report["report-version"] == 2
     assert report["command"] == "analyze"
-    assert set(report) == {"report-version", "command", "config", "results", "witnesses"}
+    assert set(report) == {"report-version", "command", "config", "results"}
     est = report["results"]["estimate"]
     assert est["verdict"] == "hypoelliptic-consistent"
     assert est["d_snapped"] == [1, 1]
@@ -53,10 +54,8 @@ def test_analyze_laplacian(tmp_path):
 def test_analyze_report_pins_the_ray_scheme(tmp_path):
     out = tmp_path / "report.json"
     assert run(["analyze", "--symbol", fixture_path("laplacian.json"), "--out", str(out)]) == 0
-    rays = {"directions": 256, "r0": 1.0, "rho": 2.0, "radii": 40, "include_characteristic_search": True, "seed": 0}
     report = read(out)
-    assert report["config"]["rays"] == rays
-    assert report["results"]["estimate"]["config"] == rays
+    assert report["config"]["rays"] == {"directions": 256, "radii": 40, "seed": 0}
 
 
 def test_analyze_rejects_radii_past_the_float_range(tmp_path, capsys):
@@ -65,8 +64,8 @@ def test_analyze_rejects_radii_past_the_float_range(tmp_path, capsys):
     assert "at most 1023 radii" in capsys.readouterr().err
     # a RuntimeWarning is an error here
     assert run(args + ["--radii", "1023", "--out", str(tmp_path / "r.json")]) == 0
-    est = read(tmp_path / "r.json")["results"]["estimate"]
-    assert est["config"]["radii"] == 1023 and est["d_snapped"] == [1, 1]
+    report = read(tmp_path / "r.json")
+    assert report["config"]["rays"]["radii"] == 1023 and report["results"]["estimate"]["d_snapped"] == [1, 1]
 
 
 def test_analyze_wave_is_a_finding_not_an_error(tmp_path):
@@ -169,7 +168,6 @@ def test_seq_check_constant_table_reports_failure(tmp_path):
     report = read(out)
     assert not report["results"]["h3_left"]["passed"]
     assert report["results"]["h3_left"]["first_failure"] == [2, 1]
-    assert report["witnesses"]
 
 
 def test_seq_check_inclusion_option(tmp_path):
@@ -357,7 +355,7 @@ def test_strength_degenerate_operator(tmp_path):
     assert code == 0
     report = read(out)
     assert report["results"]["verdict"] == "not-constant-strength"
-    assert report["witnesses"]
+    assert report["results"]["witness"]
 
 
 # -- verify ---------------------------------------------------------------------
@@ -382,7 +380,7 @@ def test_verify_prop31(tmp_path):
     assert code == 0
     report = read(out)
     assert report["results"]["verdict"] == "pass"
-    assert "fitted_constant_proof_variant" in report["results"]["extras"]
+    assert "fitted_constant_statement_variant" in report["results"]["extras"]
 
 
 def test_verify_domination(tmp_path):
@@ -714,7 +712,7 @@ def test_the_parser_parses_correctly_after_an_argparse_error(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["analyze", "--symbol", fixture_path("laplacian.json"), "--rays", "16", "--out", str(out)]) == 0
     config = read(out)["config"]
-    assert config["rays"]["directions"] == 16 and config["d"] is None and config["seed"] == 0
+    assert config["rays"]["directions"] == 16 and config["d"] is None and config["rays"]["seed"] == 0
 
 
 def test_a_replaced_run_function_is_the_one_that_runs(monkeypatch):
@@ -1004,6 +1002,14 @@ def _verify_th1(doc):
 TH1 = VERIFY_CONFIGS["th1"]
 
 
+def _analyze_laplacian_4d(tmp_path):
+    """The argv of `analyze --seed -1` on the 4-D Laplacian, written under tmp_path."""
+    path = tmp_path / "laplacian4.json"
+    path.write_text(json.dumps(SymbolPolynomial(4, {(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0, (0, 0, 2, 0): 1.0,
+                                                    (0, 0, 0, 2): 1.0}).to_dict()))
+    return ["analyze", "--symbol", str(path), "--rays", "16", "--seed", "-1"]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -1022,6 +1028,12 @@ TH1 = VERIFY_CONFIGS["th1"]
                      "config needs 'fixture' or 'fixtures'", id="no-fixture"),
         pytest.param(lambda t: ["strength", "--p", fixture_path("laplacian.json")],
                      "strength needs either --variable or both --p and --q", id="strength-p-alone"),
+        pytest.param(lambda t: ["analyze", "--symbol", fixture_path("laplacian.json"), "--rays", "16", "--seed", "-1"],
+                     "seed must be >= 0, got -1", id="analyze-negative-seed"),
+        pytest.param(_analyze_laplacian_4d, "seed must be >= 0, got -1", id="analyze-4d-negative-seed"),
+        pytest.param(_verify_th1({**TH1, "seed": -1}), "seed must be >= 0, got -1", id="th1-negative-seed"),
+        pytest.param(lambda t: ["seq-check", "--gevrey", "2", "--seed", "3"],
+                     "unrecognized arguments: --seed 3", id="seq-check-seed"),
     ],
 )
 def test_rejected_inputs_exit_2_naming_the_reason(tmp_path, capsys, argv, message):

@@ -75,8 +75,8 @@ def test_canonical_order_is_graded_lex():
 
 
 def test_zero_polynomial_has_order_zero():
-    assert SymbolPolynomial.zero(3).order == 0
-    assert SymbolPolynomial.zero(3).is_zero
+    assert SymbolPolynomial(3, {}).order == 0
+    assert SymbolPolynomial(3, {}).is_zero
 
 
 def test_equality_is_term_map_equality():
@@ -134,7 +134,7 @@ def test_eval_affine():
 
 
 def test_eval_zero_polynomial():
-    assert SymbolPolynomial.zero(2)((3.0, 4.0)) == 0.0
+    assert SymbolPolynomial(2, {})((3.0, 4.0)) == 0.0
 
 
 def test_eval_sum_of_squares():

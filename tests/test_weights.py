@@ -97,10 +97,8 @@ def _fit_by_reevaluation(h, cfg=None):
                 i = int(res.argmax())
                 worst = (peak, {"xi": xi[i].tolist(), "eta": eta[i].tolist(), "residual": peak})
             if peak <= FIT_RESIDUAL_TOL:
-                return {"success": True, "C": float(c), "N": float(n_exp), "residual": peak,
-                        "worst_pair": None, "config": cfg.to_dict()}
-    return {"success": False, "C": None, "N": None, "residual": worst[0], "worst_pair": worst[1],
-            "config": cfg.to_dict()}
+                return True, float(c), float(n_exp), peak, None
+    return False, None, None, worst[0], worst[1]
 
 
 def test_fit_matches_the_per_candidate_reevaluation_bit_for_bit(laplacian):
@@ -108,7 +106,8 @@ def test_fit_matches_the_per_candidate_reevaluation_bit_for_bit(laplacian):
              PowerWeight(StrengthWeight(SymbolPolynomial(1, {(3,): 1.0, (1,): 2.0})), 2), ExpNorm(2)]
     for h in cases:
         for cfg in (PairSampleConfig(), PairSampleConfig(seed=5)):
-            got = fit_temperate(h, cfg).to_dict()
+            fit = fit_temperate(h, cfg)
+            got = (fit.success, fit.c, fit.n_exp, fit.residual, fit.worst_pair)
             assert repr(got) == repr(_fit_by_reevaluation(h, cfg))
     assert not fit_temperate(ExpNorm(2)).success
 
@@ -251,7 +250,7 @@ def test_structured_samples_match_their_loops_bit_for_bit(n):
 
 def test_pair_sample_sets_only_its_seed():
     cfg = PairSampleConfig(seed=7)
-    assert cfg.to_dict() == {"xi_radius": 100.0, "eta_radius": 10.0, "pairs": 2000, "seed": 7}
+    assert (cfg.xi_radius, cfg.eta_radius, cfg.pairs, cfg.seed) == (100.0, 10.0, 2000, 7)
     with pytest.raises(TypeError):
         PairSampleConfig(pairs=300)
 
