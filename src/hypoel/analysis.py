@@ -107,6 +107,19 @@ def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     return rows[np.sort(order[np.concatenate([[True], (ranked[1:] != ranked[:-1]).any(axis=1)])])]
 
 
+def _cover(dirs: np.ndarray) -> float:
+    """How far a unit vector, or its negative, can be from the nearest of the unit directions dirs.
+
+    0 in 1-D; half the widest angular gap between neighbouring directions in 2-D; inf, no bound, above.
+    """
+    if dirs.shape[1] > 2:
+        return math.inf
+    if dirs.shape[1] == 1:
+        return 0.0
+    angles = np.sort(np.arctan2(dirs[:, 1], dirs[:, 0]))
+    return float(np.diff(angles, append=angles[0] + 2 * np.pi).max()) / 2
+
+
 def _characteristic_refinement(q: SymbolPolynomial, dirs: np.ndarray) -> np.ndarray:
     """Extra directions found by descending |principal part|^2 on the sphere, as an ascent of -|P_m|^2."""
     pm = q.principal_part()
@@ -118,7 +131,11 @@ def _characteristic_refinement(q: SymbolPolynomial, dirs: np.ndarray) -> np.ndar
     pm = SymbolPolynomial(q.dimension, dict(zip(pm.terms, scaled)))
     vals = np.abs(pm(dirs))
     vmax = float(vals.max())
-    if vmax == 0.0:
+    # |grad xi^alpha| <= |alpha| = m on the unit ball, so pm is m sum|c_alpha|-Lipschitz there, and |pm| is even;
+    # when |pm| stays above twice the keep bound, with room for rounding, within _cover(dirs) of every direction,
+    # no point of the sphere can pass the keep test below
+    lipschitz = q.order * float(np.abs(scaled).sum())
+    if vmax == 0.0 or vals.min() > 2e-6 * vmax + (_cover(dirs) + 1e-9) * lipschitz:
         return np.zeros((0, q.dimension))
     order = np.argsort(vals, kind="stable")
     starts = dirs[order[: min(32, len(dirs))]]

@@ -832,6 +832,73 @@ def test_refinement_reuses_the_accepted_values_bit_for_bit(seed):
         assert len(got)
 
 
+def _search_cases(kind: str, draws: int):
+    """Seeded 1-D and 2-D symbols with a direction set each, for the characteristic search's skip.
+
+    The near-degenerate families xi1^m + eps xi2^m and (xi1 - t xi2)^2 + eps xi2^2 take eps from 1 down to
+    1e-12, with a complex phase on half of the draws; lower-order terms never change the principal part.
+    """
+    rng = np.random.default_rng(["random-1d", "random-2d", "power", "square"].index(kind))
+    for _ in range(draws):
+        eps = 10.0 ** -rng.uniform(0, 12) * (np.exp(2j * np.pi * rng.random()) if rng.random() < 0.5 else 1.0)
+        if kind == "random-1d":
+            q = random_symbol(rng, 1, int(rng.integers(1, 9)))
+        elif kind == "random-2d":
+            q = random_symbol(rng, 2, int(rng.integers(1, 9)))
+        elif kind == "power":
+            m = int(rng.integers(1, 9))
+            q = SymbolPolynomial(2, {(m, 0): 1.0, (0, m): eps, (0, 0): complex(*rng.standard_normal(2))})
+        else:
+            t = rng.uniform(-3, 3)
+            q = SymbolPolynomial(2, {(2, 0): 1.0, (1, 1): -2 * t, (0, 2): t * t + eps, (1, 0): 1j * rng.standard_normal()})
+        if q.dimension == 1:
+            dirs = unit_directions(1, 2)
+        elif rng.random() < 0.25:  # a direction set without symmetry
+            angles = rng.uniform(0, 2 * np.pi, int(rng.integers(4, 300)))
+            dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        else:
+            dirs = unit_directions(2, int(rng.choice([4, 8, 64, 256, 2048])))
+        yield q, dirs
+
+
+@pytest.mark.parametrize("kind, draws", [("random-1d", 250), ("random-2d", 450), ("power", 300), ("square", 300)])
+def test_skipped_search_is_one_that_finds_nothing(kind, draws, monkeypatch):
+    searched, ascend = [], analysis.ascend
+    monkeypatch.setattr(analysis, "ascend", lambda *a: searched.append(1) or ascend(*a))
+    cover = analysis._cover
+    skips = found = 0
+    for q, dirs in _search_cases(kind, draws):
+        searched.clear()
+        got = analysis._characteristic_refinement(q, dirs)
+        skipped = not searched and not q.principal_part().is_zero
+        monkeypatch.setattr(analysis, "_cover", lambda dirs: math.inf)
+        want = analysis._characteristic_refinement(q, dirs)
+        monkeypatch.setattr(analysis, "_cover", cover)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        skips += skipped
+        found += bool(len(want))
+    # both branches: searches skipped, and searches run that keep directions
+    assert skips and (found or kind == "random-1d")
+    if kind == "random-1d":
+        assert skips == draws
+
+
+@pytest.mark.parametrize("count", [4, 7, 8, 64, 256, 2048])
+def test_cover_bounds_the_distance_to_the_nearest_direction(count):
+    dirs = unit_directions(2, count)
+    angles = 2 * np.pi * np.arange(2**16) / 2**16
+    points = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    # the smallest over the sampled unit vectors of the cosine to their nearest direction, 1,024 at a time
+    cos = min(float((chunk @ dirs.T).max(axis=1).min()) for chunk in np.split(points, 64))
+    brute = math.sqrt(2 - 2 * cos)
+    assert brute <= analysis._cover(dirs) < brute + 1e-3
+
+
+def test_cover_is_zero_in_1d_and_no_bound_in_3d():
+    assert analysis._cover(unit_directions(1, 2)) == 0.0
+    assert analysis._cover(unit_directions(3, 256)) == math.inf
+
+
 #: slopes at which a boost of 0.1, 0.2 or 0.5 brings the boosted slope to SLOPE_TOL, and their neighbours
 BOOST_EDGES = [v for edge in (-0.05, -0.15, -0.45) for v in (edge, np.nextafter(edge, 0), np.nextafter(edge, -1))]
 
