@@ -49,7 +49,6 @@ class RayConfig:
 
     directions: int = 256
     radii: int = 40
-    seed: int = 0
 
     def __post_init__(self):
         if self.radii < 8:
@@ -58,8 +57,6 @@ class RayConfig:
             raise ValueError(f"at most 1023 radii, got {self.radii}: the radius 2^1024 overflows a float")
         if self.directions > MAX_DIRECTIONS:
             raise ValueError(f"at most {MAX_DIRECTIONS} directions, got {self.directions}: a ray table has one row per direction")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def validate_for_dimension(self, n: int) -> None:
         if self.directions < 2 * n:
@@ -69,18 +66,19 @@ class RayConfig:
         return 2.0 ** np.arange(self.radii + 1)
 
 
-def unit_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
+def unit_directions(n: int, count: int) -> np.ndarray:
     """Unit directions, each row once, in first-seen order.
 
     For n <= 3, points of the region x_1 >= ... >= x_n >= 0 and its corners e_1,
     (e_1 + e_2)/sqrt(2), ... mapped by every signed permutation, the identity
     first: closed bit for bit under sign flips and coordinate swaps, and each
-    ray's copy in the region leads its mirror images.  For n >= 4, `count` seeded
-    directions, the axes and, up to MAX_DIRECTIONS of them, the sign diagonals.
+    ray's copy in the region leads its mirror images.  For n >= 4, the first
+    `count` directions of one fixed gaussian draw, the axes and, up to
+    MAX_DIRECTIONS of them, the sign diagonals.
     """
     signs = 1.0 - 2.0 * np.array(list(np.ndindex(*(2,) * n))) if 2**n <= MAX_DIRECTIONS else np.zeros((0, n))
     if n >= 4:
-        pts = np.random.default_rng(seed).standard_normal((count, n))
+        pts = np.random.default_rng(0).standard_normal((count, n))
         norms = np.linalg.norm(pts, axis=1)
         rows = np.concatenate([pts[norms > 1e-12] / norms[norms > 1e-12, None], signed_axes(n), signs / math.sqrt(n)])
     else:
@@ -216,7 +214,7 @@ def _ray_grid(n: int, cfg: RayConfig, refine_for: SymbolPolynomial | None = None
     With `refine_for`, directions found by its characteristic search follow the base ones.
     """
     cfg.validate_for_dimension(n)
-    dirs = unit_directions(n, cfg.directions, cfg.seed)
+    dirs = unit_directions(n, cfg.directions)
     num_base = len(dirs)
     if refine_for is not None:
         dirs = np.concatenate([dirs, _characteristic_refinement(refine_for, dirs)], axis=0)
@@ -306,12 +304,12 @@ def _first_max(values: np.ndarray, mask: np.ndarray | bool = True, current: floa
     return i if masked[i] > current + TIE_TOL else None
 
 
-def _is_monotone_tail(logs: np.ndarray, count: int = 5) -> np.ndarray:
-    """Rows whose last `count` ratios never fall by more than 1e-12 relatively.
+def _is_monotone_tail(logs: np.ndarray) -> np.ndarray:
+    """Rows whose last 5 ratios never fall by more than 1e-12 relatively.
 
     Each row's ratios are taken relative to its largest one, so none overflows.
     """
-    tail = logs[..., -count:]
+    tail = logs[..., -5:]
     tail = np.exp(tail - tail.max(axis=-1, keepdims=True))
     return np.all(np.diff(tail, axis=-1) >= -1e-12 * np.abs(tail[..., :-1]), axis=-1)
 
@@ -364,8 +362,8 @@ def _check_rays(table: _RayTable, d: float) -> HypoReport:
     A ray whose ratios are NaN never gives the constant, a witness or a
     worst slope, and counts as an ambiguous base ray.
     """
-    if d < 1:
-        raise ValueError("exponent d must be >= 1")
+    if not d >= 1:  # NaN fails too
+        raise ValueError(f"exponent d must be >= 1, got {d}")
     fitted_c, best_log = 0.0, -math.inf
     best_sample: RaySample | None = None
     worst_violation: RaySample | None = None
@@ -517,13 +515,11 @@ def _compare_strengths(log_p, log_q, dirs, radii) -> StrengthReport:
     return StrengthReport(verdict, bounds, witness)
 
 
-def check_symbol_domination(
-    r: SymbolPolynomial, q: SymbolPolynomial, cfg: RayConfig | None = None
-) -> dict:
+def check_symbol_domination(r: SymbolPolynomial, q: SymbolPolynomial) -> dict:
     """Spot-check |R(xi)| <= C (1 + |Q(xi)|) on the ray grid; raises when it diverges."""
     if r.dimension != q.dimension:
         raise DimensionMismatch(f"dimension mismatch: R has dimension {r.dimension}, Q has dimension {q.dimension}")
-    dirs, _, radii = _ray_grid(q.dimension, cfg or RayConfig())
+    dirs, _, radii = _ray_grid(q.dimension, RayConfig())
     log_r, log_q = _log_abs_on_rays([r, q], dirs, radii)
     logs = np.broadcast_to(log_r - np.logaddexp(0.0, log_q), (len(dirs), len(radii)))
     slopes = tail_slope(np.log(radii), logs, 2)

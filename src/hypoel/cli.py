@@ -1,7 +1,7 @@
 """Command line interface: analyze, seq-check, strength, and verify subcommands.
 
 Reports are JSON documents with a fixed key order, so repeated runs with the
-same inputs and seed are byte-identical.  Exit codes: 0 = completed (any
+same inputs are byte-identical.  Exit codes: 0 = completed (any
 analysis verdict, or a passing verification), 1 = a verification inequality
 failed numerically, 2 = malformed input or a rejected precondition.
 """
@@ -39,7 +39,7 @@ from .sequences import (
 )
 from .symbols import SymbolPolynomial, VariableOperator, load as load_symbol
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -116,9 +116,9 @@ def _report(command: str, config: dict, results: dict) -> dict:
 
 
 def _ray_config(args) -> RayConfig:
-    """The --seed flag, and the --rays and --radii flags that are set."""
+    """The --rays and --radii flags that are set, over RayConfig's defaults."""
     sizes = {"directions": args.rays, "radii": args.radii}
-    return RayConfig(seed=args.seed, **{k: v for k, v in sizes.items() if v is not None})
+    return RayConfig(**{k: v for k, v in sizes.items() if v is not None})
 
 
 # -- analyze ---------------------------------------------------------------------
@@ -232,7 +232,7 @@ def _load_config(path) -> dict:
 
 #: the top-level keys each check reads; a --kmax or --lmax flag is read only
 #: by the checks that read the key of the same name
-_COMMON_KEYS = {"check", "seed", "resolution"}
+_COMMON_KEYS = {"check", "resolution"}
 _CHECK_KEYS = {
     "domination": {"operator", "region", "fixture", "fixtures", "lmax", "x0", "delta"},
     "p1": {"symbol", "r_symbol", "omega", "d", "fixture", "fixtures", "t", "enforce_diameter"},
@@ -264,11 +264,11 @@ def _integer(value) -> int:
     return value
 
 
-#: the largest value of each integer setting: a seed a signed 64-bit integer holds,
-#: 2^12 grid nodes per axis, iterate and derivative orders far past the point
-#: where their norms leave the floating-point range, and a seq-check depth whose
-#: (pmax+1)^2 tables stay a few megabytes; a grid has at most 2^24 nodes in all
-_INTEGER_LIMITS = {"seed": 2**63 - 1, "resolution": 2**12, "kmax": 100, "lmax": 100, "amax": 100, "pmax": 1000}
+#: the largest value of each integer setting: 2^12 grid nodes per axis, iterate
+#: and derivative orders far past the point where their norms leave the
+#: floating-point range, and a seq-check depth whose (pmax+1)^2 tables stay a
+#: few megabytes; a grid has at most 2^24 nodes in all
+_INTEGER_LIMITS = {"resolution": 2**12, "kmax": 100, "lmax": 100, "amax": 100, "pmax": 1000}
 
 #: the largest seq-check --power-m: M_(p m) up to p = pmax stays within lgamma's and float's range
 _POWER_M_LIMIT = 1000
@@ -366,11 +366,9 @@ def run_verify(args) -> int:
     for flag in ("kmax", "lmax"):
         if getattr(args, flag, None) is not None and flag not in keys:
             raise ParseError(f"--{flag} does not apply to the {check} check")
-    seed = _config_integer(doc, args, "seed", 0)
     resolution = _config_integer(doc, args, "resolution", 64)
-    ray_cfg = RayConfig(seed=seed)
     csv_rows: list[tuple] = []
-    effective: dict = {"seed": seed, "resolution": resolution}
+    effective: dict = {"resolution": resolution}
     if check == "domination":
         op = _config_symbol(doc, "operator", base, VariableOperator)
         omega = _config_value(doc, "region", BoxDomain.from_dict, op.domain)
@@ -387,7 +385,7 @@ def run_verify(args) -> int:
         effective["lmax"] = lmax
         x0 = _config_value(doc, "x0", _numbers, list(op.domain.center))
         delta = _config_value(doc, "delta", _number, 0.0)
-        rep = verify_domination(op, x0, fixtures[0], lmax, omega, delta, ray_cfg)
+        rep = verify_domination(op, x0, fixtures[0], lmax, omega, delta)
         for case in rep.cases:
             l = case.params["l"]
             csv_rows.append(("frozen-iterates", l, case.lhs, int(case.flagged)))
@@ -395,7 +393,7 @@ def run_verify(args) -> int:
     elif check == "p1":
         r = _config_symbol(doc, "r_symbol", base)
         rep = verify_dominated_transfer(
-            q, r, d, fixtures, omega, _config_value(doc, "t", _number, 0.25), ray_cfg,
+            q, r, d, fixtures, omega, _config_value(doc, "t", _number, 0.25),
             enforce_diameter=_config_value(doc, "enforce_diameter", _boolean, True),
         )
     elif check == "prop31":
@@ -403,7 +401,7 @@ def run_verify(args) -> int:
         effective["kmax"] = kmax
         rep = verify_iterate_bound(
             q, d, fixtures, omega, kmax, _config_value(doc, "deltas", _numbers, [0.1]),
-            enforce_diameter=_config_value(doc, "enforce_diameter", _boolean, True), ray_cfg=ray_cfg,
+            enforce_diameter=_config_value(doc, "enforce_diameter", _boolean, True),
         )
     else:  # th1
         seq = _config_value(doc, "sequence", lambda v: _sequence(v, base))
@@ -412,7 +410,6 @@ def run_verify(args) -> int:
         effective.update({"lmax": lmax, "amax": amax})
         rep = verify_growth_chain(
             fixtures[0], q, seq, d, omega, _config_value(doc, "delta", _number, 0.05), lmax, amax,
-            ray_cfg=ray_cfg,
         )
         csv_rows = _sweep_rows("iterates", rep.vector_fit) + _sweep_rows("derivatives", rep.space_fit)
 
@@ -438,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--rays", type=int, default=None, help="number of sampled directions")
     p_an.add_argument("--radii", type=int, default=None, help="number of geometric radius steps")
     p_an.add_argument("--d", default=None, help="also test the inequality at this exponent")
-    p_an.add_argument("--seed", type=int, default=0)
     p_an.add_argument("--out", default=None, help="report path (default: stdout)")
 
     p_seq = sub.add_parser("seq-check", help="check defining-sequence conditions and fit constants")
@@ -457,13 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_str.add_argument("--points", type=int, default=None, help="number of freeze points")
     p_str.add_argument("--rays", type=int, default=None)
     p_str.add_argument("--radii", type=int, default=None)
-    p_str.add_argument("--seed", type=int, default=0)
     p_str.add_argument("--out", default=None)
 
     p_ver = sub.add_parser("verify", help="run an estimate verification from a config file")
     p_ver.add_argument("--check", required=True, choices=["p1", "prop31", "th1", "domination"])
     p_ver.add_argument("--config", required=True, help="path to a JSON config")
-    p_ver.add_argument("--seed", type=int, default=None)
     p_ver.add_argument("--resolution", type=int, default=None)
     p_ver.add_argument("--kmax", type=int, default=None)
     p_ver.add_argument("--lmax", type=int, default=None)
@@ -481,8 +475,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if args.command == "strength" and not args.variable and not (args.p and args.q):
-        parser.error("strength needs either --variable or both --p and --q")
+    if args.command == "strength":
+        if not args.variable and not (args.p and args.q):
+            parser.error("strength needs either --variable or both --p and --q")
+        for flag in ("p", "q") if args.variable else ("points",):
+            if getattr(args, flag) is not None:
+                parser.error(f"--{flag} does not apply to strength {'--variable' if args.variable else '--p/--q'}")
     # looked up on each call, so a replaced (say, wrapped) run_* function is the one that runs
     run = {"analyze": run_analyze, "seq-check": run_seq_check, "strength": run_strength, "verify": run_verify}
     try:

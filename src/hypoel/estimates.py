@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import RayConfig, check_constant_strength, check_symbol_domination, estimate_d
+from .analysis import check_constant_strength, check_symbol_domination, estimate_d
 from .domains import BoxDomain
 from .errors import HypoelError, PreconditionError
 from .fitting import least_squares_slope, tail_slope
@@ -181,7 +181,6 @@ def verify_dominated_transfer(
     fixtures,
     omega: BoxDomain,
     t: float,
-    cfg: RayConfig | None = None,
     enforce_diameter: bool = True,
 ) -> EstimateReport:
     """Shrink-norm transfer: N_dm(R(D)u) <= C' (N_dm(Q(D)u) + ||u||_{L2(omega)}).
@@ -192,7 +191,7 @@ def verify_dominated_transfer(
     """
     fixtures = _as_fixture_list(fixtures)
     _check_diameter(omega, enforce_diameter)
-    domination = check_symbol_domination(r, q, cfg)
+    domination = check_symbol_domination(r, q)
     mu_exp = d.value * q.order
     cases = []
     per_grid = {}  # per grid: the multipliers of R and Q, and the shrink norm on the one box it reads
@@ -219,9 +218,9 @@ def verify_dominated_transfer(
     )
 
 
-def _consistent_exponent(q: SymbolPolynomial, d: RationalExponent, ray_cfg: RayConfig | None) -> float:
+def _consistent_exponent(q: SymbolPolynomial, d: RationalExponent) -> float:
     """The symbol's estimated exponent; raises unless it is within 10% of d."""
-    est = estimate_d(q, ray_cfg)
+    est = estimate_d(q)
     if est.verdict == "violated" or est.d_estimate is None:
         raise PreconditionError("exponent-consistency", "symbol shows a hypoellipticity violation")
     if abs(est.d_estimate - d.value) > 0.1 * d.value:
@@ -253,7 +252,6 @@ def verify_iterate_bound(
     kmax: int,
     deltas: Sequence[float],
     enforce_diameter: bool = True,
-    ray_cfg: RayConfig | None = None,
 ) -> EstimateReport:
     """Derivative bound through operator iterates, in both exponent variants.
 
@@ -276,7 +274,7 @@ def verify_iterate_bound(
     for u in fixtures:
         for dl in deltas:
             _check_nodes_left(u, omega, dl)
-    _consistent_exponent(q, d, ray_cfg)
+    _consistent_exponent(q, d)
     res = min(u.spec.resolution for u in fixtures)
     if kmax * m * d.nu > res // 2:
         raise PreconditionError(
@@ -405,7 +403,6 @@ def verify_growth_chain(
     delta: float,
     lmax: int,
     amax: int,
-    ray_cfg: RayConfig | None = None,
 ) -> GrowthChainReport:
     """Iterate growth against M implies derivative growth against M^d.
 
@@ -432,7 +429,7 @@ def verify_growth_chain(
         "factorial_inclusion": inclusion.to_dict(),
     }
     _check_nodes_left(u, region, delta)
-    preconditions["exponent_estimate"] = _consistent_exponent(q, d, ray_cfg)
+    preconditions["exponent_estimate"] = _consistent_exponent(q, d)
 
     vector = fit_roumieu_vector(u, q, m_seq, region, delta, lmax)
     space = fit_roumieu_space(u, m_seq, d.value, region, delta, amax)
@@ -457,7 +454,6 @@ def verify_domination(
     lmax: int,
     region: BoxDomain,
     delta: float = 0.0,
-    ray_cfg: RayConfig | None = None,
 ) -> EstimateReport:
     """Frozen-operator iterates against variable-operator iterates.
 
@@ -469,7 +465,7 @@ def verify_domination(
     if lmax < 0:
         raise ValueError("lmax must be >= 0")
     _check_nodes_left(u, region, delta)
-    strength = check_constant_strength(p, ray_cfg)
+    strength = check_constant_strength(p)
     if strength.verdict != "constant-strength":
         raise PreconditionError(
             "constant-strength",

@@ -282,7 +282,7 @@ def test_criterion_9_cli_contract(tmp_path, capsys):
         assert cli_main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes(), f"{name} reports differ between runs"
         report = json.loads(out1.read_text())
-        assert report["report-version"] == 2
+        assert report["report-version"] == 3
         assert set(report) == {"report-version", "command", "config", "results"}
 
     bad = tmp_path / "malformed.json"

@@ -54,13 +54,13 @@ def test_unit_directions_1d_and_3d():
     assert all(abs(np.linalg.norm(d) - 1) < 1e-9 for d in dirs)
 
 
-def _unit_directions_by_rows(n, count, seed):
-    """The row-by-row construction of the seeded directions, n = 1 or n >= 4, kept as their reference."""
+def _unit_directions_by_rows(n, count):
+    """The row-by-row construction of the directions of the fixed draw, n = 1 or n >= 4, kept as their reference."""
     base = []
     if n == 1:
         base += [np.array([1.0]), np.array([-1.0])]
     else:
-        pts = np.random.default_rng(seed).standard_normal((count, n))
+        pts = np.random.default_rng(0).standard_normal((count, n))
         norms = np.linalg.norm(pts, axis=1)
         base.extend(pts[norms > 1e-12] / norms[norms > 1e-12, None])
     for j in range(n):
@@ -81,11 +81,10 @@ def _unit_directions_by_rows(n, count, seed):
 
 
 @pytest.mark.parametrize("n", [1, 4, 5, 6])
-@pytest.mark.parametrize("seed", [0, 3])
-def test_unit_directions_match_the_row_construction_bit_for_bit(n, seed):
+def test_unit_directions_match_the_row_construction_bit_for_bit(n):
     for count in (2 * n, 7, 8, 64, 256, 1024):
-        got = unit_directions(n, count, seed)
-        want = _unit_directions_by_rows(n, count, seed)
+        got = unit_directions(n, count)
+        want = _unit_directions_by_rows(n, count)
         # equal bytes: same rows in the same order, signs of zeros included
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -203,6 +202,11 @@ def test_elliptic_is_consistent(laplacian):
     rep = check_hypoelliptic(laplacian, 1.0)
     assert rep.verdict == "hypoelliptic-consistent"
     assert math.isfinite(rep.fitted_c) and rep.fitted_c > 0
+
+
+def test_a_nan_exponent_is_rejected_not_answered(laplacian):
+    with pytest.raises(ValueError, match="exponent d must be >= 1, got nan"):
+        check_hypoelliptic(laplacian, float("nan"), RayConfig(directions=16))
 
 
 def test_constant_symbol_fitted_c():

@@ -18,7 +18,6 @@ from hypoel.analysis import RayConfig
 from hypoel.cli import main
 from hypoel.errors import ParseError
 from hypoel.sequences import GevreySequence
-from hypoel.symbols import SymbolPolynomial
 
 FIXTURES = resources.files("hypoel") / "fixtures"
 
@@ -43,7 +42,7 @@ def test_analyze_laplacian(tmp_path):
     code = run(["analyze", "--symbol", fixture_path("laplacian.json"), "--out", str(out)])
     assert code == 0
     report = read(out)
-    assert report["report-version"] == 2
+    assert report["report-version"] == 3
     assert report["command"] == "analyze"
     assert set(report) == {"report-version", "command", "config", "results"}
     est = report["results"]["estimate"]
@@ -55,7 +54,7 @@ def test_analyze_report_pins_the_ray_scheme(tmp_path):
     out = tmp_path / "report.json"
     assert run(["analyze", "--symbol", fixture_path("laplacian.json"), "--out", str(out)]) == 0
     report = read(out)
-    assert report["config"]["rays"] == {"directions": 256, "radii": 40, "seed": 0}
+    assert report["config"]["rays"] == {"directions": 256, "radii": 40}
 
 
 def test_analyze_rejects_radii_past_the_float_range(tmp_path, capsys):
@@ -501,7 +500,7 @@ def run_p1_with_fixture(tmp_path, fixture) -> int:
         ("th1", {"lmax": 101}, [], ["'lmax'", "limit 100"]),
         ("th1", {"amax": 10**30}, [], ["'amax'", "limit 100"]),
         ("prop31", {"kmax": 10**30}, [], ["'kmax'", "limit 100"]),
-        ("p1", {"seed": 2**63}, [], ["'seed'", f"limit {2**63 - 1}"]),
+        ("p1", {"seed": 0}, [], ["unknown key", "'seed'"]),
         ("p1", {"resolution": 2**100}, [], ["'resolution'", "limit 4096"]),
         ("th1", {}, ["--lmax", str(10**30)], ["--lmax", "limit 100"]),
         ("domination", {"delta": "12"}, [], ["'delta'", "expected a number"]),
@@ -541,7 +540,7 @@ def run_p1_with_fixture(tmp_path, fixture) -> int:
     ],
     ids=["sequence-without-s", "deltas-int", "t-null", "x0-null", "amax-str", "unknown-key", "unread-key",
          "kmax-th1", "lmax-p1", "lmax-prop31", "deltas-zero", "lmax-float", "d-inf", "deltas-str", "x0-str",
-         "x0-bools", "lmax-huge", "lmax-past-limit", "amax-huge", "kmax-huge", "seed-huge", "resolution-huge",
+         "x0-bools", "lmax-huge", "lmax-past-limit", "amax-huge", "kmax-huge", "seed-key", "resolution-huge",
          "lmax-flag-huge", "delta-str", "delta-str-th1", "delta-bool", "t-str", "s-bool", "s-str",
          "enforce-diameter-str", "enforce-diameter-no", "enforce-diameter-int", "delta-empties-domination",
          "delta-empties-th1", "deltas-empty-prop31", "s-nan", "s-inf", "t-inf", "deltas-minus-inf", "x0-nan",
@@ -712,7 +711,7 @@ def test_the_parser_parses_correctly_after_an_argparse_error(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["analyze", "--symbol", fixture_path("laplacian.json"), "--rays", "16", "--out", str(out)]) == 0
     config = read(out)["config"]
-    assert config["rays"]["directions"] == 16 and config["d"] is None and config["rays"]["seed"] == 0
+    assert config["rays"] == {"directions": 16, "radii": 40} and config["d"] is None
 
 
 def test_a_replaced_run_function_is_the_one_that_runs(monkeypatch):
@@ -786,7 +785,7 @@ def test_report_embeds_full_config(tmp_path):
     out = tmp_path / "report.json"
     run(["verify", "--check", "prop31", "--config", fixture_path("verify_prop31.json"), "--out", str(out)])
     config = read(out)["config"]
-    assert config["seed"] == 0
+    assert "seed" not in config
     assert config["resolution"] == 128
     assert config["kmax"] == 3
     assert config["deltas"] == [0.05, 0.1, 0.2]
@@ -1002,14 +1001,6 @@ def _verify_th1(doc):
 TH1 = VERIFY_CONFIGS["th1"]
 
 
-def _analyze_laplacian_4d(tmp_path):
-    """The argv of `analyze --seed -1` on the 4-D Laplacian, written under tmp_path."""
-    path = tmp_path / "laplacian4.json"
-    path.write_text(json.dumps(SymbolPolynomial(4, {(2, 0, 0, 0): 1.0, (0, 2, 0, 0): 1.0, (0, 0, 2, 0): 1.0,
-                                                    (0, 0, 0, 2): 1.0}).to_dict()))
-    return ["analyze", "--symbol", str(path), "--rays", "16", "--seed", "-1"]
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -1028,12 +1019,20 @@ def _analyze_laplacian_4d(tmp_path):
                      "config needs 'fixture' or 'fixtures'", id="no-fixture"),
         pytest.param(lambda t: ["strength", "--p", fixture_path("laplacian.json")],
                      "strength needs either --variable or both --p and --q", id="strength-p-alone"),
-        pytest.param(lambda t: ["analyze", "--symbol", fixture_path("laplacian.json"), "--rays", "16", "--seed", "-1"],
-                     "seed must be >= 0, got -1", id="analyze-negative-seed"),
-        pytest.param(_analyze_laplacian_4d, "seed must be >= 0, got -1", id="analyze-4d-negative-seed"),
-        pytest.param(_verify_th1({**TH1, "seed": -1}), "seed must be >= 0, got -1", id="th1-negative-seed"),
+        pytest.param(lambda t: ["strength", "--p", fixture_path("laplacian.json"), "--q", fixture_path("heat.json"),
+                                "--points", "7"],
+                     "--points does not apply to strength --p/--q", id="strength-pq-points"),
+        pytest.param(lambda t: ["strength", "--variable", fixture_path("drift_operator.json"),
+                                "--p", fixture_path("laplacian.json")],
+                     "--p does not apply to strength --variable", id="strength-variable-p"),
         pytest.param(lambda t: ["seq-check", "--gevrey", "2", "--seed", "3"],
                      "unrecognized arguments: --seed 3", id="seq-check-seed"),
+        pytest.param(lambda t: ["analyze", "--symbol", fixture_path("laplacian.json"), "--seed", "0"],
+                     "unrecognized arguments: --seed 0", id="analyze-seed"),
+        pytest.param(lambda t: ["strength", "--variable", fixture_path("drift_operator.json"), "--seed", "0"],
+                     "unrecognized arguments: --seed 0", id="strength-seed"),
+        pytest.param(lambda t: _verify_th1(TH1)(t) + ["--seed", "0"],
+                     "unrecognized arguments: --seed 0", id="verify-seed"),
     ],
 )
 def test_rejected_inputs_exit_2_naming_the_reason(tmp_path, capsys, argv, message):
