@@ -30,7 +30,7 @@ print(f"\npower bound for doubled indices, factorials: B = {b:.4f}")
 # other way around.
 fwd = fit_inclusion(gevrey(1), gevrey(2))
 bwd = fit_inclusion(gevrey(2), gevrey(1))
-print(f"\np! inside (p!)^2 : holds={fwd.holds} with L={fwd.big_l}, C={fwd.c}")
+print(f"\np! inside (p!)^2 : holds={fwd.holds} with L={fwd.L}, C={fwd.C}")
 print(f"(p!)^2 inside p! : holds={bwd.holds} (tail slope {bwd.tail_slope:.3f})")
 
 # Powered sequences compose exactly.
@@ -41,4 +41,4 @@ print(f"\n(gevrey(1.5))^2 log M_10 = {ps.log_m(10):.6f} = gevrey(3) log M_10 = {
 # classes ignore geometric factors, so the fitted L is at least 1: for
 # M = p! itself that is L = 1, with C = 1.
 own = fit_inclusion(gevrey(1), gevrey(1), pmax=200)
-print(f"\np! inside p! : holds={own.holds} with L={own.big_l}, C={own.c}")
+print(f"\np! inside p! : holds={own.holds} with L={own.L}, C={own.C}")

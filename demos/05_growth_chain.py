@@ -23,7 +23,7 @@ print("  unresolved:", vec.flagged)
 # Conclusion side: derivative norms against the powered sequence.
 space = H.fit_roumieu_space(bump, H.gevrey(1), d=1.0, region=omega, delta=0.05, amax=12)
 print("\nderivative fit: constant = {:.4f}".format(space.constant))
-print("  residual tail slope:", round(space.residual_tail_slope(), 4))
+print("  residual tail slope:", round(space.residual_tail_slope, 4))
 
 # The combined verdict enforces the preconditions (sequence conditions,
 # factorial-power inclusion, exponent consistency) before fitting.

@@ -167,9 +167,6 @@ class RaySample:
     ratio: float
     slope: float
 
-    def to_dict(self) -> dict:
-        return {**vars(self), "beta": list(self.beta), "direction": [float(v) for v in self.direction]}
-
 
 @dataclass
 class HypoReport:
@@ -180,19 +177,12 @@ class HypoReport:
     witness: RaySample | None = None
     per_beta_slopes: list[dict] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        d_snapped = list(self.d_snapped) if self.d_snapped else None
-        return {**vars(self), "d_snapped": d_snapped, "witness": self.witness.to_dict() if self.witness else None}
-
 
 @dataclass
 class StrengthReport:
     verdict: str
     ratio_bounds: tuple[float, float] | None = None
     witness: dict | None = None
-
-    def to_dict(self) -> dict:
-        return {**vars(self), "ratio_bounds": list(self.ratio_bounds) if self.ratio_bounds else None}
 
 
 def snap_rational(value: float) -> tuple[int, int] | None:

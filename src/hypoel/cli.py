@@ -17,6 +17,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analysis import RayConfig, _check_rays, _estimate, check_constant_strength, equally_strong
 from .domains import BoxDomain
@@ -54,8 +56,8 @@ def _json_text(obj) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True)` and a newline, in one walk.
 
     Keys are strings.  A float that is not finite is written as the string
-    "inf", "-inf" or "nan", since JSON has no such number; tuples are written
-    as lists.
+    "inf", "-inf" or "nan", since JSON has no such number; tuples and arrays
+    are written as lists, and a dataclass as the dict of its fields.
     """
     parts: list[str] = []
     _write_json(obj, parts.append, "\n")
@@ -99,6 +101,10 @@ def _write_json(obj, write, newline: str) -> None:
             _write_json(value, write, inner)
             sep = "," + inner
         write(newline + "]")
+    elif isinstance(obj, np.ndarray):
+        _write_json(obj.tolist(), write, newline)
+    elif dataclasses.is_dataclass(obj):
+        _write_json(vars(obj), write, newline)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -111,7 +117,7 @@ def _emit(report: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _report(command: str, config: dict, results: dict) -> dict:
+def _report(command: str, config: dict, results) -> dict:
     return {"report-version": REPORT_VERSION, "command": command, "config": config, "results": results}
 
 
@@ -138,11 +144,11 @@ def run_analyze(args) -> int:
         raise ParseError(f"{args.symbol} holds a variable operator; `analyze` expects a symbol")
     cfg = _ray_config(args)
     est, table = _estimate(q, cfg)
-    results = {"estimate": est.to_dict()}
+    results = {"estimate": est}
     if args.d is not None:
         # check_hypoelliptic(q, d, cfg), on the rays the estimate has already evaluated
-        results["check_at_d"] = _check_rays(table, _exponent_flag(args.d)).to_dict()
-    config = {"symbol": q.to_dict(), "rays": dataclasses.asdict(cfg), "d": args.d}
+        results["check_at_d"] = _check_rays(table, _exponent_flag(args.d))
+    config = {"symbol": q.to_dict(), "rays": cfg, "d": args.d}
     _emit(_report("analyze", config, results), args.out)
     return EXIT_OK
 
@@ -172,7 +178,7 @@ def run_seq_check(args) -> int:
     if args.inclusion_gevrey is not None:
         report.inclusion = fit_inclusion(seq, gevrey(args.inclusion_gevrey), args.pmax)
     config = {"sequence": desc, "pmax": args.pmax, "power_m": str(frac), "inclusion_gevrey": args.inclusion_gevrey}
-    _emit(_report("seq-check", config, report.to_dict()), args.out)
+    _emit(_report("seq-check", config, report), args.out)
     return EXIT_OK
 
 
@@ -194,7 +200,7 @@ def run_strength(args) -> int:
             raise ParseError("`strength --p/--q` expects constant-coefficient symbols")
         rep = equally_strong(p, q, cfg)
         config = {"p": p.to_dict(), "q": q.to_dict()}
-    _emit(_report("strength", {**config, "rays": dataclasses.asdict(cfg)}, rep.to_dict()), args.out)
+    _emit(_report("strength", {**config, "rays": cfg}, rep), args.out)
     return EXIT_OK
 
 
@@ -413,7 +419,7 @@ def run_verify(args) -> int:
         )
         csv_rows = _sweep_rows("iterates", rep.vector_fit) + _sweep_rows("derivatives", rep.space_fit)
 
-    _emit(_report("verify", {**doc, **effective}, rep.to_dict()), args.out)
+    _emit(_report("verify", {**doc, **effective}, rep), args.out)
     if args.csv:
         _write_csv(args.csv, csv_rows)
     return EXIT_OK if rep.verdict == "pass" else EXIT_FAIL

@@ -77,9 +77,6 @@ class EstimateCase:
     margin: float
     flagged: bool = False
 
-    def to_dict(self) -> dict:
-        return vars(self).copy()
-
 
 @dataclass
 class EstimateReport:
@@ -87,9 +84,10 @@ class EstimateReport:
     fitted_constant: float
     cases: list[EstimateCase] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
+    num_flagged: int = field(init=False)
 
-    def to_dict(self) -> dict:
-        return {**vars(self), "cases": [c.to_dict() for c in self.cases], "num_flagged": sum(c.flagged for c in self.cases)}
+    def __post_init__(self):
+        self.num_flagged = sum(c.flagged for c in self.cases)
 
 
 @dataclass
@@ -101,15 +99,13 @@ class GrowthFit:
     slope: float
     flagged: list[bool]
     target: str
+    #: least-squares slope of the residuals over the last third of usable indices
+    residual_tail_slope: float = field(init=False)
 
-    def residual_tail_slope(self) -> float:
-        """Least-squares slope of the residuals over the last third of usable indices."""
+    def __post_init__(self):
         pts = [(l, r) for l, r, f in zip(self.labels, self.log_residuals, self.flagged) if r is not None and not f]
         labels, residuals = zip(*pts) if pts else ((), ())
-        return tail_slope(labels, residuals, 3)
-
-    def to_dict(self) -> dict:
-        return {**vars(self), "residual_tail_slope": self.residual_tail_slope()}
+        self.residual_tail_slope = tail_slope(labels, residuals, 3)
 
 
 def _as_fixture_list(u) -> list[GridFunction]:
@@ -377,7 +373,7 @@ def fit_roumieu_space(
     amax: int,
 ) -> GrowthFit:
     """Fit C with max_{|alpha|=a} ||D^alpha u|| <= C^{a+1} (M_a)^d over derivative orders."""
-    powered = power_sequence(m_seq, d) if d != 1.0 else m_seq
+    powered = power_sequence(m_seq, d)
     sweep = derivative_norms(u, amax, region, delta)
     log_targets = [powered.log_m(a) for a in sweep.labels]
     return _growth_fit_from_sweep(sweep, log_targets, f"(M_a)^{d}")
@@ -389,9 +385,6 @@ class GrowthChainReport:
     vector_fit: GrowthFit
     space_fit: GrowthFit
     preconditions: dict
-
-    def to_dict(self) -> dict:
-        return {**vars(self), "vector_fit": self.vector_fit.to_dict(), "space_fit": self.space_fit.to_dict()}
 
 
 def verify_growth_chain(
@@ -417,17 +410,14 @@ def verify_growth_chain(
         raise PreconditionError(
             "sequence-conditions", "sequence fails log-convexity or stability checks"
         )
-    inclusion = fit_inclusion(power_sequence(gevrey(1.0), d.value), m_seq, 60)
+    inclusion = fit_inclusion(gevrey(d.value), m_seq, 60)
     if not inclusion.holds:
         raise PreconditionError(
             "factorial-inclusion",
             f"(p!)^{d.value} is not included in the sequence, even up to a factor L^p "
             f"(the increments of the log-ratio grow at rate {inclusion.tail_slope:.3f} in log p)",
         )
-    preconditions = {
-        "sequence_conditions": basics.to_dict(),
-        "factorial_inclusion": inclusion.to_dict(),
-    }
+    preconditions = {"sequence_conditions": basics, "factorial_inclusion": inclusion}
     _check_nodes_left(u, region, delta)
     preconditions["exponent_estimate"] = _consistent_exponent(q, d)
 
@@ -436,8 +426,8 @@ def verify_growth_chain(
     ok = (
         math.isfinite(vector.constant)
         and math.isfinite(space.constant)
-        and vector.residual_tail_slope() <= RESIDUAL_SLOPE_TOL
-        and space.residual_tail_slope() <= RESIDUAL_SLOPE_TOL
+        and vector.residual_tail_slope <= RESIDUAL_SLOPE_TOL
+        and space.residual_tail_slope <= RESIDUAL_SLOPE_TOL
     )
     return GrowthChainReport(
         verdict="pass" if ok else "fail",

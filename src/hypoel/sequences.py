@@ -151,26 +151,14 @@ class ConditionCheck:
     passed: bool
     first_failure: tuple | None = None
 
-    def to_dict(self) -> dict:
-        return vars(self).copy()
-
 
 @dataclass
 class InclusionFit:
     holds: bool
-    big_l: float | None = None
-    c: float | None = None
+    L: float | None = None
+    C: float | None = None
     tail_slope: float = 0.0
     witness_p: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "L": self.big_l,
-            "C": self.c,
-            "tail_slope": self.tail_slope,
-            "witness_p": self.witness_p,
-        }
 
 
 @dataclass
@@ -185,15 +173,6 @@ class SequenceConditionReport:
     @property
     def all_passed(self) -> bool:
         return self.h1.passed and self.root_monotone.passed and self.h3_left.passed
-
-    def to_dict(self) -> dict:
-        return {
-            **vars(self),
-            "h1": self.h1.to_dict(),
-            "root_monotone": self.root_monotone.to_dict(),
-            "h3_left": self.h3_left.to_dict(),
-            "inclusion": self.inclusion.to_dict() if self.inclusion else None,
-        }
 
 
 def _logs(m: RoumieuSequence, ps: Sequence[int]) -> np.ndarray:
@@ -279,4 +258,4 @@ def fit_inclusion(m: RoumieuSequence, n: RoumieuSequence, pmax: int = 60) -> Inc
         return InclusionFit(holds=False, tail_slope=slope, witness_p=witness)
     log_l = float(increments[-max(-(-pmax // 2), 2) :].max(initial=0.0))
     log_c = float(np.max(r - np.arange(pmax + 1) * log_l))
-    return InclusionFit(holds=True, big_l=_exp(log_l), c=_exp(log_c), tail_slope=slope)
+    return InclusionFit(holds=True, L=_exp(log_l), C=_exp(log_c), tail_slope=slope)

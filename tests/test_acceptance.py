@@ -110,7 +110,7 @@ def test_criterion_3_sequence_suite():
     b = H.fit_power_bound(H.gevrey(1), 2, 1, 60)
     assert 3.4 <= b <= 4.0
     inc = H.fit_inclusion(H.gevrey(1), H.gevrey(2), 60)
-    assert inc.holds and inc.big_l == pytest.approx(1.0) and inc.c == pytest.approx(1.0)
+    assert inc.holds and inc.L == pytest.approx(1.0) and inc.C == pytest.approx(1.0)
     assert not H.fit_inclusion(H.gevrey(2), H.gevrey(1), 60).holds
     crit.finish()
 
@@ -231,7 +231,7 @@ def test_criterion_7_growth_chain():
     assert rep.verdict == "pass"
     for fit in (rep.vector_fit, rep.space_fit):
         assert math.isfinite(fit.constant) and fit.constant > 0
-        assert fit.residual_tail_slope() <= 0.0 + 1e-9
+        assert fit.residual_tail_slope <= 0.0 + 1e-9
     crit.finish()
 
 

@@ -370,8 +370,8 @@ def test_random_elliptic_symbols_snap_to_one(seed):
 
 
 def test_reports_are_deterministic(laplacian):
-    a = estimate_d(laplacian).to_dict()
-    b = estimate_d(laplacian).to_dict()
+    a = cli._json_text(estimate_d(laplacian))
+    b = cli._json_text(estimate_d(laplacian))
     assert a == b
 
 
@@ -704,7 +704,7 @@ def _sweep_by_reevaluation(q):
 def _reports(q, cfg):
     """estimate_d and check_hypoelliptic at d = 1 and 2, each as its JSON text, which tells -0.0 and NaN apart."""
     reports = [estimate_d(q, cfg), check_hypoelliptic(q, 1.0, cfg), check_hypoelliptic(q, 2.0, cfg)]
-    return [json.dumps(rep.to_dict()) for rep in reports]
+    return [cli._json_text(rep) for rep in reports]
 
 
 def _table_cases():

@@ -1,5 +1,7 @@
-"""Every name the package exports is used by the program itself, not by its own tests alone."""
+"""The package's surface: every name it exports is used by the program itself, not by its own tests alone,
+and only its input formats define `to_dict`."""
 
+import ast
 import re
 import types
 from pathlib import Path
@@ -38,3 +40,18 @@ def test_every_export_has_a_use_outside_the_tests():
     assert unused == [], f"exported but reached only by tests: {unused}"
     gained = sorted(n for n in TEST_ONLY if _used(n, lines))
     assert gained == [], f"listed as test-only but used by the program: {gained}"
+
+
+#: the classes whose dict is an input file format, which their `from_dict` reads back
+INPUT_FORMATS = {"BoxDomain", "SymbolPolynomial", "VariableOperator"}
+
+
+def test_only_input_formats_define_to_dict():
+    """Reports are written from the result objects' fields by the CLI's one writer, not by per-class serializers."""
+    owners = {
+        node.name
+        for path in (ROOT / "src/hypoel").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and any(isinstance(f, ast.FunctionDef) and f.name == "to_dict" for f in node.body)
+    }
+    assert owners == INPUT_FORMATS

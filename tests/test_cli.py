@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -9,9 +10,11 @@ import tempfile
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hypoel import analysis, cli
 from hypoel.analysis import RayConfig
@@ -734,8 +737,21 @@ def test_module_run_prints_the_in_process_report(capsys):
     assert proc.stdout == in_process
 
 
+@dataclasses.dataclass
+class _Result:
+    """A result object of the kind the commands hand the writer: a dataclass holding a subtree."""
+
+    label: str
+    value: object
+
+
 def _sanitize(obj):
-    """Reference: inf and nan become their repr strings; json.dumps of the result is the text the writer must give."""
+    """Reference: inf and nan become their repr strings, a dataclass the dict of its fields and an array its list;
+    json.dumps of the result is the text the writer must give."""
+    if dataclasses.is_dataclass(obj):
+        return _sanitize(vars(obj))
+    if isinstance(obj, np.ndarray):
+        return _sanitize(obj.tolist())
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -748,8 +764,10 @@ def _sanitize(obj):
 
 
 report_trees = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda children: st.lists(children) | st.lists(children).map(tuple) | st.dictionaries(st.text(), children),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, min_side=0, max_side=3)),
+    lambda children: st.lists(children) | st.lists(children).map(tuple) | st.dictionaries(st.text(), children)
+    | st.builds(_Result, st.text(), children),
     max_leaves=40,
 )
 
@@ -758,6 +776,7 @@ report_trees = st.recursive(
 @given(tree=report_trees)
 @example(tree={"ä": [0.0, -0.0, float("inf"), float("-inf"), float("nan")], "": {}, "e": [], "t": (1, "\u2028")})
 @example(tree=[10**40, -1, True, None, 1e-300, 5e-324, 1.7976931348623157e308, "\x00\"\\"])
+@example(tree=_Result("r", {"a": np.array([[0.0, -0.0], [np.inf, np.nan]]), "b": _Result("", np.zeros(0))}))
 def test_report_text_is_the_sanitized_json_dump(tree):
     want = json.dumps(_sanitize(tree), indent=2, sort_keys=True, allow_nan=False) + "\n"
     assert cli._json_text(tree) == want

@@ -48,14 +48,6 @@ def wide_box():
     return BoxDomain((-0.7, -0.7), (0.7, 0.7))
 
 
-def test_estimate_case_dict_is_a_copy():
-    case = estimates.EstimateCase({"k": 1}, 1.0, 2.0, 1.0)
-    row = case.to_dict()
-    assert row == {"params": {"k": 1}, "lhs": 1.0, "rhs": 2.0, "margin": 1.0, "flagged": False}
-    row["flagged"] = True
-    assert case.flagged is False
-
-
 # -- RationalExponent ---------------------------------------------------------------
 
 
@@ -343,7 +335,7 @@ def test_vector_fit_zero_fixture_sentinel(laplacian, wide_box):
     fit = fit_roumieu_vector(zero_function(spec), laplacian, gevrey(1), wide_box, 0.05, 4)
     assert fit.constant == 0.0
     assert fit.log_residuals == [None] * 5
-    assert fit.slope == 0.0 and fit.residual_tail_slope() == 0.0
+    assert fit.slope == 0.0 and fit.residual_tail_slope == 0.0
 
 
 def test_vector_fit_eigenmode_closed_form(laplacian, wide_box):
@@ -381,7 +373,7 @@ def test_vector_fit_bump_residuals_fall_at_tail(laplacian, wide_box):
     fit = fit_roumieu_vector(u, laplacian, gevrey(1), wide_box, 0.05, 6)
     usable = [l for l, r, f in zip(fit.labels, fit.log_residuals, fit.flagged) if r is not None and not f]
     assert {3, 4} <= set(usable)
-    assert fit.residual_tail_slope() <= 1e-9
+    assert fit.residual_tail_slope <= 1e-9
 
 
 def test_vector_fit_unimodular_invariance(laplacian, wide_box):
@@ -429,8 +421,8 @@ def test_growth_chain_laplacian_passes(laplacian, wide_box):
         u, laplacian, gevrey(1), RationalExponent(1, 1), wide_box, 0.05, 6, 12
     )
     assert rep.verdict == "pass"
-    assert rep.vector_fit.residual_tail_slope() <= 1e-9
-    assert rep.space_fit.residual_tail_slope() <= 1e-9
+    assert rep.vector_fit.residual_tail_slope <= 1e-9
+    assert rep.space_fit.residual_tail_slope <= 1e-9
 
 
 def test_growth_chain_eigenmode_passes(laplacian, wide_box):
