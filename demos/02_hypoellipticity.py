@@ -14,6 +14,8 @@ CASES = {
     "laplacian + drift": SymbolPolynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): 1.0}),
     "heat": SymbolPolynomial(2, {(2, 0): 1.0, (0, 1): 1j}),
     "wave": SymbolPolynomial(2, {(2, 0): 1.0, (0, 2): -1.0}),
+    # a scaled wave reads violated too: its parts are summed term by term, so 3 t1^2 - 3 t2^2 is exactly 0 where t1 = t2
+    "3 x wave": SymbolPolynomial(2, {(2, 0): 3.0, (0, 2): -3.0}),
 }
 
 for name, q in CASES.items():

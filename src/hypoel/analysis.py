@@ -214,29 +214,28 @@ def _ray_grid(n: int, cfg: RayConfig, refine_for: SymbolPolynomial | None = None
 def _log_abs_on_rays(family: Sequence[SymbolPolynomial], dirs: np.ndarray, radii: np.ndarray) -> list[np.ndarray]:
     """log|P(r theta)| for each P of the family, from the homogeneous parts H_k of P on each direction.
 
-    The direction powers and the monomials of all the family's multi-indices
-    are tabled once.  Each ray is scaled by its own top nonzero degree k*, as
-    r^k* sum_{k <= k*} H_k(theta) r^(k - k*), so no radius overflows; a row
-    of -inf is a ray on which P vanishes identically.  A P of positive order
-    is shaped (rays, radii), a constant (rays, 1), the same at every radius.
+    The nonzero parts of the whole family are summed by one `_evaluate` call.  Each ray is scaled by its own top
+    nonzero degree k*, as r^k* sum_{k <= k*} H_k(theta) r^(k - k*), so no radius overflows; a row of -inf is a
+    ray on which P vanishes identically.  A P of positive order is shaped (rays, radii), a constant (rays, 1),
+    the same at every radius.
     """
-    n = dirs.shape[1]
-    union = {alpha: i for i, alpha in enumerate(dict.fromkeys(a for p in family for a in p.terms))}
-    powers = np.ones((len(dirs), n, max(p.order for p in family) + 1))
-    powers[:, :, 1:] = dirs[:, :, None]
-    np.cumprod(powers, axis=2, out=powers)
-    monomials = np.prod(powers[:, np.arange(n), np.array(list(union), dtype=int).reshape(-1, n)], axis=-1)
-    out = []
+    scaled = []
     for p in family:
-        m = p.order
         coeffs = np.array(list(p.terms.values()), dtype=complex)
         if not np.isfinite(coeffs).all():
             raise HypoelError("a derivative of the symbol has a coefficient beyond floating-point range")
         # dividing by a power of two is exact and keeps every sum below in range
         scale = math.frexp(np.abs(coeffs.view(float)).max(initial=0.0))[1]
-        by_degree = np.zeros((len(coeffs), m + 1), dtype=complex)
-        by_degree[np.arange(len(coeffs)), [sum(a) for a in p.terms]] = np.ldexp(coeffs.view(float), -scale).view(complex)
-        parts = monomials[:, [union[a] for a in p.terms]] @ by_degree
+        terms = dict(zip(p.terms, np.ldexp(coeffs.view(float), -scale).view(complex)))
+        scaled.append((scale, {k: SymbolPolynomial(p.dimension, {a: c for a, c in terms.items() if sum(a) == k})
+                               for k in dict.fromkeys(map(sum, terms))}))
+    values = _evaluate([h for _, by_degree in scaled for h in by_degree.values()], dirs)
+    out = []
+    for p, (scale, by_degree) in zip(family, scaled):
+        m = p.order
+        parts = np.zeros((len(dirs), m + 1), dtype=complex)
+        for k in by_degree:
+            parts[:, k] = next(values)
         top = m - np.argmax(parts[:, ::-1] != 0, axis=1)
         # column j of the reversed parts holds H_{k*-j}, the coefficient of r^-j
         shift = top[:, None] - np.arange(m + 1)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -280,6 +281,17 @@ def test_estimate_wave_violated(wave_symbol):
     assert rep.d_estimate is None
     direction = np.abs(np.asarray(rep.witness.direction))
     assert np.allclose(direction, 1 / math.sqrt(2), atol=1e-2)
+
+
+@pytest.mark.parametrize("rays", [256, 1024])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("c", [0.01, 1 / 3, 0.75, 3.0, 7.1, 10.0, 100.0, 1e4])
+def test_scaled_diagonal_waves_are_violated(c, n, rays):
+    # c(xi1^2 - xi2^2), plus c xi3^2 in 3-D, sums to exactly 0 on the diagonal row (1, 1)/sqrt(2), (1, 1, 0)/sqrt(2) in 3-D
+    q = SymbolPolynomial(n, {(2, 0): c, (0, 2): -c} if n == 2 else {(2, 0, 0): c, (0, 2, 0): -c, (0, 0, 2): c})
+    cfg = RayConfig(directions=rays)
+    assert estimate_d(q, cfg).verdict == "violated"
+    assert check_hypoelliptic(q, 1.0, cfg).verdict == "violated"
 
 
 def test_estimate_reports_a_violation_of_its_own_check():
@@ -761,19 +773,50 @@ def test_characteristic_search_evaluates_once_per_step(monkeypatch):
     assert families == [[pm, pm.derive((1, 0)), pm.derive((0, 1))]] * 41
 
 
-def test_ray_table_builds_one_monomial_table(heat_symbol, monkeypatch):
-    tables, prod = [], np.prod
-
-    def counted(a, *args, **kwargs):
-        # the monomial table is the one product over a (rays, multi-indices, n) array of direction powers
-        if np.ndim(a) == 3:
-            tables.append(np.shape(a))
-        return prod(a, *args, **kwargs)
-
-    monkeypatch.setattr(np, "prod", counted)
+def test_ray_table_evaluates_each_nonzero_homogeneous_part_once(heat_symbol, monkeypatch):
+    calls, evaluate = [], analysis._evaluate
+    monkeypatch.setattr(analysis, "_evaluate", lambda ps, xi: calls.append((list(ps), xi)) or evaluate(ps, xi))
     table = analysis._ray_table(heat_symbol, RayConfig(directions=64))
-    union = {alpha for _, dq in heat_symbol.nonzero_derivatives for alpha in dq.terms}
-    assert tables == [(len(table.dirs), len(union), 2)]
+    # Q = xi1^2 + i xi2 and its nonzero derivatives i, 2 xi1 and 2, each divided by its power of two; no empty part
+    parts = [((0, 1), 0.5j), ((2, 0), 0.5), ((0, 0), 0.5j), ((1, 0), 0.5), ((0, 0), 0.5)]
+    assert [family for family, xi in calls if xi is table.dirs] == [[SymbolPolynomial(2, {a: c}) for a, c in parts]]
+
+
+def _exact_abs(p, theta, radii):
+    """|P(r theta)| at each radius, from exact rational arithmetic at the float direction and radii, rounded once."""
+    parts = {}
+    for alpha, c in p.terms.items():
+        mono = math.prod(Fraction(t) ** a for t, a in zip(theta, alpha))
+        re, im = parts.get(sum(alpha), (0, 0))
+        parts[sum(alpha)] = (re + Fraction(c.real) * mono, im + Fraction(c.imag) * mono)
+    out = []
+    for r in radii:
+        re = sum(h[0] * Fraction(r) ** k for k, h in parts.items())
+        im = sum(h[1] * Fraction(r) ** k for k, h in parts.items())
+        out.append(math.sqrt(re * re + im * im))
+    return np.array(out)
+
+
+#: |P~ - P| <= RAY_SUM_TOL eps S, S = sum |c_a theta^a| r^|a|: a relative error in |P| of RAY_SUM_TOL eps S / |P|.
+#: It covers the roundings of each monomial, sum and scaling, and of logs up to 6 log(2^40) = 166, whose ulp is 128 eps.
+RAY_SUM_TOL = 256
+
+
+@pytest.mark.parametrize("n, order", [(n, order) for n in (1, 2, 3) for order in range(1, 7)])
+def test_ray_logs_match_exact_rational_evaluation(n, order):
+    rng = np.random.default_rng(10 * n + order)
+    q = random_symbol(rng, n, order)
+    if q.order < order:
+        q = q + SymbolPolynomial.variable(n, n - 1) ** order
+    family = [dq for _, dq in q.nonzero_derivatives] + [SymbolPolynomial(n, {})]
+    dirs, radii = unit_directions(n, 16), RayConfig().radius_grid()[::4]
+    got = analysis._log_abs_on_rays(family, dirs, radii)
+    assert np.array_equal(got[-1], np.full((len(dirs), 1), -np.inf))
+    for p, logs in zip(family, got):
+        r = radii if p.order else radii[:1]
+        exact = np.array([_exact_abs(p, theta, r) for theta in dirs])
+        size = sum(abs(c) * np.abs(np.prod(dirs**alpha, axis=1))[:, None] * r ** sum(alpha) for alpha, c in p.terms.items())
+        assert np.all(np.abs(np.exp(logs) - exact) <= RAY_SUM_TOL * np.finfo(float).eps * size)
 
 
 def _refinement_by_reevaluation(q, dirs):
