@@ -27,7 +27,7 @@ for name, q in CASES.items():
         print(f"  d estimate: {rep.d_estimate:.6f}  (snapped to {mu}/{nu})")
         print(f"  fitted C  : {rep.fitted_c:.4f}")
     if rep.verdict == "violated":
-        direction = [round(v, 4) for v in rep.witness.direction]
+        direction = [round(float(v), 4) for v in rep.witness.direction]
         print(f"  witness ray: direction {direction}, slope {rep.witness.slope:.2f}")
     print()
 

@@ -236,14 +236,14 @@ def _load_config(path) -> dict:
     return doc
 
 
-#: the top-level keys each check reads; a --kmax or --lmax flag is read only
-#: by the checks that read the key of the same name
+#: the top-level keys each check reads: `th1` and `domination` run on one
+#: fixture, `p1` and `prop31` on a list of them
 _COMMON_KEYS = {"check", "resolution"}
 _CHECK_KEYS = {
-    "domination": {"operator", "region", "fixture", "fixtures", "lmax", "x0", "delta"},
-    "p1": {"symbol", "r_symbol", "omega", "d", "fixture", "fixtures", "t", "enforce_diameter"},
-    "prop31": {"symbol", "omega", "d", "fixture", "fixtures", "kmax", "deltas", "enforce_diameter"},
-    "th1": {"symbol", "omega", "d", "sequence", "fixture", "fixtures", "lmax", "amax", "delta"},
+    "domination": {"operator", "region", "fixture", "lmax", "x0", "delta"},
+    "p1": {"symbol", "r_symbol", "omega", "d", "fixtures", "t"},
+    "prop31": {"symbol", "omega", "d", "fixtures", "kmax", "deltas"},
+    "th1": {"symbol", "omega", "d", "sequence", "fixture", "lmax", "amax", "delta"},
 }
 
 
@@ -280,13 +280,11 @@ _INTEGER_LIMITS = {"resolution": 2**12, "kmax": 100, "lmax": 100, "amax": 100, "
 _POWER_M_LIMIT = 1000
 
 
-def _config_integer(doc: dict, args, key: str, default: int) -> int:
-    """The --key flag when set, else the config's integer `key` (`default` when absent), at most its limit."""
-    value, name = getattr(args, key, None), f"--{key}"
-    if value is None:
-        value, name = _config_value(doc, key, _integer, default), repr(key)
+def _config_integer(doc: dict, key: str, default: int) -> int:
+    """The config's integer `key` (`default` when absent), at most its limit."""
+    value = _config_value(doc, key, _integer, default)
     if value > _INTEGER_LIMITS[key]:
-        raise ParseError(f"{name} is {value}, above its limit {_INTEGER_LIMITS[key]}")
+        raise ParseError(f"{key!r} is {value}, above its limit {_INTEGER_LIMITS[key]}")
     return value
 
 
@@ -306,13 +304,6 @@ def _numbers(value) -> list[float]:
     if not isinstance(value, list) or not all(map(_is_number, value)):
         raise TypeError(f"expected a list of numbers, got {value!r}")
     return [float(v) for v in value]
-
-
-def _boolean(value) -> bool:
-    """A JSON boolean: a string such as "false" is rejected, not read as true."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
 
 
 def _config_symbol(doc: dict, key: str, base: Path, cls=SymbolPolynomial):
@@ -335,12 +326,11 @@ def _sequence(desc, base: Path) -> RoumieuSequence:
     raise ParseError(f"unknown sequence kind {desc.get('kind')!r}")
 
 
-def _config_fixtures(doc: dict, spec: GridSpec) -> list[GridFunction]:
-    descs = doc.get("fixtures")
-    if descs is None and "fixture" in doc:
-        descs = [doc["fixture"]]
+def _config_fixtures(doc: dict, key: str, spec: GridSpec) -> list[GridFunction]:
+    """The fixtures under `key`: one object under "fixture", a nonempty list of them under "fixtures"."""
+    descs = _config_value(doc, key, lambda v: v if key == "fixtures" else [v])
     if not isinstance(descs, list) or not descs:
-        raise ParseError("config needs 'fixture' or 'fixtures'")
+        raise ParseError(f"{key!r} must be a nonempty list, got {descs!r}")
     if not all(isinstance(d, dict) and isinstance(d.get("family"), str) for d in descs):
         raise ParseError(f"each fixture must be an object with a 'family' name, got {descs!r}")
     return [sample(spec, d["family"], **{k: v for k, v in d.items() if k != "family"}) for d in descs]
@@ -369,10 +359,7 @@ def run_verify(args) -> int:
     unknown = sorted(set(doc) - _COMMON_KEYS - keys)
     if unknown:
         raise ParseError(f"unknown key(s) in a {check} config: {', '.join(map(repr, unknown))}")
-    for flag in ("kmax", "lmax"):
-        if getattr(args, flag, None) is not None and flag not in keys:
-            raise ParseError(f"--{flag} does not apply to the {check} check")
-    resolution = _config_integer(doc, args, "resolution", 64)
+    resolution = _config_integer(doc, "resolution", 64)
     csv_rows: list[tuple] = []
     effective: dict = {"resolution": resolution}
     if check == "domination":
@@ -384,10 +371,10 @@ def run_verify(args) -> int:
         d = _config_value(doc, "d", RationalExponent.parse, RationalExponent(1, 1))
     if resolution**omega.dimension > 2**24:
         raise ParseError(f"resolution {resolution} gives {resolution}^{omega.dimension} nodes, above the limit 2^24")
-    fixtures = _config_fixtures(doc, GridSpec(omega, resolution))
+    fixtures = _config_fixtures(doc, "fixtures" if "fixtures" in keys else "fixture", GridSpec(omega, resolution))
 
     if check == "domination":
-        lmax = _config_integer(doc, args, "lmax", 3)
+        lmax = _config_integer(doc, "lmax", 3)
         effective["lmax"] = lmax
         x0 = _config_value(doc, "x0", _numbers, list(op.domain.center))
         delta = _config_value(doc, "delta", _number, 0.0)
@@ -398,21 +385,15 @@ def run_verify(args) -> int:
             csv_rows.append(("variable-iterates", l, case.params["rhs_core"], int(case.flagged)))
     elif check == "p1":
         r = _config_symbol(doc, "r_symbol", base)
-        rep = verify_dominated_transfer(
-            q, r, d, fixtures, omega, _config_value(doc, "t", _number, 0.25),
-            enforce_diameter=_config_value(doc, "enforce_diameter", _boolean, True),
-        )
+        rep = verify_dominated_transfer(q, r, d, fixtures, omega, _config_value(doc, "t", _number, 0.25))
     elif check == "prop31":
-        kmax = _config_integer(doc, args, "kmax", 3)
+        kmax = _config_integer(doc, "kmax", 3)
         effective["kmax"] = kmax
-        rep = verify_iterate_bound(
-            q, d, fixtures, omega, kmax, _config_value(doc, "deltas", _numbers, [0.1]),
-            enforce_diameter=_config_value(doc, "enforce_diameter", _boolean, True),
-        )
+        rep = verify_iterate_bound(q, d, fixtures, omega, kmax, _config_value(doc, "deltas", _numbers, [0.1]))
     else:  # th1
         seq = _config_value(doc, "sequence", lambda v: _sequence(v, base))
-        lmax = _config_integer(doc, args, "lmax", 6)
-        amax = _config_integer(doc, args, "amax", 12)
+        lmax = _config_integer(doc, "lmax", 6)
+        amax = _config_integer(doc, "amax", 12)
         effective.update({"lmax": lmax, "amax": amax})
         rep = verify_growth_chain(
             fixtures[0], q, seq, d, omega, _config_value(doc, "delta", _number, 0.05), lmax, amax,
@@ -464,9 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run an estimate verification from a config file")
     p_ver.add_argument("--check", required=True, choices=["p1", "prop31", "th1", "domination"])
     p_ver.add_argument("--config", required=True, help="path to a JSON config")
-    p_ver.add_argument("--resolution", type=int, default=None)
-    p_ver.add_argument("--kmax", type=int, default=None)
-    p_ver.add_argument("--lmax", type=int, default=None)
     p_ver.add_argument("--csv", default=None, help="export norm sweeps as CSV")
     p_ver.add_argument("--out", default=None)
     return parser

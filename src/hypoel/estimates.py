@@ -10,6 +10,7 @@ of their log residuals on the fixture family.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -44,12 +45,14 @@ RESIDUAL_SLOPE_TOL = 1e-9
 
 
 class RationalExponent(Fraction):
-    """Rational hypoellipticity exponent d = mu/nu >= 1, a Fraction in lowest terms."""
+    """Rational hypoellipticity exponent d = mu/nu >= 1, a Fraction in lowest terms within the float range."""
 
     def __new__(cls, mu: int, nu: int = 1):
         self = super().__new__(cls, mu, nu)
         if self < 1:
             raise ValueError(f"exponent must be >= 1, got {self}")
+        if self > int(sys.float_info.max):  # an int, since a float operand would call __new__ again
+            raise ValueError("exponent is past the float range")
         return self
 
     mu, nu = Fraction.numerator, Fraction.denominator  # the lowest terms Fraction keeps
@@ -65,6 +68,8 @@ class RationalExponent(Fraction):
     @classmethod
     def parse(cls, text: str | float) -> "RationalExponent":
         """A JSON number as the nearest fraction with denominator <= 1000, a string as `Fraction` reads it."""
+        if isinstance(text, bool):
+            raise TypeError(f"expected a number or a string, got {text!r}")
         frac = Fraction(text).limit_denominator(1000) if isinstance(text, (int, float)) else Fraction(str(text))
         return cls(frac.numerator, frac.denominator)
 
@@ -116,12 +121,9 @@ def _as_fixture_list(u) -> list[GridFunction]:
     return fixtures
 
 
-def _check_diameter(omega: BoxDomain, enforce: bool) -> None:
-    if enforce and omega.diameter >= 1.0:
-        raise PreconditionError(
-            "domain-normalization",
-            f"working box diameter {omega.diameter:.4f} must be < 1 (pass enforce_diameter=False to skip)",
-        )
+def _check_diameter(omega: BoxDomain) -> None:
+    if omega.diameter >= 1.0:
+        raise PreconditionError("domain-normalization", f"working box diameter {omega.diameter:.4f} must be < 1")
 
 
 def _check_nodes_left(u: GridFunction, region: BoxDomain, delta: float) -> None:
@@ -171,13 +173,7 @@ def _close(cases, powers, default: float = 0.0) -> tuple[float, str]:
 
 
 def verify_dominated_transfer(
-    q: SymbolPolynomial,
-    r: SymbolPolynomial,
-    d: RationalExponent,
-    fixtures,
-    omega: BoxDomain,
-    t: float,
-    enforce_diameter: bool = True,
+    q: SymbolPolynomial, r: SymbolPolynomial, d: RationalExponent, fixtures, omega: BoxDomain, t: float
 ) -> EstimateReport:
     """Shrink-norm transfer: N_dm(R(D)u) <= C' (N_dm(Q(D)u) + ||u||_{L2(omega)}).
 
@@ -186,7 +182,7 @@ def verify_dominated_transfer(
     and multipliers of R and Q within the float range on each fixture's grid.
     """
     fixtures = _as_fixture_list(fixtures)
-    _check_diameter(omega, enforce_diameter)
+    _check_diameter(omega)
     domination = check_symbol_domination(r, q)
     mu_exp = d.value * q.order
     cases = []
@@ -241,13 +237,7 @@ def _iterate_sum(norms: list[float], k: int, base: float, exponent: float) -> fl
 
 
 def verify_iterate_bound(
-    q: SymbolPolynomial,
-    d: RationalExponent,
-    fixtures,
-    omega: BoxDomain,
-    kmax: int,
-    deltas: Sequence[float],
-    enforce_diameter: bool = True,
+    q: SymbolPolynomial, d: RationalExponent, fixtures, omega: BoxDomain, kmax: int, deltas: Sequence[float]
 ) -> EstimateReport:
     """Derivative bound through operator iterates, in both exponent variants.
 
@@ -264,7 +254,7 @@ def verify_iterate_bound(
         raise ValueError("kmax must be >= 0")
     if not deltas or not all(dl > 0 for dl in deltas):
         raise ValueError(f"the shrink distances must be one or more, each > 0, got {list(deltas)}")
-    _check_diameter(omega, enforce_diameter)
+    _check_diameter(omega)
     m = q.order
     fixtures = _as_fixture_list(fixtures)
     for u in fixtures:

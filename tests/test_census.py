@@ -1,5 +1,5 @@
 """The package's surface: every name it exports is used by the program itself, not by its own tests alone,
-and only its input formats define `to_dict`."""
+only its input formats define `to_dict`, and the CLI takes the flags and config keys pinned here."""
 
 import ast
 import re
@@ -7,6 +7,7 @@ import types
 from pathlib import Path
 
 import hypoel
+from hypoel import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,3 +56,35 @@ def test_only_input_formats_define_to_dict():
         if isinstance(node, ast.ClassDef) and any(isinstance(f, ast.FunctionDef) and f.name == "to_dict" for f in node.body)
     }
     assert owners == INPUT_FORMATS
+
+
+#: each subcommand's flags, besides --help; a new one changes this census on purpose
+FLAGS = {
+    "analyze": {"--symbol", "--rays", "--radii", "--d", "--out"},
+    "seq-check": {"--gevrey", "--table", "--pmax", "--power-m", "--inclusion-gevrey", "--out"},
+    "strength": {"--p", "--q", "--variable", "--points", "--rays", "--radii", "--out"},
+    "verify": {"--check", "--config", "--csv", "--out"},
+}
+
+
+def test_each_subcommand_takes_the_flags_pinned_here():
+    (subparsers,) = (a for a in cli.build_parser()._actions if a.dest == "command")
+    flags = {
+        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert flags == FLAGS
+
+
+#: the keys each verify check reads besides `check` and `resolution`: one source for each setting
+CHECK_KEYS = {
+    "domination": {"operator", "region", "fixture", "lmax", "x0", "delta"},
+    "p1": {"symbol", "r_symbol", "omega", "d", "fixtures", "t"},
+    "prop31": {"symbol", "omega", "d", "fixtures", "kmax", "deltas"},
+    "th1": {"symbol", "omega", "d", "sequence", "fixture", "lmax", "amax", "delta"},
+}
+
+
+def test_each_verify_check_reads_the_keys_pinned_here():
+    assert cli._COMMON_KEYS == {"check", "resolution"}
+    assert cli._CHECK_KEYS == CHECK_KEYS

@@ -223,7 +223,7 @@ def test_verify_reads_d_with_the_grammar_of_analyze_d(tmp_path, capsys, d):
 def test_verify_rejects_a_fixture_whose_samples_are_not_all_finite(tmp_path, capsys, check, fixture, bad):
     # these passed prop31 with every case flagged, and failed p1 on a NaN right side; a RuntimeWarning is an error here
     config = {"symbol": fixture_path("laplacian.json"), "omega": {"lo": [-0.3, -0.3], "hi": [0.3, 0.3]},
-              "resolution": 64, "d": "1", "fixture": fixture}
+              "resolution": 64, "d": "1", "fixtures": [fixture]}
     config.update({"p1": {"r_symbol": fixture_path("first_order.json")}, "prop31": {"kmax": 2, "deltas": [0.1]}}[check])
     (tmp_path / "c.json").write_text(json.dumps(config))
     out = tmp_path / "r.json"
@@ -405,7 +405,7 @@ def test_verify_prop31_past_the_float_range_exits_without_nan(tmp_path):
     doc = {
         "check": "prop31", "symbol": symbol, "d": "1/1", "resolution": 512,
         "omega": {"lo": [-0.3], "hi": [0.3]}, "kmax": 60, "deltas": [0.01],
-        "fixture": {"family": "gaussian_bump", "width": 0.05},
+        "fixtures": [{"family": "gaussian_bump", "width": 0.05}],
     }
     cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
     cfg.write_text(json.dumps(doc))
@@ -481,49 +481,43 @@ def run_p1_with_fixture(tmp_path, fixture) -> int:
 
 
 @pytest.mark.parametrize(
-    "check, edit, flags, named",
+    "check, edit, named",
     [
-        ("th1", {"sequence": {"kind": "gevrey"}}, [], ["'sequence'", "'s'"]),
-        ("prop31", {"deltas": 5}, [], ["'deltas'"]),
-        ("p1", {"t": None}, [], ["'t'"]),
-        ("domination", {"x0": None}, [], ["'x0'"]),
-        ("th1", {"amax": "many"}, [], ["'amax'"]),
-        ("th1", {"bogus": 1}, [], ["'bogus'"]),
-        ("domination", {"kmax": 2}, [], ["'kmax'"]),
-        ("th1", {}, ["--kmax", "2"], ["--kmax"]),
-        ("p1", {}, ["--lmax", "2"], ["--lmax"]),
-        ("prop31", {}, ["--lmax", "2"], ["--lmax"]),
-        ("prop31", {"deltas": [0.05, 0.0]}, [], ["shrink distance", "0.0"]),
-        ("domination", {"lmax": 1e300}, [], ["'lmax'", "integer"]),
-        ("th1", {"d": float("inf")}, [], ["'d'"]),
-        ("prop31", {"deltas": "12"}, [], ["'deltas'", "list of numbers"]),
-        ("domination", {"x0": "00"}, [], ["'x0'", "list of numbers"]),
-        ("domination", {"x0": [True, False]}, [], ["'x0'", "list of numbers"]),
-        ("domination", {"lmax": 10**30}, [], ["'lmax'", "limit 100"]),
-        ("th1", {"lmax": 101}, [], ["'lmax'", "limit 100"]),
-        ("th1", {"amax": 10**30}, [], ["'amax'", "limit 100"]),
-        ("prop31", {"kmax": 10**30}, [], ["'kmax'", "limit 100"]),
-        ("p1", {"seed": 0}, [], ["unknown key", "'seed'"]),
-        ("p1", {"resolution": 2**100}, [], ["'resolution'", "limit 4096"]),
-        ("th1", {}, ["--lmax", str(10**30)], ["--lmax", "limit 100"]),
-        ("domination", {"delta": "12"}, [], ["'delta'", "expected a number"]),
-        ("th1", {"delta": "0.05"}, [], ["'delta'", "expected a number"]),
-        ("th1", {"delta": True}, [], ["'delta'", "expected a number"]),
-        ("p1", {"t": "12"}, [], ["'t'", "expected a number"]),
-        ("th1", {"sequence": {"kind": "gevrey", "s": True}}, [], ["'sequence'", "'s'", "number"]),
-        ("th1", {"sequence": {"kind": "gevrey", "s": "2"}}, [], ["'sequence'", "'s'", "number"]),
-        ("p1", {"enforce_diameter": "false"}, [], ["'enforce_diameter'", "true or false"]),
-        ("prop31", {"enforce_diameter": "no"}, [], ["'enforce_diameter'", "true or false"]),
-        ("prop31", {"enforce_diameter": 0}, [], ["'enforce_diameter'", "true or false"]),
-        ("domination", {"delta": 5.0}, [], ["empty-region", "distance 5.0"]),
-        ("th1", {"delta": 5.0}, [], ["empty-region", "distance 5.0"]),
-        ("prop31", {"deltas": [0.05, 5.0]}, [], ["empty-region", "distance 5.0"]),
-        ("th1", {"sequence": {"kind": "gevrey", "s": float("nan")}}, [], ["'s'", "not finite"]),
-        ("th1", {"sequence": {"kind": "gevrey", "s": float("inf")}}, [], ["'s'", "not finite"]),
-        ("p1", {"t": float("inf")}, [], ["'t'", "not finite"]),
-        ("prop31", {"deltas": [0.05, float("-inf")]}, [], ["'deltas'", "not finite"]),
-        ("domination", {"x0": [float("nan"), 0.0]}, [], ["'x0'", "not finite"]),
-        ("prop31", {"deltas": []}, [], ["shrink distances must be one or more", "got []"]),
+        ("th1", {"sequence": {"kind": "gevrey"}}, ["'sequence'", "'s'"]),
+        ("prop31", {"deltas": 5}, ["'deltas'"]),
+        ("p1", {"t": None}, ["'t'"]),
+        ("domination", {"x0": None}, ["'x0'"]),
+        ("th1", {"amax": "many"}, ["'amax'"]),
+        ("th1", {"bogus": 1}, ["'bogus'"]),
+        ("domination", {"kmax": 2}, ["'kmax'"]),
+        ("prop31", {"deltas": [0.05, 0.0]}, ["shrink distance", "0.0"]),
+        ("domination", {"lmax": 1e300}, ["'lmax'", "integer"]),
+        ("th1", {"d": float("inf")}, ["'d'"]),
+        ("prop31", {"deltas": "12"}, ["'deltas'", "list of numbers"]),
+        ("domination", {"x0": "00"}, ["'x0'", "list of numbers"]),
+        ("domination", {"x0": [True, False]}, ["'x0'", "list of numbers"]),
+        ("domination", {"lmax": 10**30}, ["'lmax'", "limit 100"]),
+        ("th1", {"lmax": 101}, ["'lmax'", "limit 100"]),
+        ("th1", {"amax": 10**30}, ["'amax'", "limit 100"]),
+        ("prop31", {"kmax": 10**30}, ["'kmax'", "limit 100"]),
+        ("p1", {"seed": 0}, ["unknown key", "'seed'"]),
+        ("p1", {"resolution": 2**100}, ["'resolution'", "limit 4096"]),
+        ("domination", {"delta": "12"}, ["'delta'", "expected a number"]),
+        ("th1", {"delta": "0.05"}, ["'delta'", "expected a number"]),
+        ("th1", {"delta": True}, ["'delta'", "expected a number"]),
+        ("p1", {"t": "12"}, ["'t'", "expected a number"]),
+        ("th1", {"sequence": {"kind": "gevrey", "s": True}}, ["'sequence'", "'s'", "number"]),
+        ("th1", {"sequence": {"kind": "gevrey", "s": "2"}}, ["'sequence'", "'s'", "number"]),
+        ("p1", {"enforce_diameter": "false"}, ["unknown key", "'enforce_diameter'"]),
+        ("domination", {"delta": 5.0}, ["empty-region", "distance 5.0"]),
+        ("th1", {"delta": 5.0}, ["empty-region", "distance 5.0"]),
+        ("prop31", {"deltas": [0.05, 5.0]}, ["empty-region", "distance 5.0"]),
+        ("th1", {"sequence": {"kind": "gevrey", "s": float("nan")}}, ["'s'", "not finite"]),
+        ("th1", {"sequence": {"kind": "gevrey", "s": float("inf")}}, ["'s'", "not finite"]),
+        ("p1", {"t": float("inf")}, ["'t'", "not finite"]),
+        ("prop31", {"deltas": [0.05, float("-inf")]}, ["'deltas'", "not finite"]),
+        ("domination", {"x0": [float("nan"), 0.0]}, ["'x0'", "not finite"]),
+        ("prop31", {"deltas": []}, ["shrink distances must be one or more", "got []"]),
         (
             "p1",
             {
@@ -533,23 +527,29 @@ def run_p1_with_fixture(tmp_path, fixture) -> int:
                 "resolution": 4096,
                 "fixtures": [{"family": "gaussian_bump", "width": 0.05}],
             },
-            [],
             ["spectral-range", "4096 nodes"],
         ),
-        ("p1", {"fixtures": [{"family": "polynomial_bump", "support": {"lo": [-0.3], "hi": [0.3]}}]}, [],
+        ("p1", {"fixtures": [{"family": "polynomial_bump", "support": {"lo": [-0.3], "hi": [0.3]}}]},
          ["support dimension 1 != grid dimension 2"]),
         ("p1", {"fixtures": [{"family": "gaussian_bump", "width": 0.1, "center": [0.0, 0.0],
-                              "support": {"lo": [-0.3], "hi": [0.3]}}]}, [], ["support dimension 1 != grid dimension 2"]),
+                              "support": {"lo": [-0.3], "hi": [0.3]}}]}, ["support dimension 1 != grid dimension 2"]),
+        ("th1", {"d": True}, ["'d'", "got True"]),
+        ("p1", {"d": "1e400"}, ["'d'", "past the float range"]),
+        ("th1", {"fixtures": [{"family": "gaussian_bump", "width": 0.1}] * 2}, ["unknown key", "'fixtures'"]),
+        ("domination", {"fixtures": [{"family": "gaussian_bump", "width": 0.1}]}, ["unknown key", "'fixtures'"]),
+        ("p1", {"fixture": {"family": "gaussian_bump", "width": 0.1}}, ["unknown key", "'fixture'"]),
+        ("prop31", {"fixture": {"family": "gaussian_bump", "width": 0.1}}, ["unknown key", "'fixture'"]),
     ],
     ids=["sequence-without-s", "deltas-int", "t-null", "x0-null", "amax-str", "unknown-key", "unread-key",
-         "kmax-th1", "lmax-p1", "lmax-prop31", "deltas-zero", "lmax-float", "d-inf", "deltas-str", "x0-str",
-         "x0-bools", "lmax-huge", "lmax-past-limit", "amax-huge", "kmax-huge", "seed-key", "resolution-huge",
-         "lmax-flag-huge", "delta-str", "delta-str-th1", "delta-bool", "t-str", "s-bool", "s-str",
-         "enforce-diameter-str", "enforce-diameter-no", "enforce-diameter-int", "delta-empties-domination",
-         "delta-empties-th1", "deltas-empty-prop31", "s-nan", "s-inf", "t-inf", "deltas-minus-inf", "x0-nan",
-         "deltas-none", "multiplier-past-float-range", "support-short-polynomial", "support-short-gaussian"],
+         "deltas-zero", "lmax-float", "d-inf", "deltas-str", "x0-str", "x0-bools", "lmax-huge", "lmax-past-limit",
+         "amax-huge", "kmax-huge", "seed-key", "resolution-huge", "delta-str", "delta-str-th1", "delta-bool", "t-str",
+         "s-bool", "s-str", "enforce-diameter-str", "delta-empties-domination", "delta-empties-th1",
+         "deltas-empty-prop31", "s-nan", "s-inf", "t-inf", "deltas-minus-inf", "x0-nan", "deltas-none",
+         "multiplier-past-float-range", "support-short-polynomial", "support-short-gaussian", "d-bool",
+         "d-huge-string", "fixtures-th1", "fixtures-domination", "fixture-beside-fixtures-p1",
+         "fixture-beside-fixtures-prop31"],
 )
-def test_verify_malformed_config_exits_2_naming_the_key(tmp_path, capsys, check, edit, flags, named):
+def test_verify_malformed_config_exits_2_naming_the_key(tmp_path, capsys, check, edit, named):
     doc = read(fixture_path(f"verify_{check}.json"))
     for key in ("symbol", "r_symbol", "operator"):
         if key in doc:
@@ -558,7 +558,7 @@ def test_verify_malformed_config_exits_2_naming_the_key(tmp_path, capsys, check,
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "r.json"
-    assert run(["verify", "--check", check, "--config", str(cfg), "--out", str(out), *flags]) == 2
+    assert run(["verify", "--check", check, "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -571,16 +571,15 @@ def _reached_fixtures(*args):
 
 
 @pytest.mark.parametrize(
-    "dim, in_config, flags, named",
+    "dim, in_config, named",
     [
-        (3, 512, [], "resolution 512 gives 512^3 nodes, above the limit 2^24"),
-        (3, 64, ["--resolution", "512"], "resolution 512 gives 512^3 nodes, above the limit 2^24"),
-        (3, 256, [], "reached the fixtures"),
-        (2, 4096, [], "reached the fixtures"),
+        (3, 512, "resolution 512 gives 512^3 nodes, above the limit 2^24"),
+        (3, 256, "reached the fixtures"),
+        (2, 4096, "reached the fixtures"),
     ],
+    ids=["3d-512", "3d-256", "2d-4096"],
 )
-def test_verify_bounds_the_grid_nodes_before_building_a_fixture(tmp_path, capsys, monkeypatch, dim, in_config,
-                                                                  flags, named):
+def test_verify_bounds_the_grid_nodes_before_building_a_fixture(tmp_path, capsys, monkeypatch, dim, in_config, named):
     monkeypatch.setattr(cli, "_config_fixtures", _reached_fixtures)
     doc = read(fixture_path("verify_prop31.json"))
     doc.update({
@@ -590,7 +589,7 @@ def test_verify_bounds_the_grid_nodes_before_building_a_fixture(tmp_path, capsys
     })
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
-    assert run(["verify", "--check", "prop31", "--config", str(cfg), "--out", str(tmp_path / "r.json"), *flags]) == 2
+    assert run(["verify", "--check", "prop31", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
     assert named in capsys.readouterr().err
 
 
@@ -961,7 +960,7 @@ NUMBERS = [-1, 0, 1, 2, 3, 0.0, -0.05, 1e-9, 0.05, 0.3, 1e300, float("nan"), flo
 #: besides these, huge integers, past every integer key's limit, digit strings, which no list key takes,
 #: and strings and booleans under the keys that take one number or one boolean
 CONFIG_VALUES = NUMBERS + [
-    10**30, -(10**30), 2**63, "12", "00",
+    10**30, -(10**30), 2**63, "12", "00", "1e400",
     "x", "1/2", "0/1", "1/0", "-1", None, True, False, "false", "no", [], ["x"],
     {}, {"lo": [-0.3, -0.3], "hi": [0.3, 0.3]}, {"lo": [0.3, 0.3], "hi": [-0.3, -0.3]},
     {"family": "gaussian_bump", "width": 0.1}, {"kind": "gevrey", "s": 0.5}, {"kind": "table", "path": "none.txt"},
@@ -970,11 +969,11 @@ CONFIG_VALUES = NUMBERS + [
 
 
 def _mistyped(key, value) -> bool:
-    """A scalar that must be a JSON number (delta, t, a Gevrey s) or boolean (enforce_diameter) but is not."""
+    """A scalar that must be a JSON number (delta, t, a Gevrey s), or an exponent d within the float range, but is not."""
     if key == "sequence" and isinstance(value, dict) and value.get("kind") == "gevrey" and "s" in value:
         key, value = "s", value["s"]
-    if key == "enforce_diameter":
-        return not isinstance(value, bool)
+    if key == "d":  # a boolean, or "1e400": the one value of CONFIG_VALUES that reads past the float range
+        return isinstance(value, bool) or value == "1e400"
     return key in ("delta", "t", "s") and (isinstance(value, bool) or not isinstance(value, (int, float)))
 
 
@@ -985,7 +984,7 @@ def verify_configs(draw):
     doc = json.loads(json.dumps(VERIFY_CONFIGS[check]))
     doc["resolution"] = draw(st.sampled_from([16, 32]))
     for _ in range(draw(st.integers(0, 2))):
-        key = draw(st.sampled_from(sorted(doc) + ["fixtures", "unknown", "enforce_diameter"]))
+        key = draw(st.sampled_from(sorted(doc) + ["fixture", "fixtures", "unknown"]))
         if draw(st.integers(0, 4)) == 0:
             doc.pop(key, None)
         else:
@@ -1035,7 +1034,7 @@ TH1 = VERIFY_CONFIGS["th1"]
         pytest.param(_verify_th1({**TH1, "sequence": "gevrey"}), "config needs a 'sequence' object", id="th1-sequence-string"),
         pytest.param(_verify_th1({**TH1, "sequence": {"kind": "beta"}}), "unknown sequence kind 'beta'", id="th1-sequence-kind"),
         pytest.param(_verify_th1({k: v for k, v in TH1.items() if k != "fixture"}),
-                     "config needs 'fixture' or 'fixtures'", id="no-fixture"),
+                     "config is missing 'fixture'", id="no-fixture"),
         pytest.param(lambda t: ["strength", "--p", fixture_path("laplacian.json")],
                      "strength needs either --variable or both --p and --q", id="strength-p-alone"),
         pytest.param(lambda t: ["strength", "--p", fixture_path("laplacian.json"), "--q", fixture_path("heat.json"),
@@ -1052,6 +1051,9 @@ TH1 = VERIFY_CONFIGS["th1"]
                      "unrecognized arguments: --seed 0", id="strength-seed"),
         pytest.param(lambda t: _verify_th1(TH1)(t) + ["--seed", "0"],
                      "unrecognized arguments: --seed 0", id="verify-seed"),
+        # each verify setting has one source, its config key
+        *(pytest.param(lambda t, flag=flag: _verify_th1(TH1)(t) + [f"--{flag}", "2"],
+                       f"unrecognized arguments: --{flag} 2", id=f"verify-{flag}") for flag in ("resolution", "kmax", "lmax")),
     ],
 )
 def test_rejected_inputs_exit_2_naming_the_reason(tmp_path, capsys, argv, message):
