@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, HypoelError, PreconditionError
-from .fitting import ascend, signed_axes, tail_slope
+from .fitting import ascend, row_norms, signed_axes, slope_function, tail_slope
 from .symbols import MultiIndex, SymbolPolynomial, VariableOperator, _evaluate
 
 #: per-ray tail slopes above this count as divergence
@@ -137,17 +137,17 @@ def _characteristic_refinement(q: SymbolPolynomial, dirs: np.ndarray) -> np.ndar
         return np.zeros((0, q.dimension))
     order = np.argsort(vals, kind="stable")
     starts = dirs[order[: min(32, len(dirs))]]
-    family = [pm, *(pm.derive(tuple(1 if j == k else 0 for j in range(q.dimension))) for k in range(q.dimension))]
+    family = [pm.terms, *(pm.derive(e).terms for e in map(tuple, np.eye(q.dimension, dtype=int).tolist()))]
 
     def score(pts):
-        values = np.stack(list(_evaluate(family, pts)), axis=1)  # P_m, then its gradient
+        values = np.array(list(_evaluate(family, pts))).T  # a column each: P_m, then its gradient
         return -(np.abs(values[:, 0]) ** 2), values
 
     def descent(pts, values):
         return -2 * np.real(np.conj(values[:, :1]) * values[:, 1:])
 
     def to_sphere(cand):
-        cn = np.linalg.norm(cand, axis=1)
+        cn = row_norms(cand)
         cn[cn == 0] = 1.0
         return cand / cn[:, None]
 
@@ -214,10 +214,10 @@ def _ray_grid(n: int, cfg: RayConfig, refine_for: SymbolPolynomial | None = None
 def _log_abs_on_rays(family: Sequence[SymbolPolynomial], dirs: np.ndarray, radii: np.ndarray) -> list[np.ndarray]:
     """log|P(r theta)| for each P of the family, from the homogeneous parts H_k of P on each direction.
 
-    The nonzero parts of the whole family are summed by one `_evaluate` call.  Each ray is scaled by its own top
-    nonzero degree k*, as r^k* sum_{k <= k*} H_k(theta) r^(k - k*), so no radius overflows; a row of -inf is a
-    ray on which P vanishes identically.  A P of positive order is shaped (rays, radii), a constant (rays, 1),
-    the same at every radius.
+    The nonzero parts of the whole family, as term maps, are summed by one `_evaluate` call.  Each ray is scaled by
+    its own top nonzero degree k*, as r^k* sum_{k <= k*} H_k(theta) r^(k - k*), so no radius overflows; a row of
+    -inf is a ray on which P vanishes identically.  A P of positive order is shaped (rays, radii), a constant
+    (rays, 1), the same at every radius.
     """
     scaled = []
     for p in family:
@@ -226,33 +226,33 @@ def _log_abs_on_rays(family: Sequence[SymbolPolynomial], dirs: np.ndarray, radii
             raise HypoelError("a derivative of the symbol has a coefficient beyond floating-point range")
         # dividing by a power of two is exact and keeps every sum below in range
         scale = math.frexp(np.abs(coeffs.view(float)).max(initial=0.0))[1]
-        terms = dict(zip(p.terms, np.ldexp(coeffs.view(float), -scale).view(complex)))
-        scaled.append((scale, {k: SymbolPolynomial(p.dimension, {a: c for a, c in terms.items() if sum(a) == k})
-                               for k in dict.fromkeys(map(sum, terms))}))
+        by_degree = {k: {} for k in map(sum, p.terms)}
+        for alpha, c in zip(p.terms, np.ldexp(coeffs.view(float), -scale).view(complex)):
+            if c != 0:  # an underflowed coefficient is dropped, as `_canonical` drops it
+                by_degree[sum(alpha)][alpha] = c
+        scaled.append((scale, by_degree))
     values = _evaluate([h for _, by_degree in scaled for h in by_degree.values()], dirs)
+    degrees = np.arange(max(p.order for p in family) + 1.0)[:, None]
+    inverse_powers, degree_log_r = radii ** -degrees, degrees * np.log(radii)  # row k: r^-k, k log r
     out = []
     for p, (scale, by_degree) in zip(family, scaled):
         m = p.order
+        # column j holds H_{k*-j}, the coefficient of r^-j: H_{m-j}, moved left on the rays where H_m vanishes
         parts = np.zeros((len(dirs), m + 1), dtype=complex)
         for k in by_degree:
-            parts[:, k] = next(values)
-        top = m - np.argmax(parts[:, ::-1] != 0, axis=1)
-        # column j of the reversed parts holds H_{k*-j}, the coefficient of r^-j
-        shift = top[:, None] - np.arange(m + 1)
-        reversed_parts = np.where(shift >= 0, parts[np.arange(len(parts))[:, None], shift], 0)
+            parts[:, m - k] = next(values)
+        lead = np.argmax(parts != 0, axis=1)  # m - k*
+        rows = np.flatnonzero(lead)
+        if len(rows):
+            index = np.arange(m + 1) + lead[rows, None]
+            parts[rows] = np.where(index <= m, parts[rows[:, None], np.minimum(index, m)], 0)
         r = radii if m else radii[:1]
-        logs = np.abs(reversed_parts @ r ** -np.arange(m + 1.0)[:, None])
+        logs = np.abs(parts @ inverse_powers[: m + 1, : len(r)])
         with np.errstate(divide="ignore"):
             np.log(logs, out=logs)
-        logs += top[:, None] * np.log(r) + scale * math.log(2.0)
+        logs += (degree_log_r[: m + 1, : len(r)] + scale * math.log(2.0))[m - lead]
         out.append(logs)
     return out
-
-
-def _exp(logs):
-    """Ratios from their logs; inf past the floating-point range."""
-    with np.errstate(over="ignore"):
-        return np.exp(logs)
 
 
 @dataclass
@@ -276,11 +276,17 @@ def _ray_table(q: SymbolPolynomial, cfg: RayConfig) -> _RayTable:
 
 
 def _sweep(table: _RayTable, derivatives, d: float = math.inf):
-    """One derivative at a time: beta, logs of r^{|beta|/d} |Q^(beta)| / (1 + |Q|), their row maxima, slopes."""
+    """One derivative at a time: beta, logs of r^{|beta|/d} |Q^(beta)| / (1 + |Q|), their row maxima, `tail_slope`s."""
     log_r = np.log(table.radii)
+    slope = slope_function(log_r, 2)
     for beta, log_abs in derivatives:
-        logs = sum(beta) / d * log_r + log_abs - table.log_denom
-        yield beta, logs, logs.max(axis=1), tail_slope(log_r, logs, 2)
+        weight = sum(beta) / d
+        if weight == 0 and log_abs.shape[1] > 1:  # no log is -0.0, so + 0 would change no bit: only broadcast
+            logs = log_abs - table.log_denom
+        else:
+            logs = weight * log_r + log_abs
+            logs -= table.log_denom
+        yield beta, logs, logs.max(axis=1), slope(logs)
 
 
 def _first_max(values: np.ndarray, mask: np.ndarray | bool = True, current: float = -math.inf) -> int | None:
@@ -288,8 +294,8 @@ def _first_max(values: np.ndarray, mask: np.ndarray | bool = True, current: floa
 
     The one tie rule of every witness, for log-domain values: slopes, or logs of ratios.  NaN and -inf never win.
     """
-    masked = np.where(mask & ~np.isnan(values), values, -np.inf)
-    i = int(np.argmax(masked >= masked.max(initial=-np.inf) - TIE_TOL))
+    masked = values if mask is True else np.where(mask, values, -np.inf)
+    i = int((masked >= np.fmax.reduce(masked, initial=-np.inf) - TIE_TOL).argmax())
     return i if masked[i] > current + TIE_TOL else None
 
 
@@ -341,7 +347,7 @@ def _steepest(current: RaySample | None, table: _RayTable, beta, logs, peaks, sl
     plateau = ~table.base & (peaks < _refined_guard(peaks, table.base))
     i = _first_max(slopes, growing & ~plateau, -math.inf if current is None else current.slope)
     if i is not None:
-        current = RaySample(beta, table.dirs[i], float(table.radii[-1]), float(_exp(logs[i, -1])), float(slopes[i]))
+        current = RaySample(beta, table.dirs[i], float(table.radii[-1]), float(np.exp(logs[i, -1])), float(slopes[i]))
     return current, growing
 
 
@@ -360,25 +366,25 @@ def _check_rays(table: _RayTable, d: float) -> HypoReport:
     ambiguous = 0
     total_rays = 0
 
-    for beta, logs, top, slopes in _sweep(table, table.derivatives, d):
-        peaks = _exp(top)
-        fitted_c = float(np.max(peaks, initial=fitted_c, where=~np.isnan(peaks)))
-        i = _first_max(top, current=best_log)
-        if i is not None:
-            best_log, j = top[i], _first_max(logs[i])
-            best_sample = RaySample(beta, table.dirs[i], float(table.radii[j]), float(_exp(logs[i, j])), 0.0)
-        if sum(beta) == 0:
-            continue
-        active = ~(peaks < VANISHED_PEAK)
-        counted = active & table.base
-        total_rays += int(np.count_nonzero(counted))
-        per_beta += _worst_slope(beta, slopes, table.dirs, counted)
-        rising = active & (slopes > SLOPE_TOL)
-        worst_violation, rising = _steepest(worst_violation, table, beta, logs, peaks, slopes, rising)
-        with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # a ratio past the float range is inf, inf - inf growth NaN
+        for beta, logs, top, slopes in _sweep(table, table.derivatives, d):
+            peaks = np.exp(top)
+            fitted_c = float(np.fmax.reduce(peaks, initial=fitted_c))  # fmax skips NaN
+            i = _first_max(top, current=best_log)
+            if i is not None:
+                best_log, j = top[i], _first_max(logs[i])
+                best_sample = RaySample(beta, table.dirs[i], float(table.radii[j]), float(np.exp(logs[i, j])), 0.0)
+            if sum(beta) == 0:
+                continue
+            active = ~(peaks < VANISHED_PEAK)
+            counted = active & table.base
+            total_rays += int(np.count_nonzero(counted))
+            per_beta += _worst_slope(beta, slopes, table.dirs, counted)
+            rising = active & (slopes > SLOPE_TOL)
+            worst_violation, rising = _steepest(worst_violation, table, beta, logs, peaks, slopes, rising)
             growth = logs[:, -1] - logs[:, len(table.radii) // 2 :].min(axis=1)
-        bounded = (slopes < -SLOPE_TOL) | ((np.abs(slopes) <= SLOPE_TOL) & (growth <= BOUNDED_GROWTH_TOL))
-        ambiguous += int(np.count_nonzero(counted & ~rising & ~bounded))
+            bounded = (slopes < -SLOPE_TOL) | ((np.abs(slopes) <= SLOPE_TOL) & (growth <= BOUNDED_GROWTH_TOL))
+            ambiguous += int(np.count_nonzero(counted & ~rising & ~bounded))
 
     verdict = "hypoelliptic-consistent"
     if worst_violation is not None:
@@ -427,19 +433,20 @@ def _estimate(q: SymbolPolynomial, cfg: RayConfig) -> tuple[HypoReport, _RayTabl
     per_beta: list[dict] = []
     violation: RaySample | None = None
 
-    for beta, logs, top, slopes in _sweep(table, table.derivatives[1:]):
-        peaks = _exp(top)
-        active = ~(peaks < VANISHED_PEAK)
-        per_beta += _worst_slope(beta, slopes, table.dirs, active & table.base)
-        decaying = active & (slopes < -SLOPE_TOL)
-        # refined rays mix plateau and decay within the window and would
-        # distort the fitted decay rate
-        fitted = decaying & table.base
-        if fitted.any():
-            d_best = max(d_best, float(np.max(-sum(beta) / slopes[fitted])))
-            candidates += int(np.count_nonzero(fitted))
-        diverging = active & ~decaying & (slopes + EPS_BOOST > SLOPE_TOL)
-        violation, _ = _steepest(violation, table, beta, logs, peaks, slopes, diverging)
+    with np.errstate(over="ignore"):  # a ratio past the floating-point range is inf
+        for beta, logs, top, slopes in _sweep(table, table.derivatives[1:]):
+            peaks = np.exp(top)
+            active = ~(peaks < VANISHED_PEAK)
+            per_beta += _worst_slope(beta, slopes, table.dirs, active & table.base)
+            decaying = active & (slopes < -SLOPE_TOL)
+            # refined rays mix plateau and decay within the window and would
+            # distort the fitted decay rate
+            fitted = decaying & table.base
+            if fitted.any():
+                d_best = max(d_best, float(np.max(-sum(beta) / slopes[fitted])))
+                candidates += int(np.count_nonzero(fitted))
+            diverging = active & ~decaying & (slopes + EPS_BOOST > SLOPE_TOL)
+            violation, _ = _steepest(violation, table, beta, logs, peaks, slopes, diverging)
 
     if violation is None and candidates:
         d_est = max(d_best, 1.0)
@@ -489,17 +496,18 @@ def _compare_strengths(log_p, log_q, dirs, radii) -> StrengthReport:
     fwd, bwd = _first_max(slopes), _first_max(-slopes)
     fwd_bounded = fwd is None or slopes[fwd] <= SLOPE_TOL
     bwd_bounded = bwd is None or -slopes[bwd] <= SLOPE_TOL
-    bounds = (float(_exp(log_t.min())), float(_exp(log_t.max())))
-    if fwd_bounded and bwd_bounded:
-        return StrengthReport("equally-strong", bounds)
-    # the witness ray of the unbounded ratio, P/Q or Q/P
-    i, sign = (bwd, -1.0) if fwd_bounded else (fwd, 1.0)
-    witness = {
-        "direction": [float(v) for v in dirs[i]],
-        "radius": float(radii[-1]),
-        "ratio": float(_exp(sign * log_t[i, -1])),
-        "slope": float(sign * slopes[i]),
-    }
+    with np.errstate(over="ignore"):  # a ratio past the floating-point range is inf
+        bounds = (float(np.exp(log_t.min())), float(np.exp(log_t.max())))
+        if fwd_bounded and bwd_bounded:
+            return StrengthReport("equally-strong", bounds)
+        # the witness ray of the unbounded ratio, P/Q or Q/P
+        i, sign = (bwd, -1.0) if fwd_bounded else (fwd, 1.0)
+        witness = {
+            "direction": [float(v) for v in dirs[i]],
+            "radius": float(radii[-1]),
+            "ratio": float(np.exp(sign * log_t[i, -1])),
+            "slope": float(sign * slopes[i]),
+        }
     verdict = "P-weaker" if fwd_bounded else "Q-weaker" if bwd_bounded else "incomparable"
     return StrengthReport(verdict, bounds, witness)
 
@@ -512,7 +520,8 @@ def check_symbol_domination(r: SymbolPolynomial, q: SymbolPolynomial) -> dict:
     log_r, log_q = _log_abs_on_rays([r, q], dirs, radii)
     logs = np.broadcast_to(log_r - np.logaddexp(0.0, log_q), (len(dirs), len(radii)))
     slopes = tail_slope(np.log(radii), logs, 2)
-    peaks = _exp(logs.max(axis=1))
+    with np.errstate(over="ignore"):  # a ratio past the floating-point range is inf
+        peaks = np.exp(logs.max(axis=1))
     worst = _first_max(slopes, ~(peaks < VANISHED_PEAK))
     worst_slope = -math.inf if worst is None else float(slopes[worst])
     if worst_slope > SLOPE_TOL:

@@ -14,7 +14,6 @@ import functools
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +24,7 @@ from .domains import BoxDomain
 from .errors import HypoelError, ParseError
 from .estimates import (
     RationalExponent,
+    parse_fraction,
     verify_dominated_transfer,
     verify_domination,
     verify_growth_chain,
@@ -133,7 +133,7 @@ def _ray_config(args) -> RayConfig:
 def _exponent_flag(text: str) -> float:
     """The --d flag, a fraction such as 3/2 or a decimal, as a finite float."""
     try:
-        return float(Fraction(text))
+        return float(parse_fraction(text))
     except (ValueError, ArithmeticError) as exc:
         raise ParseError(f"--d {text!r} is not a finite exponent: {exc}") from None
 
@@ -160,9 +160,11 @@ def run_seq_check(args) -> int:
     if args.pmax > _INTEGER_LIMITS["pmax"]:
         raise ParseError(f"--pmax is {args.pmax}, above its limit {_INTEGER_LIMITS['pmax']}")
     try:
-        frac = Fraction(args.power_m)
+        frac = parse_fraction(args.power_m, _POWER_M_LIMIT)
     except ZeroDivisionError:
         raise ParseError(f"--power-m {args.power_m!r} has a zero denominator") from None
+    except ValueError as exc:
+        raise ParseError(f"--power-m is {args.power_m}, {exc}") from None
     if frac > _POWER_M_LIMIT:
         raise ParseError(f"--power-m is {args.power_m}, above its limit {_POWER_M_LIMIT}")
     for flag, value in (("--gevrey", args.gevrey), ("--inclusion-gevrey", args.inclusion_gevrey)):

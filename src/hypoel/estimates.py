@@ -44,6 +44,20 @@ MARGIN_REL_TOL = 1e-9
 RESIDUAL_SLOPE_TOL = 1e-9
 
 
+def parse_fraction(text: str, limit: float = math.inf) -> Fraction:
+    """`Fraction(text)`; a ValueError first, from its float, for a decimal above `limit` or past the float range.
+
+    `Fraction` writes out 10^|exponent|, so "1e10000000" took seconds.
+    """
+    mantissa, exponent, _ = text.lower().partition("e")
+    value = float(text) if exponent else 1.0  # with an "e", float and Fraction accept the same texts
+    if value > limit:
+        raise ValueError(f"above its limit {limit}")
+    if math.isinf(value) or value == 0 and any(digit in mantissa for digit in "123456789"):
+        raise ValueError("past the float range")
+    return Fraction(0) if value == 0 else Fraction(text)
+
+
 class RationalExponent(Fraction):
     """Rational hypoellipticity exponent d = mu/nu >= 1, a Fraction in lowest terms within the float range."""
 
@@ -70,7 +84,7 @@ class RationalExponent(Fraction):
         """A JSON number as the nearest fraction with denominator <= 1000, a string as `Fraction` reads it."""
         if isinstance(text, bool):
             raise TypeError(f"expected a number or a string, got {text!r}")
-        frac = Fraction(text).limit_denominator(1000) if isinstance(text, (int, float)) else Fraction(str(text))
+        frac = Fraction(text).limit_denominator(1000) if isinstance(text, (int, float)) else parse_fraction(str(text))
         return cls(frac.numerator, frac.denominator)
 
 

@@ -5,34 +5,36 @@ from __future__ import annotations
 import numpy as np
 
 
-def least_squares_slope(x, y) -> float | np.ndarray:
-    """Least-squares slope of y against x over the last axis of y (0 for constant x).
+def slope_function(x, share: int = 1):
+    """y -> the least-squares slope of y against x over the last ceil(len/share) points, never fewer than two.
 
-    A 1-D y gives a float, a stack of rows one slope per row.  Each row's dot
-    product is taken as a (1, k) @ (k, 1) product, which rounds like
-    ``np.dot`` on that row alone, so a row's slope does not depend on the
-    rows stacked with it.
+    The window, its centred abscissa and their squared norm are formed once, for every y.  A 1-D y gives a float,
+    a stack of rows one slope per row, each rounding like ``np.dot`` on that row alone; constant x gives 0.  A NaN
+    or infinite y in the window gives a NaN slope, without a warning.
     """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xm = x - x.mean()
+    start = max(len(x) - max(-(-len(x) // share), 2), 0)
+    xm = x[start:] - x[start:].mean()
     denom = float(np.dot(xm, xm))
-    yc = y - y.mean(axis=-1, keepdims=True)
-    slope = (yc[..., None, :] @ xm[:, None])[..., 0, 0] / denom if denom else np.zeros(y.shape[:-1])
-    return float(slope) if slope.ndim == 0 else slope
+
+    def slope(y):
+        y = np.asarray(y, dtype=float)[..., start:]
+        with np.errstate(invalid="ignore"):
+            yc = y - np.add.reduce(y, axis=-1, keepdims=True) / len(xm)  # y.mean(axis=-1, keepdims=True), bit for bit
+            out = (yc[..., None, :] @ xm[:, None])[..., 0, 0] / denom if denom else np.zeros(y.shape[:-1])
+        return float(out) if out.ndim == 0 else out
+
+    return slope
+
+
+def least_squares_slope(x, y) -> float | np.ndarray:
+    """Least-squares slope of y against x over the last axis of y (0 for constant x)."""
+    return slope_function(x)(y)
 
 
 def tail_slope(x, y, share: int) -> float | np.ndarray:
-    """`least_squares_slope` over the last ceil(len/share) points, and never fewer than two; 0.0 with fewer than two.
-
-    A NaN or infinite y in that window gives a NaN slope, without a warning.
-    """
-    n = len(x)
-    if n < 2:
-        return 0.0
-    start = n - max(-(-n // share), 2)
-    with np.errstate(invalid="ignore"):
-        return least_squares_slope(np.asarray(x, dtype=float)[start:], np.asarray(y, dtype=float)[..., start:])
+    """`slope_function(x, share)` at y; 0.0 with fewer than two points."""
+    return slope_function(x, share)(y) if len(x) >= 2 else 0.0
 
 
 def signed_axes(n: int) -> np.ndarray:
@@ -40,25 +42,30 @@ def signed_axes(n: int) -> np.ndarray:
     return np.repeat(np.eye(n), 2, axis=0) * np.tile([1.0, -1.0], n)[:, None] + 0.0
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of a real 2-D array, with the bits of ``np.linalg.norm(x, axis=1)``."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
 def ascend(score, gradient, project, start: np.ndarray, step: float, steps: int):
     """Step-halving ascent from each start point: the points reached and their scores.
 
     A point steps along its normalized gradient and is projected back; it keeps
     the move only when its score rises, else halves its step.  `score` also gives
-    the values `gradient` needs, kept for accepted moves rather than recomputed.
+    the values `gradient` needs, a row per point, kept for accepted moves.
     """
     pts = np.array(start, dtype=float)
     scores, values = score(pts)
     step = np.full(len(pts), step)
     for _ in range(steps):
         grad = gradient(pts, values)
-        gn = np.linalg.norm(grad, axis=1, keepdims=True)
+        gn = row_norms(grad)
         gn[gn == 0] = 1.0
-        cand = project(pts + step[:, None] * grad / gn)
+        cand = project(pts + step[:, None] * grad / gn[:, None])
         cand_scores, cand_values = score(cand)
         better = cand_scores > scores
-        pts[better] = cand[better]
-        scores[better] = cand_scores[better]
-        values[better] = cand_values[better]
+        np.copyto(pts, cand, where=better[:, None])
+        np.copyto(scores, cand_scores, where=better)
+        np.copyto(values, cand_values, where=better[:, None])
         step = np.where(better, step, step * 0.5)
     return pts, scores

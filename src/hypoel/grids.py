@@ -241,7 +241,7 @@ def symbol_on_lattice(spec: GridSpec, q: SymbolPolynomial) -> np.ndarray:
     """q's multiplier on spec's frequency lattice, as a read-only full-grid view of its broadcast-shape value."""
     if q.dimension != spec.dimension:
         raise DimensionMismatch(f"symbol dimension {q.dimension} != grid dimension {spec.dimension}")
-    return np.broadcast_to(next(_evaluate((q,), spec.frequency_mesh())), (spec.resolution,) * spec.dimension)
+    return np.broadcast_to(next(_evaluate((q.terms,), spec.frequency_mesh())), (spec.resolution,) * spec.dimension)
 
 
 def _operator_step(op: VariableOperator, spec: GridSpec):
@@ -252,10 +252,10 @@ def _operator_step(op: VariableOperator, spec: GridSpec):
     """
     if op.dimension != spec.dimension:
         raise DimensionMismatch(f"operator dimension {op.dimension} != grid dimension {spec.dimension}")
-    monomials = [SymbolPolynomial(op.dimension, {alpha: 1.0}) for alpha in op.terms]
+    monomials = [{alpha: 1.0} for alpha in op.terms]
     # the real part keeps xi^alpha's bits also past the float range, where 1 * inf has a NaN imaginary part
     mults = (m.real for m in _evaluate(monomials, spec.frequency_mesh()))
-    terms = list(zip(mults, _evaluate(op.terms.values(), spec.mesh())))
+    terms = list(zip(mults, _evaluate([c.terms for c in op.terms.values()], spec.mesh())))
 
     def step(u: GridFunction) -> GridFunction:
         out = np.zeros_like(u.values)

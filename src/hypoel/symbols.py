@@ -173,7 +173,7 @@ class SymbolPolynomial:
     def __call__(self, xi) -> complex | np.ndarray:
         """Evaluate at xi; accepts a single point or an array of shape (..., n)."""
         xi = _points(xi, self.dimension)
-        out = next(_evaluate((self,), xi))
+        out = next(_evaluate((self.terms,), xi))
         return complex(out) if xi.ndim == 1 else out
 
     @cached_property
@@ -185,7 +185,7 @@ class SymbolPolynomial:
     def strength(self, xi) -> float | np.ndarray:
         """Hormander strength: sqrt of the sum of |d^alpha Q(xi)|^2 over all alpha."""
         xi = _points(xi, self.dimension)
-        out = _root_sum_squares(_evaluate([dq for _, dq in self.nonzero_derivatives], xi), xi.shape[:-1])
+        out = _root_sum_squares(_evaluate([dq.terms for _, dq in self.nonzero_derivatives], xi), xi.shape[:-1])
         return float(out) if xi.ndim == 1 else out
 
     def principal_part(self) -> "SymbolPolynomial":
@@ -230,11 +230,11 @@ def _points(xi, dimension: int) -> np.ndarray:
 
 
 def _evaluate(polys, coords) -> Iterator[np.ndarray]:
-    """Each of polys in turn at coords, every power and monomial computed once for all of them.
+    """Each of polys, term maps such as ``SymbolPolynomial.terms``, in turn at coords, each power and monomial once.
 
     coords are points xi, shape (..., n), with x_j = ``xi[..., j]`` and values of the points' shape, or per-axis
     arrays such as ``GridSpec.mesh()``, with x_j = ``coords[j]`` and each value in its monomials' broadcast shape.
-    A polynomial is summed term by term from zero in canonical order and a monomial multiplied out from one in
+    A polynomial is summed term by term from zero in its map's order and a monomial multiplied out from one in
     axis order, with x_j^a taken as ``x_j ** a`` (which squares at a = 2), so each value has the bits of that
     polynomial alone at that point, and a mesh the bits of its dense nodes.
     """
@@ -242,7 +242,7 @@ def _evaluate(polys, coords) -> Iterator[np.ndarray]:
     shape = coords.shape[:-1] if points else ()
     powers, monomials = {}, {}
     for p in polys:
-        for alpha in p.terms:
+        for alpha in p:
             if alpha not in monomials:
                 mono = None  # 1 * x is x exactly, so the product from one starts at the first factor
                 for j, a in enumerate(alpha):
@@ -251,8 +251,8 @@ def _evaluate(polys, coords) -> Iterator[np.ndarray]:
                             powers[j, a] = (coords[..., j] if points else coords[j]) ** a
                         mono = powers[j, a] if mono is None else mono * powers[j, a]
                 monomials[alpha] = np.ones(shape) if mono is None else mono
-        total = np.zeros(shape if points else np.broadcast_shapes(*(monomials[a].shape for a in p.terms)), complex)[()]
-        for alpha, c in p.terms.items():
+        total = np.zeros(shape if points else np.broadcast_shapes(*(monomials[a].shape for a in p)), complex)[()]
+        for alpha, c in p.items():
             total += c * monomials[alpha]  # in place; a point's 0-d total is a scalar ([()]), faster to add to
         yield total
 
@@ -314,7 +314,7 @@ class VariableOperator:
         if not self.domain.contains(x):
             raise DomainError(f"freeze point {tuple(x)} lies outside the closure of {self.domain}")
         # one family evaluation: each coefficient keeps the bits of its own evaluation at x
-        coeffs = _evaluate(self.terms.values(), x)
+        coeffs = _evaluate([c.terms for c in self.terms.values()], x)
         return SymbolPolynomial(self.dimension, {a: complex(c) for a, c in zip(self.terms, coeffs)})
 
     def to_dict(self) -> dict:

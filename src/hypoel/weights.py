@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, HypoelError, PreconditionError
-from .fitting import ascend, signed_axes
+from .fitting import ascend, row_norms, signed_axes
 from .symbols import SymbolPolynomial, _evaluate, _points, _root_sum_squares
 
 #: C candidates for the temperate fit
@@ -73,9 +73,10 @@ class StrengthWeight(WeightFunction):
         # = d^(alpha+e_k) Q; zeros stay, giving NaN where a derivative is not finite); _slots[i*n+k] finds d_k of i
         members = [dq.derive(e) for dq in derivatives for e in axes]
         index = {dq: i for i, dq in enumerate(derivatives)}
-        self._family = derivatives + [g for g in members if g not in index]
-        extra = iter(range(len(derivatives), len(self._family)))
+        family = derivatives + [g for g in members if g not in index]
+        extra = iter(range(len(derivatives), len(family)))
         self._slots = [index[g] if g in index else next(extra) for g in members]
+        self._family = [g.terms for g in family]
 
     def __call__(self, xi):
         return self.symbol.strength(xi)
@@ -223,7 +224,7 @@ def _ball_maximizers(h: WeightFunction, delta: float, pts: np.ndarray) -> tuple[
 
     def to_ball(cand):
         rel = cand - pts
-        dist = np.linalg.norm(rel, axis=1, keepdims=True)
+        dist = row_norms(rel)[:, None]
         return np.where(dist > delta, pts + rel * (delta / np.maximum(dist, 1e-300)), cand)
 
     return ascend(h._value_and_gradient, lambda x, grad: grad, to_ball, best, 0.25 * delta, 32)

@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -770,16 +772,17 @@ def test_characteristic_search_evaluates_once_per_step(monkeypatch):
     assert len(analysis._characteristic_refinement(q, unit_directions(2, 64)))
     # the starts, then one candidate set for each of the 40 steps: P_m (scaled by 1/2) and its gradient each time
     pm = 0.5 * q.principal_part()
-    assert families == [[pm, pm.derive((1, 0)), pm.derive((0, 1))]] * 41
+    assert families == [[pm.terms, pm.derive((1, 0)).terms, pm.derive((0, 1)).terms]] * 41
 
 
 def test_ray_table_evaluates_each_nonzero_homogeneous_part_once(heat_symbol, monkeypatch):
     calls, evaluate = [], analysis._evaluate
     monkeypatch.setattr(analysis, "_evaluate", lambda ps, xi: calls.append((list(ps), xi)) or evaluate(ps, xi))
     table = analysis._ray_table(heat_symbol, RayConfig(directions=64))
-    # Q = xi1^2 + i xi2 and its nonzero derivatives i, 2 xi1 and 2, each divided by its power of two; no empty part
+    # Q = xi1^2 + i xi2 and its nonzero derivatives i, 2 xi1 and 2, each divided by its power of two, as term maps;
+    # no empty part
     parts = [((0, 1), 0.5j), ((2, 0), 0.5), ((0, 0), 0.5j), ((1, 0), 0.5), ((0, 0), 0.5)]
-    assert [family for family, xi in calls if xi is table.dirs] == [[SymbolPolynomial(2, {a: c}) for a, c in parts]]
+    assert [family for family, xi in calls if xi is table.dirs] == [[{a: c} for a, c in parts]]
 
 
 def _exact_abs(p, theta, radii):
@@ -959,3 +962,90 @@ def test_one_boost_decides_like_the_three_it_replaced(values):
     for eps in (0.1, 0.2, 0.5):
         old &= slopes + eps > SLOPE_TOL
     assert np.array_equal(slopes + EPS_BOOST > SLOPE_TOL, old)
+
+
+def _log_abs_by_symbol_parts(family, dirs, radii):
+    """The ray logs as first written: each part a SymbolPolynomial, parts reversed by one gather, offset per member."""
+    scaled = []
+    for p in family:
+        coeffs = np.array(list(p.terms.values()), dtype=complex)
+        scale = math.frexp(np.abs(coeffs.view(float)).max(initial=0.0))[1]
+        terms = dict(zip(p.terms, np.ldexp(coeffs.view(float), -scale).view(complex)))
+        scaled.append((scale, {k: SymbolPolynomial(p.dimension, {a: c for a, c in terms.items() if sum(a) == k})
+                               for k in dict.fromkeys(map(sum, terms))}))
+    values = analysis._evaluate([h.terms for _, by_degree in scaled for h in by_degree.values()], dirs)
+    out = []
+    for p, (scale, by_degree) in zip(family, scaled):
+        m = p.order
+        parts = np.zeros((len(dirs), m + 1), dtype=complex)
+        for k in by_degree:
+            parts[:, k] = next(values)
+        top = m - np.argmax(parts[:, ::-1] != 0, axis=1)
+        shift = top[:, None] - np.arange(m + 1)
+        reversed_parts = np.where(shift >= 0, parts[np.arange(len(parts))[:, None], shift], 0)
+        r = radii if m else radii[:1]
+        logs = np.abs(reversed_parts @ r ** -np.arange(m + 1.0)[:, None])
+        with np.errstate(divide="ignore"):
+            np.log(logs, out=logs)
+        logs += top[:, None] * np.log(r) + scale * math.log(2.0)
+        out.append(logs)
+    return out
+
+
+@pytest.mark.parametrize("n, order", [(n, order) for n in (1, 2, 3) for order in range(1, 7)])
+def test_ray_logs_match_the_per_member_offset_form_bit_for_bit(n, order):
+    rng = np.random.default_rng(10 * n + order)  # the cases of test_ray_logs_match_exact_rational_evaluation
+    q = random_symbol(rng, n, order)
+    if q.order < order:
+        q = q + SymbolPolynomial.variable(n, n - 1) ** order
+    family = [dq for _, dq in q.nonzero_derivatives] + [SymbolPolynomial(n, {})]
+    for dirs, radii in ((unit_directions(n, 16), RayConfig().radius_grid()[::4]), (unit_directions(n, 64), None)):
+        radii = RayConfig().radius_grid() if radii is None else radii
+        got, want = analysis._log_abs_on_rays(family, dirs, radii), _log_abs_by_symbol_parts(family, dirs, radii)
+        assert [g.shape for g in got] == [w.shape for w in want]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))  # -inf rows included
+
+
+def _sweep_by_tail_slope(table, derivatives, d=math.inf):
+    """The sweep as first written: the weight added on every row, and `tail_slope` called per beta."""
+    log_r = np.log(table.radii)
+    for beta, log_abs in derivatives:
+        logs = sum(beta) / d * log_r + log_abs - table.log_denom
+        yield beta, logs, logs.max(axis=1), tail_slope(log_r, logs, 2)
+
+
+#: 1 + xi^40 and 1 + xi^100, a constant, xi1 xi2 (whose axis rows hold logs of -inf), and the packaged wave
+WARNING_CASES = {
+    "spike-40": SymbolPolynomial(1, {(0,): 1.0, (40,): 1.0}),
+    "spike-100": SymbolPolynomial(1, {(0,): 1.0, (100,): 1.0}),
+    "constant": SymbolPolynomial.constant(2, 3.0),
+    "product": SymbolPolynomial(2, {(1, 1): 1.0}),
+    "wave": SymbolPolynomial(2, {(2, 0): 1.0, (0, 2): -1.0}),
+}
+
+
+def _warning_case_results(q):
+    cfg = RayConfig(directions=64 if q.dimension > 1 else 2)
+    out = [check_hypoelliptic(q, d, cfg) for d in (1.0, 2.0)] + [equally_strong(q, q + 1.0, cfg)]
+    out.append(estimate_d(q, cfg) if q.order else None)
+    try:
+        out.append(check_symbol_domination(q, q))
+    except HypoelError as exc:
+        out.append(str(exc))
+    table = analysis._ray_table(q, cfg)
+    for d in (1.0, math.inf):
+        out += [(beta, logs.tolist(), top.tolist(), np.asarray(s).tolist()) for beta, logs, top, s in
+                analysis._sweep(table, table.derivatives, d)]
+    return [cli._json_text(r) if dataclasses.is_dataclass(r) else r for r in out]
+
+
+@pytest.mark.parametrize("q", WARNING_CASES.values(), ids=WARNING_CASES)
+def test_one_error_state_per_loop_warns_nothing_and_keeps_the_results(q, monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _warning_case_results(q)
+    monkeypatch.setattr(analysis, "_log_abs_on_rays", _log_abs_by_symbol_parts)
+    monkeypatch.setattr(analysis, "_sweep", _sweep_by_tail_slope)
+    with np.errstate(all="ignore"):
+        want = _warning_case_results(q)
+    assert json.dumps(got) == json.dumps(want)

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from hypoel.fitting import least_squares_slope, signed_axes, tail_slope
+from hypoel import SymbolPolynomial, analysis, weights
+from hypoel.fitting import ascend, least_squares_slope, signed_axes, slope_function, tail_slope
 
 
 def reference_slopes(x, y):
@@ -98,3 +99,60 @@ def test_signed_axes_run_e0_minus_e0_e1_with_no_negative_zero(n):
     axes = signed_axes(n)
     assert axes.tolist() == [[sign * (j == k) for j in range(n)] for k in range(n) for sign in (1.0, -1.0)]
     assert not np.signbit(axes[axes == 0.0]).any()
+
+
+@pytest.mark.parametrize("share", [2, 3])
+def test_slope_function_matches_per_row_dot_on_its_window_bit_for_bit(share):
+    rng = np.random.default_rng(share)
+    for n in (2, 3, 9, 20, 41):
+        x = np.log(2.0 ** np.arange(n))
+        start = n - max(-(-n // share), 2)
+        y = (rng.standard_normal((30, 2 * n)) * 50)[:, ::2]  # a strided view
+        y[1, -1], y[2, -1], y[3, start], y[4, -2:] = np.nan, np.inf, -np.inf, -np.inf
+        slope = slope_function(x, share)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, one = slope(y), slope(y[5])
+        with np.errstate(invalid="ignore"):
+            want = reference_slopes(x[start:], y[:, start:])
+        assert np.array_equal(got, want, equal_nan=True) and np.isnan(got[1:5]).all()
+        assert isinstance(one, float) and one == want[5]
+
+
+def ascend_by_masks(score, gradient, project, start, step, steps):
+    """The ascent as first written: np.linalg.norm, and accepted moves kept by masked assignment."""
+    pts = np.array(start, dtype=float)
+    scores, values = score(pts)
+    step = np.full(len(pts), step)
+    for _ in range(steps):
+        grad = gradient(pts, values)
+        gn = np.linalg.norm(grad, axis=1, keepdims=True)
+        gn[gn == 0] = 1.0
+        cand = project(pts + step[:, None] * grad / gn)
+        cand_scores, cand_values = score(cand)
+        better = cand_scores > scores
+        pts[better] = cand[better]
+        scores[better] = cand_scores[better]
+        values[better] = cand_values[better]
+        step = np.where(better, step, step * 0.5)
+    return pts, scores
+
+
+def test_ascend_matches_the_masked_assignment_loop_bit_for_bit(monkeypatch):
+    searches = []
+
+    def both(*args):
+        got, want = ascend(*args), ascend_by_masks(*args)
+        searches.append(all(np.array_equal(g, w) for g, w in zip(got, want)))
+        return got
+
+    monkeypatch.setattr(analysis, "ascend", both)
+    monkeypatch.setattr(weights, "ascend", both)
+    rng = np.random.default_rng(5)
+    for n in (2, 3):  # real principal parts, whose characteristic directions the search finds
+        a = rng.uniform(0.5, 2.0, n)
+        q = SymbolPolynomial(n, {tuple(2 * (j == k) for j in range(n)): a[k] * (1 if k else -1) for k in range(n)})
+        analysis._characteristic_refinement(q + SymbolPolynomial.variable(n, 0), analysis.unit_directions(n, 64))
+    h = weights.StrengthWeight(SymbolPolynomial(2, {(2, 0): 1.0, (1, 1): 0.5, (0, 2): 2.0, (0, 1): 1j, (0, 0): 1.0}))
+    weights._ball_maximizers(h, 0.5, rng.standard_normal((16, 2)) * 3)
+    assert searches == [True, True, True]

@@ -260,7 +260,7 @@ def test_a_variable_sweep_evaluates_its_coefficients_once(drift_operator, monkey
 
     def counted(polys, coords):
         polys = list(polys)
-        evaluated.extend(p for p in polys if any(p is c for c in drift_operator.terms.values()))
+        evaluated.extend(p for p in polys if any(p is c.terms for c in drift_operator.terms.values()))
         return evaluate(polys, coords)
 
     # through SymbolPolynomial.__call__ or directly

@@ -474,9 +474,10 @@ def test_family_evaluation_matches_each_polynomial_alone_bit_for_bit(family):
     polys, xi, spec = family
     bits = lambda values: np.atleast_1d(values).view(np.uint64).tolist()  # noqa: E731
     nodes = np.stack(np.meshgrid(*spec.axes(), indexing="ij"), axis=-1)
-    on_points = _evaluate(polys, xi)
-    on_nodes = _evaluate(polys, nodes)
-    for p, values, mesh_values, node_values in zip(polys, on_points, _evaluate(polys, spec.mesh()), on_nodes):
+    maps = [p.terms for p in polys]
+    on_points = _evaluate(maps, xi)
+    on_nodes = _evaluate(maps, nodes)
+    for p, values, mesh_values, node_values in zip(polys, on_points, _evaluate(maps, spec.mesh()), on_nodes):
         assert bits(values) == bits(p(xi)) == bits(_value_by_terms(p, xi))
         assert [bits(p(point)) for point in xi] == [bits(_value_by_terms(p, point)) for point in xi]
         on_mesh = np.broadcast_to(mesh_values, nodes.shape[:-1]).copy()
