@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, HypoelError, PreconditionError
-from .fitting import ascend, row_norms, signed_axes, slope_function, tail_slope
+from .fitting import ascend, signed_axes, slope_function, tail_slope
 from .symbols import MultiIndex, SymbolPolynomial, VariableOperator, _evaluate
 
 #: per-ray tail slopes above this count as divergence
@@ -137,7 +137,7 @@ def _characteristic_refinement(q: SymbolPolynomial, dirs: np.ndarray) -> np.ndar
         return np.zeros((0, q.dimension))
     order = np.argsort(vals, kind="stable")
     starts = dirs[order[: min(32, len(dirs))]]
-    family = [pm.terms, *(pm.derive(e).terms for e in map(tuple, np.eye(q.dimension, dtype=int).tolist()))]
+    family = [pm.terms, *(pm.derive(tuple(1 if j == k else 0 for j in range(q.dimension))).terms for k in range(q.dimension))]
 
     def score(pts):
         values = np.array(list(_evaluate(family, pts))).T  # a column each: P_m, then its gradient
@@ -147,7 +147,7 @@ def _characteristic_refinement(q: SymbolPolynomial, dirs: np.ndarray) -> np.ndar
         return -2 * np.real(np.conj(values[:, :1]) * values[:, 1:])
 
     def to_sphere(cand):
-        cn = row_norms(cand)
+        cn = np.linalg.norm(cand, axis=1)
         cn[cn == 0] = 1.0
         return cand / cn[:, None]
 

@@ -9,6 +9,7 @@ failed numerically, 2 = malformed input or a rejected precondition.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -159,8 +160,11 @@ def run_analyze(args) -> int:
 def run_seq_check(args) -> int:
     if args.pmax > _INTEGER_LIMITS["pmax"]:
         raise ParseError(f"--pmax is {args.pmax}, above its limit {_INTEGER_LIMITS['pmax']}")
+    with contextlib.suppress(ValueError):  # a decimal is held to the limit by its float, before Fraction reads it
+        if float(args.power_m) > _POWER_M_LIMIT:
+            raise ParseError(f"--power-m is {args.power_m}, above its limit {_POWER_M_LIMIT}")
     try:
-        frac = parse_fraction(args.power_m, _POWER_M_LIMIT)
+        frac = parse_fraction(args.power_m)
     except ZeroDivisionError:
         raise ParseError(f"--power-m {args.power_m!r} has a zero denominator") from None
     except ValueError as exc:

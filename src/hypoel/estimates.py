@@ -44,18 +44,19 @@ MARGIN_REL_TOL = 1e-9
 RESIDUAL_SLOPE_TOL = 1e-9
 
 
-def parse_fraction(text: str, limit: float = math.inf) -> Fraction:
-    """`Fraction(text)`; a ValueError first, from its float, for a decimal above `limit` or past the float range.
+def parse_fraction(text: str) -> Fraction:
+    """`Fraction(text)`, but a ValueError first, from its float, for a decimal past the float range.
 
     `Fraction` writes out 10^|exponent|, so "1e10000000" took seconds.
     """
-    mantissa, exponent, _ = text.lower().partition("e")
-    value = float(text) if exponent else 1.0  # with an "e", float and Fraction accept the same texts
-    if value > limit:
-        raise ValueError(f"above its limit {limit}")
-    if math.isinf(value) or value == 0 and any(digit in mantissa for digit in "123456789"):
-        raise ValueError("past the float range")
-    return Fraction(0) if value == 0 else Fraction(text)
+    mantissa, e, _ = text.lower().partition("e")
+    if e:  # with an "e", float and Fraction accept the same texts
+        value = float(text)
+        if math.isinf(value) or value == 0 and any(digit in mantissa for digit in "123456789"):
+            raise ValueError("past the float range")
+        if value == 0:
+            return Fraction(0)
+    return Fraction(text)
 
 
 class RationalExponent(Fraction):

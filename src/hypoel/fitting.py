@@ -42,11 +42,6 @@ def signed_axes(n: int) -> np.ndarray:
     return np.repeat(np.eye(n), 2, axis=0) * np.tile([1.0, -1.0], n)[:, None] + 0.0
 
 
-def row_norms(x: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each row of a real 2-D array, with the bits of ``np.linalg.norm(x, axis=1)``."""
-    return np.sqrt(np.add.reduce(x * x, axis=1))
-
-
 def ascend(score, gradient, project, start: np.ndarray, step: float, steps: int):
     """Step-halving ascent from each start point: the points reached and their scores.
 
@@ -59,9 +54,9 @@ def ascend(score, gradient, project, start: np.ndarray, step: float, steps: int)
     step = np.full(len(pts), step)
     for _ in range(steps):
         grad = gradient(pts, values)
-        gn = row_norms(grad)
+        gn = np.linalg.norm(grad, axis=1, keepdims=True)
         gn[gn == 0] = 1.0
-        cand = project(pts + step[:, None] * grad / gn[:, None])
+        cand = project(pts + step[:, None] * grad / gn)
         cand_scores, cand_values = score(cand)
         better = cand_scores > scores
         np.copyto(pts, cand, where=better[:, None])

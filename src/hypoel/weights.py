@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, HypoelError, PreconditionError
-from .fitting import ascend, row_norms, signed_axes
+from .fitting import ascend, signed_axes
 from .symbols import SymbolPolynomial, _evaluate, _points, _root_sum_squares
 
 #: C candidates for the temperate fit
@@ -224,7 +224,7 @@ def _ball_maximizers(h: WeightFunction, delta: float, pts: np.ndarray) -> tuple[
 
     def to_ball(cand):
         rel = cand - pts
-        dist = row_norms(rel)[:, None]
+        dist = np.linalg.norm(rel, axis=1, keepdims=True)
         return np.where(dist > delta, pts + rel * (delta / np.maximum(dist, 1e-300)), cand)
 
     return ascend(h._value_and_gradient, lambda x, grad: grad, to_ball, best, 0.25 * delta, 32)

@@ -567,8 +567,7 @@ def test_verify_malformed_config_exits_2_naming_the_key(tmp_path, capsys, check,
         assert word in err
 
 
-
-@pytest.mark.parametrize("text", ["1e10000000", "1e-10000000"])
+@pytest.mark.parametrize("text", ["1e10000000", "1e-10000000", "-1e10000000"])
 @pytest.mark.parametrize("entry", ["--d", "--power-m", "d"])
 def test_a_decimal_past_the_float_range_is_refused_before_fraction_writes_it_out(tmp_path, capsys, monkeypatch, entry, text):
     # Fraction multiplies out 10^|exponent|: at 1e10000000 that took seconds before any limit was checked
@@ -582,9 +581,9 @@ def test_a_decimal_past_the_float_range_is_refused_before_fraction_writes_it_out
     monkeypatch.setattr(fractions.Fraction, "__new__", guarded)
     out = tmp_path / "r.json"
     if entry == "--d":
-        argv = ["analyze", "--symbol", fixture_path("heat.json"), "--d", text]
+        argv = ["analyze", "--symbol", fixture_path("heat.json"), f"--d={text}"]
     elif entry == "--power-m":
-        argv = ["seq-check", "--gevrey", "2", "--power-m", text]
+        argv = ["seq-check", "--gevrey", "2", f"--power-m={text}"]
     else:
         doc = read(fixture_path("verify_p1.json"))
         doc["symbol"], doc["d"] = fixture_path(doc["symbol"]), text
@@ -594,9 +593,11 @@ def test_a_decimal_past_the_float_range_is_refused_before_fraction_writes_it_out
     assert run([*argv, "--out", str(out)]) == 2
     assert not out.exists()
     err = capsys.readouterr().err
-    past_limit = entry == "--power-m" and text == "1e10000000"
     assert {"--d": f"--d {text!r}", "--power-m": f"--power-m is {text}", "d": "'d'"}[entry] in err
+    # a positive --power-m too large for a float is named as past its limit, as 1e400 is
+    past_limit = entry == "--power-m" and text == "1e10000000"
     assert ("above its limit 1000" if past_limit else "past the float range") in err
+
 
 def _reached_fixtures(*args):
     raise ParseError("reached the fixtures")
