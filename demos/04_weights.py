@@ -11,7 +11,6 @@ import numpy as np
 
 from hypoel import (
     OnePlusNorm,
-    PowerWeight,
     StrengthWeight,
     SymbolPolynomial,
     fit_temperate,
@@ -41,12 +40,3 @@ fit = fit_temperate(sw)
 print(f"\nstrength of the Laplacian: C = {fit.c}, N = {fit.n_exp}")
 rep = verify_ball_sup_sandwich(sw, delta=1.0, j=2, fit=fit)
 print(f"sandwich verdict: {'pass' if rep.passed else 'fail'}")
-
-# h^j has the maximizers of h, so searching either finds the same points up to
-# rounding; verify_ball_sup_sandwich above searches once and evaluates h and
-# h^j on those points, which makes (h^j)_delta = (h_delta)^j exact arithmetic.
-pw = PowerWeight(sw, 3)
-pts = np.array([[0.0, 0.0], [2.0, -1.0]])
-lhs = h_delta(pw, 0.7, pts)
-rhs = h_delta(sw, 0.7, pts) ** 3
-print(f"\nshared-sample power identity residual: {np.max(np.abs(lhs - rhs)):.2e}")

@@ -68,13 +68,11 @@ from .sequences import (
     fit_power_bound,
     gevrey,
     load_table,
-    power_sequence,
 )
 from .symbols import SymbolPolynomial, VariableOperator
 from .weights import (
     OnePlusNorm,
     PairSampleConfig,
-    PowerWeight,
     StrengthWeight,
     TemperateFit,
     WeightFunction,

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, HypoelError, PreconditionError
-from .fitting import ascend, signed_axes, slope_function, tail_slope
+from .fitting import ascend, signed_axes, slope_function
 from .symbols import MultiIndex, SymbolPolynomial, VariableOperator, _evaluate
 
 #: per-ray tail slopes above this count as divergence
@@ -276,7 +276,7 @@ def _ray_table(q: SymbolPolynomial, cfg: RayConfig) -> _RayTable:
 
 
 def _sweep(table: _RayTable, derivatives, d: float = math.inf):
-    """One derivative at a time: beta, logs of r^{|beta|/d} |Q^(beta)| / (1 + |Q|), their row maxima, `tail_slope`s."""
+    """One derivative at a time: beta, logs of r^{|beta|/d} |Q^(beta)| / (1 + |Q|), their row maxima, tail slopes."""
     log_r = np.log(table.radii)
     slope = slope_function(log_r, 2)
     for beta, log_abs in derivatives:
@@ -365,6 +365,7 @@ def _check_rays(table: _RayTable, d: float) -> HypoReport:
     per_beta: list[dict] = []
     ambiguous = 0
     total_rays = 0
+    tail = slope_function(np.log(table.radii), 2).window  # the slopes' window, over which growth is read too
 
     with np.errstate(over="ignore", invalid="ignore"):  # a ratio past the float range is inf, inf - inf growth NaN
         for beta, logs, top, slopes in _sweep(table, table.derivatives, d):
@@ -382,7 +383,7 @@ def _check_rays(table: _RayTable, d: float) -> HypoReport:
             per_beta += _worst_slope(beta, slopes, table.dirs, counted)
             rising = active & (slopes > SLOPE_TOL)
             worst_violation, rising = _steepest(worst_violation, table, beta, logs, peaks, slopes, rising)
-            growth = logs[:, -1] - logs[:, len(table.radii) // 2 :].min(axis=1)
+            growth = logs[:, -1] - logs[:, tail].min(axis=1)
             bounded = (slopes < -SLOPE_TOL) | ((np.abs(slopes) <= SLOPE_TOL) & (growth <= BOUNDED_GROWTH_TOL))
             ambiguous += int(np.count_nonzero(counted & ~rising & ~bounded))
 
@@ -492,7 +493,7 @@ def _log_strength(s: SymbolPolynomial, dirs: np.ndarray, radii: np.ndarray, logs
 def _compare_strengths(log_p, log_q, dirs, radii) -> StrengthReport:
     """The strength verdict from the logs of both strengths on the same rays."""
     log_t = log_p - log_q
-    slopes = tail_slope(np.log(radii), log_t, 2)
+    slopes = slope_function(np.log(radii), 2)(log_t)
     fwd, bwd = _first_max(slopes), _first_max(-slopes)
     fwd_bounded = fwd is None or slopes[fwd] <= SLOPE_TOL
     bwd_bounded = bwd is None or -slopes[bwd] <= SLOPE_TOL
@@ -519,7 +520,7 @@ def check_symbol_domination(r: SymbolPolynomial, q: SymbolPolynomial) -> dict:
     dirs, _, radii = _ray_grid(q.dimension, RayConfig())
     log_r, log_q = _log_abs_on_rays([r, q], dirs, radii)
     logs = np.broadcast_to(log_r - np.logaddexp(0.0, log_q), (len(dirs), len(radii)))
-    slopes = tail_slope(np.log(radii), logs, 2)
+    slopes = slope_function(np.log(radii), 2)(logs)
     with np.errstate(over="ignore"):  # a ratio past the floating-point range is inf
         peaks = np.exp(logs.max(axis=1))
     worst = _first_max(slopes, ~(peaks < VANISHED_PEAK))

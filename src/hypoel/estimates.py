@@ -20,7 +20,7 @@ import numpy as np
 from .analysis import check_constant_strength, check_symbol_domination, estimate_d
 from .domains import BoxDomain
 from .errors import HypoelError, PreconditionError
-from .fitting import least_squares_slope, tail_slope
+from .fitting import slope_function
 from .grids import (
     GridFunction,
     NormSweep,
@@ -34,7 +34,7 @@ from .grids import (
     restricted_l2,
     symbol_on_lattice,
 )
-from .sequences import RoumieuSequence, check_basic, fit_inclusion, gevrey, power_sequence
+from .sequences import RoumieuSequence, check_basic, fit_inclusion, gevrey
 from .symbols import SymbolPolynomial, VariableOperator, multi_indices_up_to
 
 #: relative slack allowed when re-checking margins at the fitted constant
@@ -125,7 +125,7 @@ class GrowthFit:
     def __post_init__(self):
         pts = [(l, r) for l, r, f in zip(self.labels, self.log_residuals, self.flagged) if r is not None and not f]
         labels, residuals = zip(*pts) if pts else ((), ())
-        self.residual_tail_slope = tail_slope(labels, residuals, 3)
+        self.residual_tail_slope = slope_function(labels, 3)(residuals)
 
 
 def _as_fixture_list(u) -> list[GridFunction]:
@@ -346,7 +346,7 @@ def _growth_fit_from_sweep(
         labels=sweep.labels,
         norms=sweep.norms,
         log_residuals=residuals,
-        slope=least_squares_slope(xs, ys) if usable else 0.0,
+        slope=slope_function(xs)(ys),
         flagged=sweep.flagged,
         target=target_name,
     )
@@ -377,10 +377,11 @@ def fit_roumieu_space(
     delta: float,
     amax: int,
 ) -> GrowthFit:
-    """Fit C with max_{|alpha|=a} ||D^alpha u|| <= C^{a+1} (M_a)^d over derivative orders."""
-    powered = power_sequence(m_seq, d)
+    """Fit C with max_{|alpha|=a} ||D^alpha u|| <= C^{a+1} (M_a)^d over derivative orders, for a finite d > 0."""
+    if not 0 < d < math.inf:  # NaN fails too
+        raise ValueError(f"power exponent d must be finite and > 0, got {d}")
     sweep = derivative_norms(u, amax, region, delta)
-    log_targets = [powered.log_m(a) for a in sweep.labels]
+    log_targets = [float(d) * m_seq.log_m(a) for a in sweep.labels]
     return _growth_fit_from_sweep(sweep, log_targets, f"(M_a)^{d}")
 
 

@@ -8,33 +8,25 @@ import numpy as np
 def slope_function(x, share: int = 1):
     """y -> the least-squares slope of y against x over the last ceil(len/share) points, never fewer than two.
 
-    The window, its centred abscissa and their squared norm are formed once, for every y.  A 1-D y gives a float,
-    a stack of rows one slope per row, each rounding like ``np.dot`` on that row alone; constant x gives 0.  A NaN
-    or infinite y in the window gives a NaN slope, without a warning.
+    The window, its centred abscissa and their squared norm are formed once, for every y; the window is the
+    function's `window` slice, which callers read for their own tail statistics.  A 1-D y gives a float, a stack
+    of rows one slope per row, each rounding like ``np.dot`` on that row alone; constant x, or fewer than two
+    points, gives 0.  A NaN or infinite y in the window gives a NaN slope, without a warning.
     """
     x = np.asarray(x, dtype=float)
-    start = max(len(x) - max(-(-len(x) // share), 2), 0)
-    xm = x[start:] - x[start:].mean()
+    window = slice(max(len(x) - max(-(-len(x) // share), 2), 0), None)
+    xm = x[window] - (x[window].mean() if len(x) else 0.0)
     denom = float(np.dot(xm, xm))
 
     def slope(y):
-        y = np.asarray(y, dtype=float)[..., start:]
+        y = np.asarray(y, dtype=float)[..., window]
         with np.errstate(invalid="ignore"):
             yc = y - np.add.reduce(y, axis=-1, keepdims=True) / len(xm)  # y.mean(axis=-1, keepdims=True), bit for bit
             out = (yc[..., None, :] @ xm[:, None])[..., 0, 0] / denom if denom else np.zeros(y.shape[:-1])
         return float(out) if out.ndim == 0 else out
 
+    slope.window = window
     return slope
-
-
-def least_squares_slope(x, y) -> float | np.ndarray:
-    """Least-squares slope of y against x over the last axis of y (0 for constant x)."""
-    return slope_function(x)(y)
-
-
-def tail_slope(x, y, share: int) -> float | np.ndarray:
-    """`slope_function(x, share)` at y; 0.0 with fewer than two points."""
-    return slope_function(x, share)(y) if len(x) >= 2 else 0.0
 
 
 def signed_axes(n: int) -> np.ndarray:

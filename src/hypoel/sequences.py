@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import HypoelError, ParseError
-from .fitting import tail_slope
+from .fitting import slope_function
 
 #: slope tolerance separating "bounded on range" from "divergent" in tail fits
 SLOPE_TOL = 1e-3
@@ -61,12 +61,12 @@ class RoumieuSequence:
 
 
 class GevreySequence(RoumieuSequence):
-    """M_p = (p!)^s for s >= 1."""
+    """M_p = (p!)^s for a finite s >= 1."""
 
     def __init__(self, s: float):
         s = float(s)
-        if s < 1:
-            raise ValueError(f"Gevrey order must be >= 1, got {s}")
+        if not 1 <= s < math.inf:  # NaN fails too
+            raise ValueError(f"Gevrey order must be {'>= 1' if s < 1 else 'finite'}, got {s}")
         self.s = s
 
     def log_m(self, p: int) -> float:
@@ -93,29 +93,8 @@ class TableSequence(RoumieuSequence):
         return len(self._logs) - 1
 
 
-class PowerSequence(RoumieuSequence):
-    """The sequence (M_p)^d for a base sequence and d > 0."""
-
-    def __init__(self, base: RoumieuSequence, d: float):
-        d = float(d)
-        if d <= 0:
-            raise ValueError(f"power exponent must be > 0, got {d}")
-        self.base = base
-        self.d = d
-
-    def log_m(self, p: int) -> float:
-        return self.d * self.base.log_m(p)
-
-    def max_index(self) -> int | None:
-        return self.base.max_index()
-
-
 def gevrey(s: float) -> RoumieuSequence:
     return GevreySequence(s)
-
-
-def power_sequence(m: RoumieuSequence, d: float) -> RoumieuSequence:
-    return PowerSequence(m, d)
 
 
 def load_table(path) -> TableSequence:
@@ -252,10 +231,11 @@ def fit_inclusion(m: RoumieuSequence, n: RoumieuSequence, pmax: int = 60) -> Inc
     """
     r = _logs(m, range(pmax + 1)) - _logs(n, range(pmax + 1))
     increments = np.diff(r)
-    slope = tail_slope(np.log(np.arange(1, pmax + 1)), increments, 2)
+    tail = slope_function(np.log(np.arange(1, pmax + 1)), 2)
+    slope = tail(increments)
     if slope > SLOPE_TOL:
         witness = max(range(1, pmax + 1), key=lambda p: r[p] / p)
         return InclusionFit(holds=False, tail_slope=slope, witness_p=witness)
-    log_l = float(increments[-max(-(-pmax // 2), 2) :].max(initial=0.0))
+    log_l = float(increments[tail.window].max(initial=0.0))
     log_c = float(np.max(r - np.arange(pmax + 1) * log_l))
     return InclusionFit(holds=True, L=_exp(log_l), C=_exp(log_c), tail_slope=slope)

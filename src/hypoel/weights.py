@@ -95,25 +95,6 @@ class StrengthWeight(WeightFunction):
         return strength, grad / np.maximum(strength, 1e-300)[..., None]
 
 
-class PowerWeight(WeightFunction):
-    """Integer power h^j of a base weight."""
-
-    def __init__(self, base: WeightFunction, j: int):
-        if j < 1:
-            raise ValueError("power must be a positive integer")
-        self.base = base
-        self.j = int(j)
-        self.dimension = base.dimension
-        self.degree = base.degree * self.j
-
-    def __call__(self, xi):
-        return self.base(xi) ** self.j
-
-    def gradient(self, xi):
-        # ascent directions of h^j and h coincide
-        return self.base.gradient(xi)
-
-
 # -- temperate fit --------------------------------------------------------------
 
 
@@ -215,8 +196,8 @@ def _ball_maximizers(h: WeightFunction, delta: float, pts: np.ndarray) -> tuple[
     The best of fixed quasi-uniform ball samples, the center among them,
     refined by 32 steps of local ascent along the weight's gradient.
     """
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    if not 0 < delta < math.inf:  # NaN fails too
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
     if pts.shape[-1] != h.dimension:
         raise DimensionMismatch(f"points have dimension {pts.shape[-1]}, expected {h.dimension}")
     offsets = _unit_ball_template(h.dimension) * delta
@@ -268,8 +249,8 @@ def verify_ball_sup_sandwich(
     them, so the power identity (h^j)_delta = (h_delta)^j is an arithmetic
     identity rather than an approximation claim.
     """
-    if j < 1:
-        raise ValueError("power j must be >= 1")
+    if not 1 <= j < math.inf:  # NaN fails too
+        raise ValueError(f"power j must be finite and >= 1, got {j}")
     fit = fit or fit_temperate(h)
     if not fit.success:
         raise PreconditionError("temperate-fit", "no (C, N) on the search grid satisfies the samples")
@@ -282,7 +263,7 @@ def verify_ball_sup_sandwich(
     lower_margin = float(((sup_vals - h_vals) / h_vals).min())
     upper_margin = float(((upper - sup_vals) / upper).min())
 
-    sup_powered = PowerWeight(h, j)(maximizers)
+    sup_powered = h(maximizers) ** j
     residual = float(np.max(np.abs(sup_powered - sup_vals**j) / np.abs(sup_vals**j)))
 
     passed = lower_margin >= -1e-6 and upper_margin >= -1e-6 and residual <= 1e-6

@@ -25,7 +25,7 @@ from hypoel import (
 )
 from hypoel import analysis, cli
 from hypoel.analysis import EPS_BOOST, SLOPE_TOL, check_symbol_domination, freeze_sample_points, unit_directions
-from hypoel.fitting import tail_slope
+from hypoel.fitting import slope_function
 from hypoel.symbols import multi_indices_up_to
 
 from conftest import random_symbol
@@ -633,7 +633,7 @@ def test_homogeneous_parts_match_pointwise_evaluation(seed, monkeypatch):
             ratios = radii ** (sum(beta) / d) * np.abs(q.derive(beta)(xi)) / (1.0 + np.abs(q(xi)))
             active = ~(ratios.max(axis=1) < 1e-250)
             assert np.allclose(np.exp(logs), ratios, rtol=1e-12, atol=0.0)
-            want = tail_slope(np.log(radii), np.log(np.maximum(ratios[active], 1e-300)), 2)
+            want = slope_function(np.log(radii), 2)(np.log(np.maximum(ratios[active], 1e-300)))
             assert np.allclose(slopes[active], want, rtol=0.0, atol=1e-12)
 
     got = [estimate_d(q, cfg), check_hypoelliptic(q, 1.0, cfg), check_hypoelliptic(q, 2.0, cfg)]
@@ -710,7 +710,7 @@ def _sweep_by_reevaluation(q):
         for beta, _ in derivatives:
             log_abs = analysis._log_abs_on_rays([q.derive(beta)], table.dirs, table.radii)[0]
             logs = sum(beta) / d * log_r + log_abs - log_denom
-            yield beta, logs, logs.max(axis=1), tail_slope(log_r, logs, 2)
+            yield beta, logs, logs.max(axis=1), slope_function(log_r, 2)(logs)
 
     return sweep
 
@@ -1007,11 +1007,11 @@ def test_ray_logs_match_the_per_member_offset_form_bit_for_bit(n, order):
 
 
 def _sweep_by_tail_slope(table, derivatives, d=math.inf):
-    """The sweep as first written: the weight added on every row, and `tail_slope` called per beta."""
+    """The sweep as first written: the weight added on every row, and the slope function built per beta."""
     log_r = np.log(table.radii)
     for beta, log_abs in derivatives:
         logs = sum(beta) / d * log_r + log_abs - table.log_denom
-        yield beta, logs, logs.max(axis=1), tail_slope(log_r, logs, 2)
+        yield beta, logs, logs.max(axis=1), slope_function(log_r, 2)(logs)
 
 
 #: 1 + xi^40 and 1 + xi^100, a constant, xi1 xi2 (whose axis rows hold logs of -inf), and the packaged wave

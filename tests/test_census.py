@@ -7,7 +7,7 @@ import types
 from pathlib import Path
 
 import hypoel
-from hypoel import cli
+from hypoel import cli, fitting
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -56,6 +56,15 @@ def test_only_input_formats_define_to_dict():
         if isinstance(node, ast.ClassDef) and any(isinstance(f, ast.FunctionDef) and f.name == "to_dict" for f in node.body)
     }
     assert owners == INPUT_FORMATS
+
+
+#: the public functions of `hypoel.fitting`: one slope, whose window its callers read, and no second way to fit one
+FITTING = {"slope_function", "signed_axes", "ascend"}
+
+
+def test_fitting_keeps_one_slope_function():
+    public = {n for n, v in vars(fitting).items() if isinstance(v, types.FunctionType) and not n.startswith("_")}
+    assert public == FITTING
 
 
 #: each subcommand's flags, besides --help; a new one changes this census on purpose

@@ -415,6 +415,13 @@ def test_space_fit_uses_powered_targets(wide_box):
     assert f1.constant == pytest.approx(f2.constant, rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [math.nan, math.inf, 0.0, -1.0])
+def test_space_fit_rejects_a_power_not_finite_and_positive_naming_it(d, wide_box):
+    u = gaussian_bump(GridSpec(wide_box, 64), 0.15)
+    with pytest.raises(ValueError, match=f"d must be finite and > 0, got {d}$"):
+        fit_roumieu_space(u, gevrey(1), d, wide_box, 0.05, 6)
+
+
 # -- growth chain -----------------------------------------------------------------------
 
 

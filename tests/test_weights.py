@@ -6,7 +6,6 @@ import pytest
 from hypoel import (
     OnePlusNorm,
     PairSampleConfig,
-    PowerWeight,
     PreconditionError,
     StrengthWeight,
     SymbolPolynomial,
@@ -15,7 +14,7 @@ from hypoel import (
     verify_ball_sup_sandwich,
 )
 from hypoel import symbols, weights
-from hypoel.weights import C_GRID, FIT_RESIDUAL_TOL, WeightFunction, _residuals, _unit_ball_template, sample_pairs
+from hypoel.weights import C_GRID, FIT_RESIDUAL_TOL, WeightFunction, _unit_ball_template, sample_pairs
 
 
 def constant_weight(n, c):
@@ -60,16 +59,6 @@ def test_strength_weight_fit(strength_weight, laplacian):
     assert fit.n_exp <= 2 * laplacian.order
 
 
-def test_power_weight_satisfies_scaled_constants(one_plus_norm):
-    base_fit = fit_temperate(one_plus_norm)
-    xi, eta = sample_pairs(2, PairSampleConfig())
-    for j in (2, 3):
-        powered = PowerWeight(one_plus_norm, j)
-        res = _residuals(powered, xi, eta)(base_fit.c, j * base_fit.n_exp)
-        assert float(res.max()) <= 1e-9
-        assert fit_temperate(powered).success
-
-
 class ExpNorm(WeightFunction):
     """exp(|xi|), which no (C, N) makes temperate."""
 
@@ -103,7 +92,7 @@ def _fit_by_reevaluation(h, cfg=None):
 
 def test_fit_matches_the_per_candidate_reevaluation_bit_for_bit(laplacian):
     cases = [constant_weight(2, 2.0), OnePlusNorm(1), OnePlusNorm(3), StrengthWeight(laplacian),
-             PowerWeight(StrengthWeight(SymbolPolynomial(1, {(3,): 1.0, (1,): 2.0})), 2), ExpNorm(2)]
+             StrengthWeight(SymbolPolynomial(1, {(3,): 1.0, (1,): 2.0})), ExpNorm(2)]
     for h in cases:
         for cfg in (PairSampleConfig(), PairSampleConfig(seed=5)):
             fit = fit_temperate(h, cfg)
@@ -116,10 +105,9 @@ def test_fit_matches_the_per_candidate_reevaluation_bit_for_bit(laplacian):
 
 
 def _h_delta_by_hand(h, delta, pts):
-    """h_delta's first loop: powers searched with their base's scores (then `ascent_score`)."""
-    score = h.base if isinstance(h, PowerWeight) else h
+    """h_delta's first loop."""
     offsets = _unit_ball_template(h.dimension) * delta
-    scores = score(pts[:, None, :] + offsets[None, :, :])
+    scores = h(pts[:, None, :] + offsets[None, :, :])
     best_idx = np.argmax(scores, axis=1)
     best_pts = pts + offsets[best_idx]
     best_score = scores[np.arange(len(pts)), best_idx]
@@ -132,7 +120,7 @@ def _h_delta_by_hand(h, delta, pts):
         rel = cand - pts
         dist = np.linalg.norm(rel, axis=1, keepdims=True)
         cand = np.where(dist > delta, pts + rel * (delta / np.maximum(dist, 1e-300)), cand)
-        s_cand = score(cand)
+        s_cand = h(cand)
         better = s_cand > best_score
         best_pts = np.where(better[:, None], cand, best_pts)
         best_score = np.where(better, s_cand, best_score)
@@ -147,7 +135,7 @@ def test_h_delta_matches_its_first_loop_bit_for_bit(n):
         StrengthWeight(SymbolPolynomial(n, {(2,) + (0,) * (n - 1): 1.0, (0,) * (n - 1) + (1,): 1j})),
         StrengthWeight(SymbolPolynomial(n, {(1,) * n: 2.0, (0,) * n: -1.5, (3,) + (0,) * (n - 1): 0.5})),
     ]
-    cases = [OnePlusNorm(n), constant_weight(n, 2.5), *strengths, PowerWeight(strengths[0], 3)]
+    cases = [OnePlusNorm(n), constant_weight(n, 2.5), *strengths]
     pts = rng.standard_normal((30, n)) * 4.0
     for h in cases:
         for delta in (0.1, 0.7, 2.0):
@@ -306,6 +294,20 @@ def test_ball_sup_rejects_bad_delta(one_plus_norm):
         h_delta(one_plus_norm, 0.0, np.zeros(2))
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -0.5])
+def test_ball_sup_and_sandwich_reject_a_radius_not_finite_and_positive_naming_it(one_plus_norm, delta):
+    for check in (lambda: h_delta(one_plus_norm, delta, np.zeros(2)),
+                  lambda: verify_ball_sup_sandwich(one_plus_norm, delta)):
+        with pytest.raises(ValueError, match=f"delta must be finite and > 0, got {delta}$"):
+            check()
+
+
+@pytest.mark.parametrize("j", [math.nan, math.inf, 0.5])
+def test_sandwich_rejects_a_power_not_finite_and_at_least_one_naming_it(one_plus_norm, j):
+    with pytest.raises(ValueError, match=f"power j must be finite and >= 1, got {j}$"):
+        verify_ball_sup_sandwich(one_plus_norm, 0.5, j)
+
+
 # -- sandwich verification -------------------------------------------------------------
 
 
@@ -339,22 +341,6 @@ def test_sandwich_requires_successful_fit(one_plus_norm):
     failed = TemperateFit(success=False)
     with pytest.raises(PreconditionError):
         verify_ball_sup_sandwich(one_plus_norm, delta=0.1, fit=failed)
-
-
-# -- power weights -----------------------------------------------------------------------
-
-
-def test_power_weight_evaluates_exact_power(strength_weight):
-    pw = PowerWeight(strength_weight, 3)
-    pts = np.array([[0.5, -1.0], [2.0, 2.0]])
-    assert np.allclose(pw(pts), strength_weight(pts) ** 3, rtol=0, atol=0)
-
-
-def test_power_weight_shared_sample_identity(strength_weight):
-    pts = np.array([[0.0, 0.0], [1.5, -0.5]])
-    base = h_delta(strength_weight, 0.7, pts)
-    powered = h_delta(PowerWeight(strength_weight, 4), 0.7, pts)
-    assert np.allclose(powered, base**4, rtol=1e-12)
 
 
 def test_weight_dimension_checked(one_plus_norm):
